@@ -3,8 +3,7 @@
 // chunks, window-offset pricing) and of its fast-simulator mirror, plus the scenario
 // annotation passes and the priority/cancellation bookkeeping they switch on. These are the
 // loops fig_scenarios spends its time in; the perf-gate CI job tracks them against
-// BENCH_simcore.json, and the /cache:0 vs /cache:1 variants isolate the StepTimeCache
-// (results are bit-identical either way; only wall time may differ).
+// BENCH_simcore.json.
 //
 // When the DISTSERVE_PROF_JSON environment variable names a file and the build has
 // DISTSERVE_PROF=ON, the accumulated zone profile is written there after the run.
@@ -17,7 +16,6 @@
 #include "cluster/gpu_spec.h"
 #include "common/prof.h"
 #include "engine/colocated_instance.h"
-#include "model/step_time_cache.h"
 #include "placement/fast_sim.h"
 #include "simcore/simulator.h"
 #include "workload/dataset.h"
@@ -55,11 +53,10 @@ workload::Trace AnnotateScenario(workload::Trace trace, uint64_t seed) {
   return trace;
 }
 
-engine::ColocatedInstance::Options ChunkedOptions(bool cache) {
+engine::ColocatedInstance::Options ChunkedOptions() {
   engine::ColocatedInstance::Options options;
   options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
   options.chunk_budget = 512;
-  options.enable_step_time_cache = cache;
   return options;
 }
 
@@ -85,7 +82,7 @@ void BM_ChunkedEngineSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13);
-  const auto options = ChunkedOptions(state.range(0) != 0);
+  const auto options = ChunkedOptions();
   int64_t tokens = 0;
   for (auto _ : state) {
     tokens = RunColocated(lm, trace, options);
@@ -93,7 +90,7 @@ void BM_ChunkedEngineSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * tokens);
 }
-BENCHMARK(BM_ChunkedEngineSteps)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_ChunkedEngineSteps);
 
 // The chunked engine under the full scenario: prefix hits, a priority admission scan,
 // preemption checks, and cancel/deadline teardowns layered on the same step loop. The gap
@@ -103,7 +100,7 @@ void BM_ChunkedScenarioSteps(benchmark::State& state) {
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace =
       AnnotateScenario(MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13), 13);
-  const auto options = ChunkedOptions(state.range(0) != 0);
+  const auto options = ChunkedOptions();
   int64_t tokens = 0;
   for (auto _ : state) {
     tokens = RunColocated(lm, trace, options);
@@ -111,7 +108,7 @@ void BM_ChunkedScenarioSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * tokens);
 }
-BENCHMARK(BM_ChunkedScenarioSteps)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_ChunkedScenarioSteps);
 
 // The fast-simulator mirror of the chunked engine — the inner loop of every chunked goodput
 // probe in fig_scenarios' search section.
@@ -119,20 +116,16 @@ void BM_FastSimChunked(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/2000, /*seed=*/17);
-  model::StepTimeCache step_cache(&lm);
   placement::ColocatedFastConfig config;
   config.num_instances = 1;
   config.chunk_budget = 512;
   config.kv_capacity_tokens = 1 << 20;
-  if (state.range(0) != 0) {
-    config.step_cache = &step_cache;
-  }
   for (auto _ : state) {
     benchmark::DoNotOptimize(placement::SimulateColocated(lm, trace, config));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(trace.size()));
 }
-BENCHMARK(BM_FastSimChunked)->Arg(0)->Arg(1)->ArgName("cache");
+BENCHMARK(BM_FastSimChunked);
 
 // The three scenario annotation passes over a 4096-request trace (no simulation): the fixed
 // per-trace cost fig_scenarios pays before every cell.

@@ -14,8 +14,6 @@ ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
                                      int64_t kv_capacity_tokens, Options options, int id)
     : sim_(sim),
       latency_model_(std::move(latency_model)),
-      step_cache_(&latency_model_,
-                  options.enable_step_time_cache ? model::StepTimeCache::kDefaultCapacity : 0),
       kv_(kv_capacity_tokens, options.kv_block_size),
       options_(options),
       id_(id) {
@@ -270,7 +268,7 @@ void ColocatedInstance::MaybeStep() {
     return;  // Idle; the next Enqueue re-arms the loop.
   }
 
-  const double step_time = step_cache_.FullTime(workload) + options_.cpu_overhead_per_step;
+  const double step_time = latency_model_.FullTime(workload) + options_.cpu_overhead_per_step;
   DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
                                    sim_->now(), sim_->now() + step_time, steps_executed_));
   step_in_flight_ = true;

@@ -39,7 +39,6 @@
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
 #include "model/latency_model.h"
-#include "model/step_time_cache.h"
 #include "simcore/simulator.h"
 
 namespace distserve::trace {
@@ -72,11 +71,6 @@ class ColocatedInstance {
     // stated motivations for DistServe's C++ engine (§5). Zero by default; the vLLM baseline
     // sets kVllmStepCpuOverhead.
     double cpu_overhead_per_step = 0.0;
-    // Memoize step times through a StepTimeCache (bit-identical either way). Off by
-    // default: profiling shows engine-loop workload signatures almost never repeat (the
-    // decode context sum grows every step), so the memo is pure lookup overhead here; it
-    // pays only where signatures recur (see model/step_time_cache.h).
-    bool enable_step_time_cache = false;
   };
 
   ColocatedInstance(simcore::Simulator* sim, model::LatencyModel latency_model,
@@ -141,7 +135,6 @@ class ColocatedInstance {
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
-  model::StepTimeCache step_cache_;  // bound to latency_model_; lifetime matches
   KvBlockManager kv_;
   Options options_;
   int id_;

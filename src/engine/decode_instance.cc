@@ -12,8 +12,6 @@ DecodeInstance::DecodeInstance(simcore::Simulator* sim, model::LatencyModel late
                                int64_t kv_capacity_tokens, Options options, int id)
     : sim_(sim),
       latency_model_(std::move(latency_model)),
-      step_cache_(&latency_model_,
-                  options.enable_step_time_cache ? model::StepTimeCache::kDefaultCapacity : 0),
       kv_(kv_capacity_tokens, options.kv_block_size),
       options_(options),
       id_(id),
@@ -222,7 +220,7 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   if (lane.active.empty()) {
     return;
   }
-  const double step_time = step_cache_.FullTime(model::BatchWorkload::Decode(
+  const double step_time = latency_model_.FullTime(model::BatchWorkload::Decode(
       static_cast<int64_t>(lane.active.size()), lane.ctx_tokens));
   if (DS_TRACE_ON(recorder_)) {
     const double now = sim_->now();

@@ -24,7 +24,6 @@
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
 #include "model/latency_model.h"
-#include "model/step_time_cache.h"
 #include "simcore/simulator.h"
 
 namespace distserve::trace {
@@ -42,11 +41,6 @@ class DecodeInstance {
     // Fraction of KV blocks the admission path may use (1.0 = all). Lowering it forces
     // earlier backpressure onto prefill instances.
     double admission_watermark = 1.0;
-    // Memoize step times through a StepTimeCache (bit-identical either way). Off by
-    // default: profiling shows engine-loop workload signatures almost never repeat (the
-    // decode context sum grows every step), so the memo is pure lookup overhead here; it
-    // pays only where signatures recur (see model/step_time_cache.h).
-    bool enable_step_time_cache = false;
   };
 
   // Issued when the instance wants a request's KV moved here; the callback must fire when the
@@ -128,7 +122,6 @@ class DecodeInstance {
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
-  model::StepTimeCache step_cache_;  // bound to latency_model_; lifetime matches
   KvBlockManager kv_;
   Options options_;
   int id_;

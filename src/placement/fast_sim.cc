@@ -38,43 +38,12 @@ class TraceView {
   bool identity_ = true;
 };
 
-// Step-time dispatch: through the memo when one is supplied, straight to the model otherwise.
-class CachedLm {
- public:
-  CachedLm(const model::LatencyModel& lm, model::StepTimeCache* cache)
-      : lm_(&lm), cache_(cache) {
-    DS_DCHECK(cache == nullptr || cache->model() == &lm)
-        << "StepTimeCache bound to a different LatencyModel";
-  }
-
-  const model::LatencyModel& lm() const { return *lm_; }
-  double StageTime(const BatchWorkload& b) {
-    return cache_ != nullptr ? cache_->StageTime(b) : lm_->StageTime(b);
-  }
-  double FullTime(const BatchWorkload& b) {
-    return cache_ != nullptr ? cache_->FullTime(b) : lm_->FullTime(b);
-  }
-  // Batched FullTime over a lattice: through the memo's batched interop when one is
-  // supplied, straight to the model's EvaluateBatch otherwise. Values are bit-identical to
-  // per-point FullTime either way (see step_time_cache.h / latency_model.h).
-  void FullTimes(const model::BatchWorkloadLattice& points, std::span<double> out) {
-    if (cache_ != nullptr) {
-      cache_->FullTimes(points, out);
-    } else {
-      lm_->EvaluateBatch(points, {}, out);
-    }
-  }
-
- private:
-  const model::LatencyModel* lm_;
-  model::StepTimeCache* cache_;
-};
-
-std::vector<double> PrefillFinishTimesView(CachedLm lm, const TraceView& trace,
-                                           int64_t target_tokens, int max_batch_size) {
+std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
+                                           const TraceView& trace, int64_t target_tokens,
+                                           int max_batch_size) {
   DS_PROF_ZONE("fast_sim.prefill");
   std::vector<double> finish(trace.size(), 0.0);
-  const int pp = lm.lm().par().pp;
+  const int pp = lm.par().pp;
   size_t i = 0;
   double stage0_free = 0.0;
   double prev_entry = 0.0;
@@ -138,9 +107,9 @@ std::vector<double> PrefillFinishTimesView(CachedLm lm, const TraceView& trace,
 // uninterrupted runs (mean output lengths are hundreds of tokens).
 constexpr int kDecodeStepChunk = 32;
 
-std::vector<double> DecodeTpotsView(CachedLm lm, int64_t kv_capacity_tokens,
+std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
                                     const TraceView& trace, std::span<const double> ready_times,
-                                    int max_batch_size, bool batched_steps) {
+                                    int max_batch_size) {
   DS_PROF_ZONE("fast_sim.decode");
   DS_CHECK_EQ(trace.size(), ready_times.size());
   DS_CHECK_GT(max_batch_size, 0);
@@ -173,13 +142,13 @@ std::vector<double> DecodeTpotsView(CachedLm lm, int64_t kv_capacity_tokens,
   };
   std::vector<Active> active;
   active.reserve(static_cast<size_t>(max_batch_size));
-  const int pp = lm.lm().par().pp;
+  const int pp = lm.par().pp;
   size_t next = 0;
   double now = 0.0;
   int64_t used_tokens = 0;
   int64_t ctx_sum = 0;  // invariant: sum of ctx over `active` (exact: integer adds)
 
-  // Scratch for the run-batched path, reused across runs.
+  // Scratch for the batched step pricing, reused across runs.
   model::BatchWorkloadLattice lattice;
   std::vector<double> step_times;
 
@@ -209,38 +178,16 @@ std::vector<double> DecodeTpotsView(CachedLm lm, int64_t kv_capacity_tokens,
     const int64_t batch = static_cast<int64_t>(active.size());
     const int64_t lane_batch = (batch + pp - 1) / pp;
 
-    if (!batched_steps) {
-      // Scalar reference path: one decode step at the micro-batch lane cadence per
-      // iteration. Kept verbatim as the ground truth the run-batched path is equivalence-
-      // tested against (tiered_search_test) and for the micro-benchmark ablation.
-      const int64_t lane_ctx = ctx_sum / pp;
-      now += lm.FullTime(BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
-      size_t write = 0;
-      for (Active& a : active) {
-        --a.remaining;
-        ++a.ctx;
-        ++ctx_sum;
-        if (a.remaining <= 0) {
-          ctx_sum -= a.ctx;
-          tpot[a.idx] = (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1);
-          used_tokens -= trace[a.idx].total_len();
-        } else {
-          active[write++] = a;
-        }
-      }
-      active.resize(write);
-      continue;
-    }
-
     // Run-batched stepping. Between membership changes the batch is fixed and the context
     // sum grows by exactly `batch` per step, so the next `run` step workloads form a known
-    // lattice: price them chunk-wise through one batched call each (step-cache interop
-    // included) instead of `run` scalar calls. Equivalence with the scalar path: the step
-    // times are bit-identical (EvaluateBatch mirrors FullTime), `now` accumulates them in
-    // the same order, and the loop stops stepping exactly where the scalar loop's admission
-    // check would fire — membership can only change at a completion (bounded by the
-    // smallest remaining count) or when `now` reaches the next admissible request's ready
-    // time (nothing else in the admission condition moves during a run).
+    // lattice: price them chunk-wise through one batched call each instead of `run` scalar
+    // calls. Equivalence with a per-step scalar loop (tiered_search_test keeps one as the
+    // reference): the step times are bit-identical (EvaluateBatch mirrors FullTime), `now`
+    // accumulates them in the same order, and the loop stops stepping exactly where the
+    // scalar loop's admission check would fire — membership can only change at a
+    // completion (bounded by the smallest remaining count) or when `now` reaches the next
+    // admissible request's ready time (nothing else in the admission condition moves during
+    // a run).
     int run = active[0].remaining;
     for (const Active& a : active) {
       run = std::min(run, a.remaining);
@@ -259,7 +206,7 @@ std::vector<double> DecodeTpotsView(CachedLm lm, int64_t kv_capacity_tokens,
         lattice.PushBack(BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
       }
       step_times.resize(static_cast<size_t>(chunk));
-      lm.FullTimes(lattice, step_times);
+      lm.EvaluateBatch(lattice, {}, step_times);
       for (int s = 0; s < chunk; ++s) {
         now += step_times[static_cast<size_t>(s)];
         ++stepped;
@@ -293,7 +240,7 @@ std::vector<double> DecodeTpotsView(CachedLm lm, int64_t kv_capacity_tokens,
 
 // Single colocated instance over a trace view; writes results through the view's global
 // positions.
-void SimulateColocatedOne(CachedLm lm, const TraceView& trace,
+void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
                           const ColocatedFastConfig& config,
                           std::vector<FastRecord>& records) {
   DS_PROF_ZONE("fast_sim.colocated");
@@ -506,23 +453,19 @@ metrics::Attainment FastAttainment(const std::vector<FastRecord>& records,
 
 std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
                                                const workload::Trace& trace,
-                                               int64_t target_tokens, int max_batch_size,
-                                               model::StepTimeCache* step_cache) {
+                                               int64_t target_tokens, int max_batch_size) {
   DS_CHECK_GT(target_tokens, 0);
   DS_CHECK_GT(max_batch_size, 0);
-  return PrefillFinishTimesView(CachedLm(lm, step_cache), TraceView(trace), target_tokens,
-                                max_batch_size);
+  return PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size);
 }
 
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         int64_t kv_capacity_tokens,
                                         const workload::Trace& trace,
                                         const std::vector<double>& ready_times,
-                                        int max_batch_size,
-                                        model::StepTimeCache* step_cache,
-                                        bool batched_steps) {
-  return DecodeTpotsView(CachedLm(lm, step_cache), kv_capacity_tokens, TraceView(trace),
-                         ready_times, max_batch_size, batched_steps);
+                                        int max_batch_size) {
+  return DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times,
+                         max_batch_size);
 }
 
 std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill_lm,
@@ -538,9 +481,9 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
   for (int inst = 0; inst < config.num_prefill; ++inst) {
     const std::vector<size_t> idx =
         RoundRobinIndices(trace.size(), inst, config.num_prefill);
-    const std::vector<double> finish = PrefillFinishTimesView(
-        CachedLm(prefill_lm, config.prefill_step_cache), TraceView(trace, idx),
-        config.prefill_target_tokens, config.prefill_max_batch);
+    const std::vector<double> finish =
+        PrefillFinishTimesView(prefill_lm, TraceView(trace, idx), config.prefill_target_tokens,
+                               config.prefill_max_batch);
     for (size_t k = 0; k < idx.size(); ++k) {
       first_token[idx[k]] = finish[k];
       records[idx[k]].ttft = finish[k] - trace[idx[k]].arrival_time;
@@ -555,9 +498,9 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
     for (size_t i : idx) {
       ready.push_back(first_token[i]);
     }
-    const std::vector<double> tpots = DecodeTpotsView(
-        CachedLm(decode_lm, config.decode_step_cache), config.decode_kv_capacity_tokens,
-        TraceView(trace, idx), ready, config.decode_max_batch, /*batched_steps=*/true);
+    const std::vector<double> tpots =
+        DecodeTpotsView(decode_lm, config.decode_kv_capacity_tokens, TraceView(trace, idx),
+                        ready, config.decode_max_batch);
     for (size_t k = 0; k < idx.size(); ++k) {
       records[idx[k]].tpot = tpots[k];
     }
@@ -574,8 +517,7 @@ std::vector<FastRecord> SimulateColocated(const model::LatencyModel& lm,
   for (int inst = 0; inst < config.num_instances; ++inst) {
     const std::vector<size_t> idx =
         RoundRobinIndices(trace.size(), inst, config.num_instances);
-    SimulateColocatedOne(CachedLm(lm, config.step_cache), TraceView(trace, idx), config,
-                         records);
+    SimulateColocatedOne(lm, TraceView(trace, idx), config, records);
   }
   return records;
 }

@@ -19,7 +19,6 @@
 
 #include "metrics/collector.h"
 #include "model/latency_model.h"
-#include "model/step_time_cache.h"
 #include "workload/request.h"
 
 namespace distserve::placement {
@@ -34,36 +33,20 @@ struct FastRecord {
 metrics::Attainment FastAttainment(const std::vector<FastRecord>& records,
                                    const metrics::SloSpec& slo);
 
-// Every entry point below takes an optional StepTimeCache bound to the same LatencyModel
-// (results are bit-identical with or without one — see step_time_cache.h). The placement
-// search passes one cache across all rate probes of a configuration, where the same batch
-// signatures recur constantly; nullptr simply computes every step time.
-
 // Prefill-only instance: FCFS, L_m-aware batching, pipeline-bubble cadence. Returns, per
 // request (trace order), the absolute first-token time.
 std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
                                                const workload::Trace& trace,
-                                               int64_t target_tokens, int max_batch_size,
-                                               model::StepTimeCache* step_cache = nullptr);
+                                               int64_t target_tokens, int max_batch_size);
 
 // Decode-only instance: requests arrive at `ready_times` (first token already produced),
 // admission reserves the full final context against `kv_capacity_tokens`, and the batch steps
 // at the micro-batch lane cadence. Returns per-request TPOT (0 for single-token outputs).
-//
-// `batched_steps` selects the probe-loop implementation: true (default) prices whole
-// constant-membership runs of steps through LatencyModel::EvaluateBatch (one batched call
-// per chunk instead of one scalar call per step); false keeps the original per-step scalar
-// loop. Results are bit-identical — the batched evaluator mirrors the scalar arithmetic and
-// the run decomposition stops exactly at the scalar loop's membership changes — which
-// tiered_search_test asserts; the flag exists for that test and the micro-benchmark
-// ablation, not for behavior.
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         int64_t kv_capacity_tokens,
                                         const workload::Trace& trace,
                                         const std::vector<double>& ready_times,
-                                        int max_batch_size,
-                                        model::StepTimeCache* step_cache = nullptr,
-                                        bool batched_steps = true);
+                                        int max_batch_size);
 
 struct DisaggregatedFastConfig {
   int num_prefill = 1;
@@ -72,9 +55,6 @@ struct DisaggregatedFastConfig {
   int prefill_max_batch = 64;
   int64_t decode_kv_capacity_tokens = 0;
   int decode_max_batch = 512;
-  // Optional memos bound to prefill_lm / decode_lm respectively (see note above).
-  model::StepTimeCache* prefill_step_cache = nullptr;
-  model::StepTimeCache* decode_step_cache = nullptr;
 };
 
 // Full disaggregated pipeline: round-robin over prefill instances, then round-robin over
@@ -96,8 +76,6 @@ struct ColocatedFastConfig {
   int64_t chunk_budget = 0;
   // Per-iteration host overhead (see ColocatedInstance::Options::cpu_overhead_per_step).
   double cpu_overhead_per_step = 0.0;
-  // Optional memo bound to `lm` (see note above).
-  model::StepTimeCache* step_cache = nullptr;
 };
 
 // Colocated (vLLM-style) continuous batching: mixed prefill+decode steps, monolithic prompts

@@ -548,13 +548,15 @@ void ServingSystem::CancelRequest(engine::RequestState* request, bool timed_out)
   if (request->cancel_pending) {
     return;  // an earlier cancel/timeout is already tearing it down
   }
+  // A parked request (kPending or kDecodePending) leaves the parked list whatever its phase,
+  // or the next recovery's FlushParked would route a finished request.
+  if (request->parked) {
+    request->parked = false;
+    std::erase(parked_, request);
+  }
   switch (request->phase) {
     case engine::RequestPhase::kPending: {
-      // Awaiting a fault re-route, or parked: nothing holds resources.
-      if (request->parked) {
-        request->parked = false;
-        std::erase(parked_, request);
-      }
+      // Awaiting a fault re-route, or was parked: nothing holds resources.
       ++request->attempt;  // squashes any scheduled re-route
       FinishAbandon(request, timed_out);
       return;

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "baselines/vllm_system.h"
 #include "engine/colocated_instance.h"
+#include "serving/fault_plan.h"
 #include "serving/serving_system.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
@@ -152,6 +154,65 @@ TEST(CancelKvConservationTest, PreemptionPlusCancelConservesKvUnderPressure) {
     EXPECT_GT(abandoned, 0) << "seed " << seed;
     EXPECT_GT(instance.preemptions(), 0) << "seed " << seed;
     EXPECT_EQ(instance.kv().used_blocks(), 0) << "seed " << seed;
+  }
+}
+
+// Deadlines and cancels that fire while a request is parked for a dead decode pool. Every
+// decode instance is down from t=0, so each request finishes prefill and parks in
+// kDecodePending; one times out and one is cancelled inside the outage, and the pool
+// recovers afterwards. The recovery flush must route only the survivor: a terminal request
+// left in the parked list would reach RouteAfterFault and abort the run.
+TEST(CancelKvConservationTest, DeadlineInsideDecodeOutageLeavesParkedList) {
+  workload::Trace trace(3);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = static_cast<workload::RequestId>(i);
+    trace[i].arrival_time = 0.01 * static_cast<double>(i);
+    trace[i].input_len = 128;
+    trace[i].output_len = 16;
+  }
+  trace[0].deadline = 1.0;
+  trace[1].cancel_at = 1.5;
+
+  serving::ServingConfig config;
+  config.model = model::ModelSpec::Opt13B();
+  config.cluster = cluster::ClusterSpec::PaperTestbed();
+  config.plan.prefill_par = {1, 1};
+  config.plan.decode_par = {1, 1};
+  config.plan.num_prefill = 1;
+  config.plan.num_decode = 2;
+  config.plan.intra_node_transfers = true;
+  for (int d = 0; d < config.plan.num_decode; ++d) {
+    config.faults.events.push_back(
+        {0.0, serving::FaultDomain::kDecode, serving::FaultAction::kFail, d});
+    config.faults.events.push_back(
+        {3.0, serving::FaultDomain::kDecode, serving::FaultAction::kRecover, d});
+  }
+  config.faults.Normalize();
+  serving::ServingSystem system(config);
+  const metrics::Collector results = system.Run(trace);
+
+  EXPECT_EQ(results.count(), 1u);
+  EXPECT_EQ(results.timed_out_count(), 1u);
+  EXPECT_EQ(results.cancelled_count(), 1u);
+  EXPECT_EQ(results.lost_count(), 0u);
+  EXPECT_EQ(results.count() + results.lost_count() + results.cancelled_count() +
+                results.timed_out_count(),
+            trace.size());
+  // Exactly one outcome per request: no id appears in two outcome lists.
+  std::set<workload::RequestId> ids;
+  for (const auto* records : {&results.records(), &results.lost_records(),
+                              &results.cancelled_records(), &results.timed_out_records()}) {
+    for (const metrics::RequestRecord& r : *records) {
+      EXPECT_TRUE(ids.insert(r.id).second) << "request " << r.id << " has two outcomes";
+    }
+  }
+  EXPECT_EQ(ids.size(), trace.size());
+  for (const auto& p : system.prefill_instances()) {
+    EXPECT_EQ(p->kv().used_blocks(), 0);
+  }
+  for (const auto& d : system.decode_instances()) {
+    EXPECT_EQ(d->kv().used_blocks(), 0);
+    EXPECT_EQ(d->resident_requests(), 0);
   }
 }
 

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
 
 namespace distserve::model {
+
+// Prints a model by name. Without it gtest prints the raw bytes of the std::string
+// member, a heap pointer that differs from run to run, so the names of the
+// parameterized tests below would change on every build.
+void PrintTo(const ModelSpec& spec, std::ostream* os) { *os << spec.name; }
+
 namespace {
 
 using cluster::GpuSpec;

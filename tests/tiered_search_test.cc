@@ -3,20 +3,20 @@
 // Three layers of bit-identity back the analytic tier's "skips, never verdict changes"
 // contract, and each gets its own tests here:
 //   1. LatencyModel::EvaluateBatch == scalar StageTime/FullTime, bit for bit, including
-//      denormal / huge / empty boundary points (with and without a StepTimeCache in front);
-//   2. the run-batched decode probe loop == the original per-step scalar loop;
+//      denormal / huge / empty boundary points and duplicates inside one lattice;
+//   2. the run-batched decode probe loop == a per-step scalar reference loop kept here;
 //   3. the planner's chosen plan with use_analytic_tier on == off, across algorithms,
 //      seeds, traffic rates, and a degraded-cluster replan — while tier-on runs strictly
 //      fewer (or equal) simulations.
 // Plus the closed-form M/D/1 inverse and the cap-sanitization rules the tier is built from.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
-#include "model/step_time_cache.h"
 #include "placement/algorithms.h"
 #include "placement/analytic_tier.h"
 #include "placement/fast_sim.h"
@@ -61,7 +61,10 @@ model::BatchWorkloadLattice MakeLattice(const std::vector<model::BatchWorkload>&
 }
 
 TEST(BatchedEvalTest, MatchesScalarBitForBitAcrossParallelisms) {
-  const std::vector<model::BatchWorkload> points = BoundaryPoints();
+  const std::vector<model::BatchWorkload> boundary = BoundaryPoints();
+  // Duplicates inside one lattice are priced independently, each model-exact.
+  std::vector<model::BatchWorkload> points = boundary;
+  points.insert(points.end(), boundary.begin(), boundary.begin() + 5);
   const model::BatchWorkloadLattice lattice = MakeLattice(points);
   for (int tp : {1, 4}) {
     for (int pp : {1, 4}) {
@@ -91,31 +94,6 @@ TEST(BatchedEvalTest, SingleMetricSpansAndEmptyLattice) {
   // Round-trip: the lattice stores the exact fields.
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(lattice.At(i).prefill_sq_tokens, points[i].prefill_sq_tokens);
-  }
-}
-
-TEST(BatchedEvalTest, StepTimeCacheBatchedMatchesScalar) {
-  const model::LatencyModel lm = Lm13B(2, 1);
-  std::vector<model::BatchWorkload> points = BoundaryPoints();
-  // Duplicates inside one call: the second occurrence must be served from the insert of the
-  // first (or priced identically — either way the value is model-exact).
-  points.insert(points.end(), points.begin(), points.begin() + 5);
-  const model::BatchWorkloadLattice lattice = MakeLattice(points);
-  // Capacity 4 forces slot collisions; capacity 0 disables memoization entirely.
-  for (size_t capacity : {size_t{0}, size_t{4}, model::StepTimeCache::kDefaultCapacity}) {
-    model::StepTimeCache cache(&lm, capacity);
-    std::vector<double> stage(points.size()), full(points.size());
-    cache.StageTimes(lattice, stage);
-    cache.FullTimes(lattice, full);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(stage[i], lm.StageTime(points[i])) << "capacity=" << capacity << " i=" << i;
-      EXPECT_EQ(full[i], lm.FullTime(points[i])) << "capacity=" << capacity << " i=" << i;
-    }
-    // Re-running the same lattice through a live cache must answer from the memo, still exact.
-    cache.StageTimes(lattice, stage);
-    for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(stage[i], lm.StageTime(points[i]));
-    }
   }
 }
 
@@ -186,6 +164,82 @@ workload::Trace VariedTrace(double rate, int n, uint64_t seed) {
   return workload::GenerateTrace(spec, *dataset);
 }
 
+// Per-step scalar reference for SimulateDecodeTpots: the same FCFS admission against token
+// reservations, but one FullTime call per decode step at the micro-batch lane cadence. The
+// run-batched production loop must reproduce it bit for bit.
+std::vector<double> ScalarDecodeTpots(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                                      const workload::Trace& trace,
+                                      const std::vector<double>& ready_times,
+                                      int max_batch_size) {
+  std::vector<double> tpot(trace.size(), 0.0);
+  std::vector<size_t> order;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (trace[i].output_len < 2) {
+      continue;
+    }
+    if (trace[i].total_len() > kv_capacity_tokens) {
+      tpot[i] = kInf;
+      continue;
+    }
+    order.push_back(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return ready_times[a] < ready_times[b];
+  });
+
+  struct Active {
+    size_t idx;
+    int remaining;
+    int64_t ctx;
+    double join;
+  };
+  std::vector<Active> active;
+  const int pp = lm.par().pp;
+  size_t next = 0;
+  double now = 0.0;
+  int64_t used_tokens = 0;
+  int64_t ctx_sum = 0;
+  while (next < order.size() || !active.empty()) {
+    if (active.empty()) {
+      now = std::max(now, ready_times[order[next]]);
+    }
+    while (next < order.size() && ready_times[order[next]] <= now &&
+           static_cast<int>(active.size()) < max_batch_size) {
+      const size_t idx = order[next];
+      const int64_t need = trace[idx].total_len();
+      if (used_tokens + need > kv_capacity_tokens) {
+        break;
+      }
+      used_tokens += need;
+      const int64_t ctx = static_cast<int64_t>(trace[idx].input_len) + 1;
+      active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready_times[idx]});
+      ctx_sum += ctx;
+      ++next;
+    }
+    if (active.empty()) {
+      continue;
+    }
+    const int64_t lane_batch = (static_cast<int64_t>(active.size()) + pp - 1) / pp;
+    const int64_t lane_ctx = ctx_sum / pp;
+    now += lm.FullTime(model::BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
+    size_t write = 0;
+    for (Active& a : active) {
+      --a.remaining;
+      ++a.ctx;
+      ++ctx_sum;
+      if (a.remaining <= 0) {
+        ctx_sum -= a.ctx;
+        tpot[a.idx] = (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1);
+        used_tokens -= trace[a.idx].total_len();
+      } else {
+        active[write++] = a;
+      }
+    }
+    active.resize(write);
+  }
+  return tpot;
+}
+
 TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
   for (int pp : {1, 2}) {
     const model::LatencyModel lm = Lm13B(1, pp);
@@ -196,37 +250,32 @@ TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
       for (const auto& r : trace) ready.push_back(r.arrival_time);
       for (int max_batch : {8, 256}) {
         const std::vector<double> scalar =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch,
-                                /*step_cache=*/nullptr, /*batched_steps=*/false);
+            ScalarDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch);
         const std::vector<double> batched =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch,
-                                /*step_cache=*/nullptr, /*batched_steps=*/true);
+            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch);
         ASSERT_EQ(scalar.size(), batched.size());
         for (size_t i = 0; i < scalar.size(); ++i) {
           EXPECT_EQ(scalar[i], batched[i]) << "pp=" << pp << " rate=" << rate << " i=" << i;
         }
-        // With a step cache in front, still bit-identical to the scalar reference.
-        model::StepTimeCache cache(&lm);
-        const std::vector<double> cached =
-            SimulateDecodeTpots(lm, int64_t{1} << 20, trace, ready, max_batch, &cache,
-                                /*batched_steps=*/true);
-        for (size_t i = 0; i < scalar.size(); ++i) {
-          EXPECT_EQ(scalar[i], cached[i]) << "pp=" << pp << " rate=" << rate << " i=" << i;
-        }
       }
     }
   }
-  // KV pressure path: tiny capacity forces queued admissions at completion boundaries.
+  // KV pressure path: tiny capacity forces queued admissions at completion boundaries; at
+  // 1024 tokens some requests can never fit and score an infinite TPOT on both paths.
   const model::LatencyModel lm = Lm13B();
   const workload::Trace trace = VariedTrace(2.0, 60, 11);
   std::vector<double> ready;
   for (const auto& r : trace) ready.push_back(r.arrival_time);
-  const std::vector<double> scalar = SimulateDecodeTpots(lm, 4096, trace, ready, 256, nullptr,
-                                                         /*batched_steps=*/false);
-  const std::vector<double> batched = SimulateDecodeTpots(lm, 4096, trace, ready, 256, nullptr,
-                                                          /*batched_steps=*/true);
-  for (size_t i = 0; i < scalar.size(); ++i) {
-    EXPECT_EQ(scalar[i], batched[i]) << i;
+  for (int64_t kv_capacity : {4096, 1024}) {
+    const std::vector<double> scalar = ScalarDecodeTpots(lm, kv_capacity, trace, ready, 256);
+    const std::vector<double> batched = SimulateDecodeTpots(lm, kv_capacity, trace, ready, 256);
+    ASSERT_EQ(scalar.size(), batched.size());
+    for (size_t i = 0; i < scalar.size(); ++i) {
+      EXPECT_EQ(scalar[i], batched[i]) << "kv=" << kv_capacity << " i=" << i;
+    }
+    if (kv_capacity == 1024) {
+      EXPECT_NE(std::find(batched.begin(), batched.end(), kInf), batched.end());
+    }
   }
 }
 
