@@ -10,8 +10,7 @@
 // Both panels render from the span recorder (trace/attribution.h): the ad-hoc collector
 // arithmetic this bench used to carry now lives behind ComputeLatencyBreakdown /
 // TransferTimes, which fold the per-request span timelines into the same stage extents
-// bit for bit (trace_bitidentity_test proves the equivalence). Building with
-// -DDISTSERVE_TRACE=OFF falls back to the collector; stdout is byte-identical either way.
+// bit for bit (trace_bitidentity_test proves the equivalence).
 //
 // Flags:
 //   --trace=PATH        export the OPT-175B breakdown run as Chrome trace-event JSON
@@ -47,15 +46,10 @@ AppResult RunApp(const bench::Application& app, double per_gpu_rate, int request
   spec.num_requests = requests;
   spec.seed = 101;
   const bench::RunFn run = bench::MakeDistServeRunner(app.model, cluster, plan, recorder);
-  const metrics::Collector results = run(workload::GenerateTrace(spec, *dataset));
+  run(workload::GenerateTrace(spec, *dataset));
   AppResult out;
-  if (trace::kCompiledIn) {
-    out.breakdown = trace::ComputeLatencyBreakdown(*recorder);
-    out.transfer_times = trace::TransferTimes(*recorder);
-  } else {
-    out.breakdown = results.ComputeBreakdown();
-    out.transfer_times = results.SortedTransferTimes();
-  }
+  out.breakdown = trace::ComputeLatencyBreakdown(*recorder);
+  out.transfer_times = trace::TransferTimes(*recorder);
   return out;
 }
 
@@ -76,10 +70,6 @@ int Main(int argc, char** argv) {
                    argv[0], argv[i]);
       return 2;
     }
-  }
-  if (!trace::kCompiledIn && (!trace_path.empty() || !attribution_path.empty())) {
-    std::fprintf(stderr,
-                 "warning: built with -DDISTSERVE_TRACE=OFF; no spans will be exported\n");
   }
 
   bench::PrintBanner("Figure 10a: latency breakdown, OPT-175B on ShareGPT (DistServe-Low)");

@@ -158,10 +158,6 @@ int Main(int argc, char** argv) {
   if (!ResolveSinglePoolCluster(flags, "fig13", &cluster)) {
     return 2;
   }
-  if (!flags.trace_path.empty() && !trace::kCompiledIn) {
-    std::fprintf(stderr,
-                 "warning: built with -DDISTSERVE_TRACE=OFF; no spans will be exported\n");
-  }
   trace::Recorder recorder;
   trace::Recorder* rec = flags.trace_path.empty() ? nullptr : &recorder;
   const std::string goodput_cache_path =

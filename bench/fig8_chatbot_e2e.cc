@@ -36,10 +36,6 @@ int main(int argc, char** argv) {
   if (!ResolveSinglePoolCluster(flags, "fig8", &cluster)) {
     return 2;
   }
-  if (!flags.trace_path.empty() && !distserve::trace::kCompiledIn) {
-    std::fprintf(stderr,
-                 "warning: built with -DDISTSERVE_TRACE=OFF; no spans will be exported\n");
-  }
   distserve::trace::Recorder recorder;
   distserve::trace::Recorder* rec = flags.trace_path.empty() ? nullptr : &recorder;
   const std::unique_ptr<distserve::ThreadPool> pool = MakeSweepPool(flags.shards);

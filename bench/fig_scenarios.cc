@@ -239,10 +239,6 @@ int Main(int argc, char** argv) {
   }
   const bool smoke = flags.smoke;
   const int64_t chunk_budget = flags.chunk_budget > 0 ? flags.chunk_budget : 512;
-  if (!flags.trace_path.empty() && !trace::kCompiledIn) {
-    std::fprintf(stderr,
-                 "warning: built with -DDISTSERVE_TRACE=OFF; no spans will be exported\n");
-  }
   trace::Recorder recorder;
   trace::Recorder* rec = flags.trace_path.empty() ? nullptr : &recorder;
   // A shared recorder would interleave spans from concurrent cells; tracing stays serial.

@@ -4,17 +4,12 @@
 // annotation passes and the priority/cancellation bookkeeping they switch on. These are the
 // loops fig_scenarios spends its time in; the perf-gate CI job tracks them against
 // BENCH_simcore.json.
-//
-// When the DISTSERVE_PROF_JSON environment variable names a file and the build has
-// DISTSERVE_PROF=ON, the accumulated zone profile is written there after the run.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
-#include "common/prof.h"
 #include "engine/colocated_instance.h"
 #include "placement/fast_sim.h"
 #include "simcore/simulator.h"
@@ -142,16 +137,4 @@ BENCHMARK(BM_ScenarioAnnotation);
 }  // namespace
 }  // namespace distserve
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  if (const char* path = std::getenv("DISTSERVE_PROF_JSON");
-      path != nullptr && *path != '\0') {
-    distserve::prof::WriteJsonFile(path);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

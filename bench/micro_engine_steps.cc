@@ -2,17 +2,12 @@
 // (decode lanes, prefill batch launches, the colocated baseline) and of the fast placement
 // simulator. These loops dominate every end-to-end figure run; the perf-smoke CI job
 // tracks them.
-//
-// When the DISTSERVE_PROF_JSON environment variable names a file and the build has
-// DISTSERVE_PROF=ON, the accumulated zone profile is written there after the run.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
-#include "common/prof.h"
 #include "engine/colocated_instance.h"
 #include "engine/decode_instance.h"
 #include "engine/prefill_instance.h"
@@ -172,16 +167,4 @@ BENCHMARK(BM_FastSimDisaggregated);
 }  // namespace
 }  // namespace distserve
 
-int main(int argc, char** argv) {
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
-    return 1;
-  }
-  ::benchmark::RunSpecifiedBenchmarks();
-  ::benchmark::Shutdown();
-  if (const char* path = std::getenv("DISTSERVE_PROF_JSON");
-      path != nullptr && *path != '\0') {
-    distserve::prof::WriteJsonFile(path);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

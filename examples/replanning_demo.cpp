@@ -33,10 +33,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (!trace_path.empty() && !trace::kCompiledIn) {
-    std::fprintf(stderr,
-                 "warning: built with -DDISTSERVE_TRACE=OFF; no spans will be exported\n");
-  }
   trace::Recorder recorder;
 
   const cluster::ClusterSpec cluster = cluster::ClusterSpec::PaperTestbed();

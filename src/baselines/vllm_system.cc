@@ -51,7 +51,7 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
       ++collector_.scenario_stats().decode_preemptions;
     });
   }
-  if (DS_TRACE_ON(config_.recorder)) {
+  if (config_.recorder != nullptr) {
     for (const auto& inst : instances_) {
       inst->set_recorder(config_.recorder);
       config_.recorder->SetProcessName(trace::ColocatedPid(inst->id()),

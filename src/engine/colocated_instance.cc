@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "common/logging.h"
-#include "common/prof.h"
 #include "trace/recorder.h"
 
 namespace distserve::engine {
@@ -22,8 +21,9 @@ ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
       << "the colocated (vLLM) baseline supports intra-op parallelism only";
   DS_CHECK_GT(options_.max_batch_size, 0);
   DS_CHECK_GT(options_.max_prefill_tokens_per_step, 0);
-  DS_CHECK_GT(options_.chunk_size, 0);
-  DS_CHECK_GE(options_.chunk_budget, 0);
+  if (options_.mode == Options::SchedulingMode::kChunked) {
+    DS_CHECK_GT(options_.chunk_budget, 0) << "kChunked needs a per-step token budget";
+  }
 }
 
 void ColocatedInstance::Enqueue(RequestState* request) {
@@ -194,36 +194,22 @@ void ColocatedInstance::MaybeStep() {
   int64_t prefill_tokens_in_step = 0;
   if (!prefilling_.empty()) {
     if (options_.mode == Options::SchedulingMode::kChunked) {
-      if (options_.chunk_budget > 0) {
-        // Sarathi-style token budget: resident decodes claim one token each; prompt chunks
-        // from as many prompts as fit fill the remainder, FCFS in admission order.
-        int64_t budget =
-            options_.chunk_budget - static_cast<int64_t>(decoding_.size());
-        auto it = prefilling_.begin();
-        while (budget > 0 && it != prefilling_.end()) {
-          RequestState* head = *it;
-          const int64_t remaining = head->request.input_len - head->prefill_tokens_done;
-          const int64_t chunk = std::min(remaining, budget);
-          AddPrefillWork(head, chunk, &workload);
-          prefill_tokens_in_step += chunk;
-          budget -= chunk;
-          if (head->prefill_tokens_done == head->request.input_len) {
-            prefilled_now.push_back(head);
-            it = prefilling_.erase(it);
-          } else {
-            ++it;  // budget exhausted mid-prompt; the next step continues this window
-          }
-        }
-      } else {
-        // Legacy SARATHI shape: one chunk from the head prompt per step.
-        RequestState* head = prefilling_.front();
-        const int remaining = head->request.input_len - head->prefill_tokens_done;
-        const int chunk = std::min(options_.chunk_size, remaining);
+      // Sarathi-style token budget: resident decodes claim one token each; prompt chunks
+      // from as many prompts as fit fill the remainder, FCFS in admission order.
+      int64_t budget = options_.chunk_budget - static_cast<int64_t>(decoding_.size());
+      auto it = prefilling_.begin();
+      while (budget > 0 && it != prefilling_.end()) {
+        RequestState* head = *it;
+        const int64_t remaining = head->request.input_len - head->prefill_tokens_done;
+        const int64_t chunk = std::min(remaining, budget);
         AddPrefillWork(head, chunk, &workload);
         prefill_tokens_in_step += chunk;
+        budget -= chunk;
         if (head->prefill_tokens_done == head->request.input_len) {
           prefilled_now.push_back(head);
-          prefilling_.pop_front();
+          it = prefilling_.erase(it);
+        } else {
+          ++it;  // budget exhausted mid-prompt; the next step continues this window
         }
       }
     } else {
@@ -254,7 +240,7 @@ void ColocatedInstance::MaybeStep() {
   if (decodes_advance) {
     workload.decode_requests = static_cast<int64_t>(decoding_.size());
     workload.decode_context_tokens = decode_ctx_tokens_;
-    if (DS_TRACE_ON(recorder_)) {
+    if (recorder_ != nullptr) {
       const double now = sim_->now();
       for (RequestState* r : decoding_) {
         // Coalesced by the recorder into one contiguous decode_step run per stretch.
@@ -283,7 +269,6 @@ void ColocatedInstance::MaybeStep() {
 
 void ColocatedInstance::StepEnd(std::vector<RequestState*> prefilled_now,
                                 bool decodes_advanced) {
-  DS_PROF_ZONE("colocated.step_end");
   step_in_flight_ = false;
   const double now = sim_->now();
 

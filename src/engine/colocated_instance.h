@@ -14,11 +14,10 @@
 //   * kMixed (Orca-style): prompts and decodes share one batch; interference appears as the
 //     roofline `max()` stretching the shared step;
 //   * kChunked (SARATHI): prompts split into chunks piggybacked onto decodes — trading TTFT
-//     for TPOT, as §2.2 describes. With Options::chunk_budget set, every step carries a fixed
-//     token budget shared by the resident decodes (one token each) and prompt chunks from as
-//     many waiting prompts as fit — the Sarathi-style chunked-prefill colocation "Beyond the
-//     Buzz" argues can rival disaggregation. chunk_budget == 0 keeps the legacy
-//     one-chunk-from-the-head-prompt-per-step behaviour.
+//     for TPOT, as §2.2 describes. Every step carries a fixed token budget
+//     (Options::chunk_budget) shared by the resident decodes (one token each) and prompt
+//     chunks from as many waiting prompts as fit — the Sarathi-style chunked-prefill
+//     colocation "Beyond the Buzz" argues can rival disaggregation.
 //
 // Scenario support (all inert on unannotated traces):
 //   * prefix-cache hits (workload::Request::cached_prefix_len) skip prefill *compute* — the
@@ -60,10 +59,9 @@ class ColocatedInstance {
     int max_batch_size = 256;
     // Prefill tokens admitted into one step (vLLM's max_num_batched_tokens analogue).
     int64_t max_prefill_tokens_per_step = 4096;
-    int chunk_size = 512;  // kChunked only
-    // kChunked only: per-step token budget shared by resident decodes (one token each) and
-    // prompt chunks filling the remainder, across multiple prompts. 0 = legacy behaviour
-    // (exactly one chunk_size chunk from the head prompt per step).
+    // kChunked only (and required > 0 there): per-step token budget shared by resident
+    // decodes (one token each) and prompt chunks filling the remainder, across multiple
+    // prompts.
     int64_t chunk_budget = 0;
     int kv_block_size = 16;
     // Host-side scheduler/runtime overhead added to every iteration. The 2023-era vLLM the

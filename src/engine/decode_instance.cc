@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/prof.h"
 #include "trace/recorder.h"
 
 namespace distserve::engine {
@@ -222,7 +221,7 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   }
   const double step_time = latency_model_.FullTime(model::BatchWorkload::Decode(
       static_cast<int64_t>(lane.active.size()), lane.ctx_tokens));
-  if (DS_TRACE_ON(recorder_)) {
+  if (recorder_ != nullptr) {
     const double now = sim_->now();
     for (RequestState* r : lane.active) {
       // Coalesced by the recorder into one contiguous decode_step run per stretch.
@@ -246,7 +245,6 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
 }
 
 void DecodeInstance::LaneStepEnd(size_t lane_idx) {
-  DS_PROF_ZONE("decode.lane_step_end");
   Lane& lane = lanes_[lane_idx];
   lane.step_in_flight = false;
   // Compact survivors in place (no per-step vector) and keep the lane's running context sum

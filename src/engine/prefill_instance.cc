@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/prof.h"
 #include "trace/recorder.h"
 
 namespace distserve::engine {
@@ -101,7 +100,6 @@ void PrefillInstance::MaybeScheduleLaunch() {
 }
 
 void PrefillInstance::OnLaunchEvent() {
-  DS_PROF_ZONE("prefill.launch");
   launch_scheduled_ = false;
   if (queue_.empty()) {
     return;

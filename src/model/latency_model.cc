@@ -5,16 +5,6 @@
 
 #include "common/logging.h"
 
-// Vectorization hints for the EvaluateBatch inner loop. Value-safe: the loop body is pure
-// elementwise IEEE arithmetic, so enabling SIMD cannot change results — only speed.
-#if defined(DISTSERVE_SIMD) && defined(__clang__)
-#define DS_VEC_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(DISTSERVE_SIMD) && defined(__GNUC__)
-#define DS_VEC_LOOP _Pragma("GCC ivdep")
-#else
-#define DS_VEC_LOOP
-#endif
-
 namespace distserve::model {
 
 void BatchWorkloadLattice::Reserve(size_t n) {
@@ -221,7 +211,6 @@ void LatencyModel::EvaluateBatch(const BatchWorkloadLattice& points,
   double* stage_out = stage_times.empty() ? nullptr : stage_times.data();
   double* full_out = full_times.empty() ? nullptr : full_times.data();
 
-  DS_VEC_LOOP
   for (size_t i = 0; i < n; ++i) {
     const double t = t_new[i];
     const double gemm_time = std::max(c1 * (2.0 * t * gemm_weight / tp), weight_read_time);

@@ -132,8 +132,7 @@ class LatencyModel {
   // exactly points.size() entries. Bit-identical to calling StageTime()/FullTime() per point:
   // the inner loop mirrors LayerTime()'s arithmetic expression-for-expression (only
   // batch-independent subexpressions are hoisted, which cannot change the FP result), so it
-  // stays exact under auto-vectorization (elementwise IEEE ops, no fast-math). Built with
-  // -DDISTSERVE_SIMD=ON the loop carries explicit vectorize pragmas.
+  // stays exact under auto-vectorization (elementwise IEEE ops, no fast-math).
   void EvaluateBatch(const BatchWorkloadLattice& points, std::span<double> stage_times,
                      std::span<double> full_times) const;
 

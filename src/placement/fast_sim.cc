@@ -7,7 +7,6 @@
 #include <span>
 
 #include "common/logging.h"
-#include "common/prof.h"
 
 namespace distserve::placement {
 
@@ -41,7 +40,6 @@ class TraceView {
 std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
                                            const TraceView& trace, int64_t target_tokens,
                                            int max_batch_size) {
-  DS_PROF_ZONE("fast_sim.prefill");
   std::vector<double> finish(trace.size(), 0.0);
   const int pp = lm.par().pp;
   size_t i = 0;
@@ -110,7 +108,6 @@ constexpr int kDecodeStepChunk = 32;
 std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
                                     const TraceView& trace, std::span<const double> ready_times,
                                     int max_batch_size) {
-  DS_PROF_ZONE("fast_sim.decode");
   DS_CHECK_EQ(trace.size(), ready_times.size());
   DS_CHECK_GT(max_batch_size, 0);
   std::vector<double> tpot(trace.size(), 0.0);
@@ -243,7 +240,6 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
 void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
                           const ColocatedFastConfig& config,
                           std::vector<FastRecord>& records) {
-  DS_PROF_ZONE("fast_sim.colocated");
   struct Active {
     size_t local_idx;
     int remaining;

@@ -86,7 +86,7 @@ ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) 
   decode_down_since_.resize(decodes_.size());
   link_down_since_.resize(links_.size());
 
-  if (DS_TRACE_ON(config_.recorder)) {
+  if (config_.recorder != nullptr) {
     trace::Recorder* rec = config_.recorder;
     rec->SetProcessName(trace::kControllerPid, "controller");
     for (const auto& p : prefills_) {

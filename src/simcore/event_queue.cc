@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/prof.h"
 
 namespace distserve::simcore {
 
@@ -51,7 +50,6 @@ void EventQueue::CancelNode(uint32_t node, uint32_t generation) {
 
 EventHandle EventQueue::Schedule(SimTime when, EventCallback&& fn) {
   DS_DCHECK(when >= 0.0);
-  DS_PROF_COUNT("event_queue.schedule", 1);
   const uint32_t node = AcquireNode(std::move(fn));
   const uint32_t generation = nodes_[node].generation;
   heap_.push_back(Entry{when, next_seq_++, node, generation});
@@ -75,7 +73,6 @@ void EventQueue::MaybeCompact() {
   if (dead_count_ * 2 <= heap_.size()) {
     return;
   }
-  DS_PROF_COUNT("event_queue.compactions", 1);
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) { return !EntryLive(e); }),
               heap_.end());

@@ -13,8 +13,8 @@
 //     lane-step tracks dominate trace size.
 //
 // The recorder allocates only on its own vectors and is touched solely behind the DS_TRACE
-// macro plus a null-pointer check, so an un-attached system runs the exact event sequence of
-// an un-instrumented one — byte-identical stdout with tracing on, off, or compiled out.
+// macro's null-pointer check, so an un-attached system runs the exact event sequence of an
+// un-instrumented one — byte-identical stdout with tracing on or off.
 //
 // Export: ChromeJson() emits Chrome trace-event JSON loadable in Perfetto ("X" complete
 // events; one pid per instance; one thread track per request per run within a pid, lanes on

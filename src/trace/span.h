@@ -23,15 +23,6 @@
 
 namespace distserve::trace {
 
-// True when the build compiled the instrumentation call sites in (-DDISTSERVE_TRACE=ON, the
-// default). With it off, DS_TRACE sites below fold to nothing and a Recorder never sees a
-// span; tests assert on trace contents only when kCompiledIn.
-#ifdef DISTSERVE_TRACE
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
 enum class SpanKind : uint8_t {
   // Lifecycle stages.
   kPrefillQueue = 0,  // FCFS wait in a prefill instance's queue
@@ -78,18 +69,11 @@ struct Span {
 
 }  // namespace distserve::trace
 
-// DS_TRACE(recorder, Method(...)) invokes a trace::Recorder method iff tracing is compiled in
-// AND a recorder is attached. The call still type-checks when compiled out (dead-stripped
-// `if (false)`), so instrumentation sites cannot rot in DISTSERVE_TRACE=OFF builds.
-#ifdef DISTSERVE_TRACE
-#define DS_TRACE_ON(rec) ((rec) != nullptr)
-#else
-#define DS_TRACE_ON(rec) false
-#endif
-
+// DS_TRACE(recorder, Method(...)) invokes a trace::Recorder method iff a recorder is
+// attached: one null-pointer check per site when none is.
 #define DS_TRACE(rec, call) \
   do {                      \
-    if (DS_TRACE_ON(rec)) { \
+    if ((rec) != nullptr) { \
       (rec)->call;          \
     }                       \
   } while (0)

@@ -129,7 +129,7 @@ TEST_F(ColocatedInstanceTest, OverBudgetHeadStillRuns) {
 TEST_F(ColocatedInstanceTest, ChunkedPrefillSplitsPrompt) {
   ColocatedInstance::Options options;
   options.mode = ColocatedInstance::Options::SchedulingMode::kChunked;
-  options.chunk_size = 256;
+  options.chunk_budget = 256;
   auto instance = MakeInstance(options);
   RequestState* r = NewRequest(1000, 2);
   instance->Enqueue(r);
@@ -147,7 +147,7 @@ TEST_F(ColocatedInstanceTest, ChunkedPrefillImprovesTpotUnderLoad) {
     ColocatedInstance::Options options;
     options.mode = chunked ? ColocatedInstance::Options::SchedulingMode::kChunked
                            : ColocatedInstance::Options::SchedulingMode::kPrefillPriority;
-    options.chunk_size = 128;
+    options.chunk_budget = 128;
     model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());
     ColocatedInstance instance(&sim, lm, 1 << 20, options, 0);
     std::vector<std::unique_ptr<RequestState>> states;

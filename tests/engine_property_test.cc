@@ -117,7 +117,7 @@ TEST_P(ColocatedPropertyTest, InvariantsHold) {
   config.par = {tp, 1};
   config.num_instances = 2;
   config.engine_options.mode = mode;
-  config.engine_options.chunk_size = 128;
+  config.engine_options.chunk_budget = 128;
   baselines::VllmSystem system(std::move(config));
 
   const auto dataset = workload::MakeShareGptLike();

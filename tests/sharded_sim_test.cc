@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "placement/sweep.h"
 #include "serving/fleet.h"
-#include "serving/fleet_probe.h"
 #include "simcore/sharded_simulator.h"
 #include "trace/recorder.h"
 #include "workload/generator.h"
@@ -241,31 +240,13 @@ TEST(FleetShardingTest, RouterParksWhenNoGroupServiceable) {
   EXPECT_EQ(r.collector.count() + r.collector.lost_count(), trace.size());
 }
 
-// --- The sweep driver and the fleet probe are deterministic too. ---
+// --- The sweep driver is deterministic too. ---
 
 TEST(SweepDriverTest, WorkerCountDoesNotChangeResults) {
   const auto square = [](size_t i) { return static_cast<double>(i) * 1.5; };
   const std::vector<double> serial = placement::RunSweep<double>(nullptr, 32, square);
   ThreadPool pool(3);
   EXPECT_EQ(placement::RunSweep<double>(&pool, 32, square), serial);
-}
-
-TEST(FleetProbeTest, MaxRateIdenticalAcrossShardCounts) {
-  workload::FixedDataset dataset(128, 16);
-  auto probe = [&dataset](int shards) {
-    serving::FleetProbeConfig config;
-    config.fleet = DisaggFleet(2, shards);
-    config.slo = {0.5, 0.1};
-    config.search.num_requests = 60;
-    config.search.min_trace_duration = 5.0;
-    config.search.max_requests = 200;
-    config.search.bisection_iters = 3;
-    config.search.rate_probe = 4.0;
-    return serving::FindMaxFleetRate(config, dataset);
-  };
-  const double r1 = probe(1);
-  EXPECT_GT(r1, 0.0);
-  EXPECT_DOUBLE_EQ(r1, probe(4));
 }
 
 }  // namespace

@@ -60,13 +60,9 @@ TEST(TraceBitIdentityTest, ServingSystemUnperturbedByTracing) {
   const metrics::Collector ra = plain.Run(trace);
   const metrics::Collector rb = traced.Run(trace);
   EXPECT_TRUE(metrics::BitIdentical(ra, rb));
-  if (trace::kCompiledIn) {
-    EXPECT_FALSE(recorder.spans().empty());
-    EXPECT_EQ(recorder.outcomes().size(), trace.size());
-    EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
-  } else {
-    EXPECT_TRUE(recorder.spans().empty());
-  }
+  EXPECT_FALSE(recorder.spans().empty());
+  EXPECT_EQ(recorder.outcomes().size(), trace.size());
+  EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
 }
 
 TEST(TraceBitIdentityTest, ServingSystemUnperturbedByTracingUnderFaults) {
@@ -90,10 +86,8 @@ TEST(TraceBitIdentityTest, ServingSystemUnperturbedByTracingUnderFaults) {
   const metrics::Collector rb = traced.Run(trace);
   EXPECT_TRUE(metrics::BitIdentical(ra, rb));
   EXPECT_TRUE(rb.fault_stats().any());
-  if (trace::kCompiledIn) {
-    // Fault spans splice in, yet every timeline still tiles and conserves.
-    EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
-  }
+  // Fault spans splice in, yet every timeline still tiles and conserves.
+  EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
 }
 
 TEST(TraceBitIdentityTest, VllmSystemUnperturbedByTracing) {
@@ -113,10 +107,8 @@ TEST(TraceBitIdentityTest, VllmSystemUnperturbedByTracing) {
   const metrics::Collector ra = plain.Run(trace);
   const metrics::Collector rb = traced.Run(trace);
   EXPECT_TRUE(metrics::BitIdentical(ra, rb));
-  if (trace::kCompiledIn) {
-    EXPECT_EQ(recorder.outcomes().size(), trace.size());
-    EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
-  }
+  EXPECT_EQ(recorder.outcomes().size(), trace.size());
+  EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
 }
 
 TEST(TraceBitIdentityTest, TwoTracedRunsExportIdenticalJson) {
@@ -136,15 +128,10 @@ TEST(TraceBitIdentityTest, TwoTracedRunsExportIdenticalJson) {
   const std::string ja = a.ChromeJson();
   const std::string jb = b.ChromeJson();
   EXPECT_EQ(ja, jb);
-  if (trace::kCompiledIn) {
-    EXPECT_NE(ja.find("\"traceEvents\""), std::string::npos);
-  }
+  EXPECT_NE(ja.find("\"traceEvents\""), std::string::npos);
 }
 
 TEST(TraceBitIdentityTest, AttributionMatchesCollectorBitwise) {
-  if (!trace::kCompiledIn) {
-    GTEST_SKIP() << "built with DISTSERVE_TRACE=OFF";
-  }
   const workload::Trace trace = MakeTrace(4.0, 300, 7);
   trace::Recorder recorder;
   serving::ServingConfig config = BasicConfig(2, 2);
@@ -198,24 +185,22 @@ TEST(TraceBitIdentityTest, ScenarioOutcomesUnperturbedByTracing) {
   EXPECT_TRUE(metrics::BitIdentical(ra, rb));
   ASSERT_GT(rb.cancelled_count(), 0u);
   ASSERT_GT(rb.timed_out_count(), 0u);
-  if (trace::kCompiledIn) {
-    EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
-    EXPECT_EQ(recorder.outcomes().size(), trace.size());
-    size_t done = 0;
-    size_t cancelled = 0;
-    size_t timed_out = 0;
-    for (const trace::Recorder::Outcome& outcome : recorder.outcomes()) {
-      switch (outcome.kind) {
-        case trace::Recorder::OutcomeKind::kDone: ++done; break;
-        case trace::Recorder::OutcomeKind::kCancelled: ++cancelled; break;
-        case trace::Recorder::OutcomeKind::kTimedOut: ++timed_out; break;
-        case trace::Recorder::OutcomeKind::kLost: break;
-      }
+  EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
+  EXPECT_EQ(recorder.outcomes().size(), trace.size());
+  size_t done = 0;
+  size_t cancelled = 0;
+  size_t timed_out = 0;
+  for (const trace::Recorder::Outcome& outcome : recorder.outcomes()) {
+    switch (outcome.kind) {
+      case trace::Recorder::OutcomeKind::kDone: ++done; break;
+      case trace::Recorder::OutcomeKind::kCancelled: ++cancelled; break;
+      case trace::Recorder::OutcomeKind::kTimedOut: ++timed_out; break;
+      case trace::Recorder::OutcomeKind::kLost: break;
     }
-    EXPECT_EQ(done, rb.count());
-    EXPECT_EQ(cancelled, rb.cancelled_count());
-    EXPECT_EQ(timed_out, rb.timed_out_count());
   }
+  EXPECT_EQ(done, rb.count());
+  EXPECT_EQ(cancelled, rb.cancelled_count());
+  EXPECT_EQ(timed_out, rb.timed_out_count());
 }
 
 TEST(TraceBitIdentityTest, EnginePreemptionAndCancelTracedBitIdentical) {
@@ -286,20 +271,15 @@ TEST(TraceBitIdentityTest, EnginePreemptionAndCancelTracedBitIdentical) {
   for (size_t i = 0; i < plain_times.size(); ++i) {
     EXPECT_EQ(plain_times[i], traced_times[i]) << "timestamp " << i;  // bitwise
   }
-  if (trace::kCompiledIn) {
-    EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
-    bool saw_preempt = false;
-    for (const trace::Span& span : recorder.spans()) {
-      saw_preempt = saw_preempt || span.kind == trace::SpanKind::kPreempt;
-    }
-    EXPECT_TRUE(saw_preempt);
+  EXPECT_TRUE(trace::ValidateSpans(recorder).empty()) << trace::ValidateSpans(recorder);
+  bool saw_preempt = false;
+  for (const trace::Span& span : recorder.spans()) {
+    saw_preempt = saw_preempt || span.kind == trace::SpanKind::kPreempt;
   }
+  EXPECT_TRUE(saw_preempt);
 }
 
 TEST(TraceBitIdentityTest, SingleTokenOutputsFinishWithoutDecodeSpans) {
-  if (!trace::kCompiledIn) {
-    GTEST_SKIP() << "built with DISTSERVE_TRACE=OFF";
-  }
   trace::Recorder recorder;
   serving::ServingConfig config = BasicConfig();
   config.recorder = &recorder;
