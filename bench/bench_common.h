@@ -42,8 +42,9 @@ namespace distserve::bench {
 struct CommonFlags {
   bool smoke = false;          // --smoke: reduced sizes for CI
   bool analytic_tier = true;   // --no-analytic-tier clears it (DESIGN.md §15 escape hatch)
-  int shards = 1;              // --shards=N / DISTSERVE_SHARDS: simulation shards + sweep
-                               // workers (N-1 pool threads); 1 = the sequential path
+  int threads = 1;             // --threads=N / DISTSERVE_THREADS: planner and sweep threads
+                               // (N-1 pool workers plus the caller); 1 = the serial path
+  int shards = 1;              // --shards=N / DISTSERVE_SHARDS: DES shards (fig_fleet)
   std::string json_path;       // --json=PATH
   std::string goodput_cache;   // --goodput-cache=PATH (DISTSERVE_GOODPUT_CACHE fallback)
   std::string trace_path;      // --trace=PATH
@@ -61,15 +62,16 @@ enum CommonFlagBits : unsigned {
   kFlagCluster = 1u << 4,
   kFlagNoAnalyticTier = 1u << 5,
   kFlagShards = 1u << 6,
+  kFlagThreads = 1u << 10,
   kFlagPrefixHit = 1u << 7,
   kFlagChunkBudget = 1u << 8,
   kFlagTenants = 1u << 9,
 };
 
-// Strict integer parse for --shards=N / DISTSERVE_SHARDS: the whole token must be a base-10
-// integer in [1, 1<<20]. (std::atoi would accept "4x" as 4 and turn "abc" into a misleading
-// "--shards must be >= 1" failure.)
-inline bool ParseShardsValue(const char* v, int* out) {
+// Strict integer parse for --threads=N / --shards=N and their environment variables: the
+// whole token must be a base-10 integer in [1, 1<<20]. (std::atoi would accept "4x" as 4 and
+// turn "abc" into a misleading "must be >= 1" failure.)
+inline bool ParsePositiveCount(const char* v, int* out) {
   if (v == nullptr || *v == '\0') {
     return false;
   }
@@ -103,18 +105,19 @@ inline bool ParseUnitFraction(const char* v, double* out) {
 // step; budgets beyond a megabatch are surely a typo).
 inline bool ParseChunkBudgetValue(const char* v, int64_t* out) {
   int n = 0;
-  if (!ParseShardsValue(v, &n)) {
+  if (!ParsePositiveCount(v, &n)) {
     return false;
   }
   *out = n;
   return true;
 }
 
-// Parses argv against the accepted subset. DISTSERVE_SHARDS seeds `shards` before parsing, so
-// an explicit --shards=N wins over the environment. Returns false (after a specific error
-// line plus a usage line built from the same table) on any unknown flag, a value-taking flag
-// with a missing or empty `=VALUE`, a value handed to a valueless flag, or a value the flag's
-// validator rejects (non-numeric/zero/negative --shards).
+// Parses argv against the accepted subset. A flag's environment variable (DISTSERVE_THREADS,
+// DISTSERVE_SHARDS) seeds it before parsing, so an explicit flag wins over the environment.
+// Returns false (after a specific error line plus a usage line built from the same table) on
+// any unknown flag, a value-taking flag with a missing or empty `=VALUE`, a value handed to a
+// valueless flag, or a value the flag's validator rejects (non-numeric/zero/negative
+// --threads).
 inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFlags* flags) {
   struct FlagEntry {
     unsigned bit;
@@ -123,6 +126,7 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
     const char* usage;
     const char* value_hint;  // appended to the error when apply() rejects the value
     bool (*apply)(CommonFlags*, const char*);
+    const char* env = nullptr;  // environment variable seeding the flag, if any
   };
   static const FlagEntry kTable[] = {
       {kFlagSmoke, "--smoke", false, "[--smoke]", nullptr,
@@ -155,8 +159,12 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
          f->cluster_spec = v;
          return true;
        }},
+      {kFlagThreads, "--threads", true, "[--threads=N]", "expected an integer >= 1",
+       [](CommonFlags* f, const char* v) { return ParsePositiveCount(v, &f->threads); },
+       "DISTSERVE_THREADS"},
       {kFlagShards, "--shards", true, "[--shards=N]", "expected an integer >= 1",
-       [](CommonFlags* f, const char* v) { return ParseShardsValue(v, &f->shards); }},
+       [](CommonFlags* f, const char* v) { return ParsePositiveCount(v, &f->shards); },
+       "DISTSERVE_SHARDS"},
       {kFlagPrefixHit, "--prefix-hit", true, "[--prefix-hit=F]",
        "expected a fraction in [0, 1]",
        [](CommonFlags* f, const char* v) { return ParseUnitFraction(v, &f->prefix_hit); }},
@@ -167,12 +175,12 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
        [](CommonFlags* f, const char* v) { return ParseUnitFraction(v, &f->tenants); }},
   };
   bool ok = true;
-  if ((accepted & kFlagShards) != 0) {
-    if (const char* env = std::getenv("DISTSERVE_SHARDS")) {
-      if (!ParseShardsValue(env, &flags->shards)) {
-        std::fprintf(stderr, "DISTSERVE_SHARDS=%s: expected an integer >= 1\n", env);
-        ok = false;
-      }
+  for (const FlagEntry& entry : kTable) {
+    const char* env =
+        entry.env != nullptr && (accepted & entry.bit) != 0 ? std::getenv(entry.env) : nullptr;
+    if (env != nullptr && !entry.apply(flags, env)) {
+      std::fprintf(stderr, "%s=%s: %s\n", entry.env, env, entry.value_hint);
+      ok = false;
     }
   }
   for (int i = 1; i < argc && ok; ++i) {
@@ -209,8 +217,8 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
       ok = false;
     }
   }
-  if (ok && flags->shards < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
+  if (ok && (flags->threads < 1 || flags->shards < 1)) {
+    std::fprintf(stderr, "--threads and --shards must be >= 1\n");
     ok = false;
   }
   if (!ok) {
@@ -255,10 +263,10 @@ inline bool ResolveSinglePoolCluster(const CommonFlags& flags, const char* bench
   return true;
 }
 
-// The worker pool implied by --shards=N: N-1 threads plus the calling thread, null (serial
+// The worker pool implied by --threads=N: N-1 threads plus the calling thread, null (serial
 // everywhere, no pool construction) for N=1. Handed to sweeps and the planner alike.
-inline std::unique_ptr<ThreadPool> MakeSweepPool(int shards) {
-  return shards > 1 ? std::make_unique<ThreadPool>(shards - 1) : nullptr;
+inline std::unique_ptr<ThreadPool> MakeSweepPool(int threads) {
+  return threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
 }
 
 // Wall-clock timer for the standard `wall_ms` bench field.
@@ -623,7 +631,7 @@ inline void PrintBanner(const std::string& title) {
 // `cluster` defaults to the paper testbed; a bench's --cluster flag may substitute any
 // homogeneous cluster (e.g. one pool of a parsed fleet) — the default produces stdout
 // byte-identical to the pre-flag behavior.
-// `pool` (from --shards=N) speculates planner candidates and fans the rate sweeps across
+// `pool` (from --threads=N) speculates planner candidates and fans the rate sweeps across
 // workers; results and stdout are byte-identical at any worker count. Sweeps fall back to
 // serial while a recorder is attached (spans from concurrent runs would interleave).
 inline void RunEndToEndComparison(const Application& app, int num_requests, uint64_t seed,

@@ -18,9 +18,9 @@
 // the flag is absent nothing is printed about the cluster, so default stdout is byte-identical
 // to the pre-flag output.
 //
-// --shards=N (env DISTSERVE_SHARDS) fans the rate sweeps and the planner's candidate
+// --threads=N (env DISTSERVE_THREADS) fans the rate sweeps and the planner's candidate
 // simulations across N-1 worker threads (DESIGN.md §17 sweep driver); stdout is byte-identical
-// at any N, so the determinism job diffs --shards=4 against the default.
+// at any N, so the determinism job diffs --threads=4 against the default.
 #include "bench/bench_common.h"
 
 int main(int argc, char** argv) {
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
   CommonFlags flags;
   if (!ParseCommonFlags(argc, argv,
                         kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace |
-                            kFlagNoAnalyticTier | kFlagCluster | kFlagShards,
+                            kFlagNoAnalyticTier | kFlagCluster | kFlagThreads,
                         &flags)) {
     return 2;
   }
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   }
   distserve::trace::Recorder recorder;
   distserve::trace::Recorder* rec = flags.trace_path.empty() ? nullptr : &recorder;
-  const std::unique_ptr<distserve::ThreadPool> pool = MakeSweepPool(flags.shards);
+  const std::unique_ptr<distserve::ThreadPool> pool = MakeSweepPool(flags.threads);
 
   PersistentGoodputCache persist(
       distserve::placement::GoodputCacheStore::ResolvePath(flags.goodput_cache), cluster.gpu);
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     BenchJson json("fig8_chatbot_e2e");
     json.AddBool("smoke", flags.smoke);
     json.AddBool("analytic_tier", flags.analytic_tier);
-    json.AddInt("shards", flags.shards);
+    json.AddInt("threads", flags.threads);
     json.AddWallMs(timer);
     accounting.AddJsonFields(json);
     if (persist.enabled()) {

@@ -25,9 +25,9 @@
 // Flags: --smoke (a compressed day for CI), --json=PATH (machine-readable artifact),
 // --goodput-cache=PATH (env DISTSERVE_GOODPUT_CACHE fallback: persist planner goodputs
 // across runs; cached values are exact, so warm stdout is byte-identical to cold — cache
-// accounting goes to the JSON only), --shards=N (env DISTSERVE_SHARDS: planner search
+// accounting goes to the JSON only), --threads=N (env DISTSERVE_THREADS: planner search
 // threads; plans are bit-identical at any N — DESIGN.md §10 — so stdout is too; the CI
-// determinism job diffs --shards=1 vs 4). --smoke additionally self-checks that identity
+// determinism job diffs --threads=1 vs 4). --smoke additionally self-checks that identity
 // in-process by re-running the autoscaled day at a different planner thread count and
 // comparing every row, decision, and total.
 #include <algorithm>
@@ -284,7 +284,7 @@ std::string Fingerprint(const DayRun& run) {
 int Main(int argc, char** argv) {
   const WallTimer timer;
   CommonFlags flags;
-  if (!ParseCommonFlags(argc, argv, kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagShards,
+  if (!ParseCommonFlags(argc, argv, kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagThreads,
                         &flags)) {
     return 2;
   }
@@ -335,14 +335,14 @@ int Main(int argc, char** argv) {
               schedule.max_rate(), params.cv,
               static_cast<unsigned long long>(params.seed));
 
-  DayRun statics = RunStaticDay(app, cluster, dataset.get(), slices, params, flags.shards,
+  DayRun statics = RunStaticDay(app, cluster, dataset.get(), slices, params, flags.threads,
                                 cache_path);
   std::printf("# static plan (sized for diurnal peak %.1f rps): %s (%d GPUs, capacity %.2f "
               "rps)\n",
               params.peak, statics.initial_plan.c_str(), statics.initial_gpus,
               statics.initial_capacity);
 
-  DayRun autos = RunAutoscaledDay(app, cluster, dataset.get(), slices, params, flags.shards,
+  DayRun autos = RunAutoscaledDay(app, cluster, dataset.get(), slices, params, flags.threads,
                                   cache_path);
   std::printf("# autoscaled initial plan (sized for trough): %s (%d GPUs, capacity %.2f "
               "rps)\n\n",
@@ -396,11 +396,11 @@ int Main(int argc, char** argv) {
   // control loop). The CI determinism job enforces the same property on full stdout.
   bool shard_identity = true;
   if (flags.smoke) {
-    const int other_threads = flags.shards == 1 ? 2 : 1;
+    const int other_threads = flags.threads == 1 ? 2 : 1;
     const DayRun rerun = RunAutoscaledDay(app, cluster, dataset.get(), slices, params,
                                           other_threads, cache_path);
     shard_identity = Fingerprint(rerun) == Fingerprint(autos);
-    // No thread counts in the line: stdout must stay byte-identical across --shards values.
+    // No thread counts in the line: stdout must stay byte-identical across --threads values.
     std::printf("SHARD-IDENTITY: %s (autoscaled day re-run at another planner thread count)\n",
                 shard_identity ? "PASS" : "FAIL");
   }

@@ -1,12 +1,11 @@
 // Scheduling-policy showdown: the §2.2 design space on one workload.
 //
-// Four ways to serve the same ShareGPT-like traffic on two A100s:
+// Three ways to serve the same ShareGPT-like traffic on two A100s:
 //   1. vLLM-style colocated, prefill-priority (prefill iterations stall decodes);
-//   2. Orca-style colocated, mixed batching (prefill and decode share a step);
-//   3. SARATHI-style colocated, chunked prefill piggybacked on decodes;
-//   4. DistServe: disaggregated prefill + decode instance.
+//   2. SARATHI-style colocated, chunked prefill piggybacked on decodes;
+//   3. DistServe: disaggregated prefill + decode instance.
 // Prints TTFT/TPOT percentiles and SLO attainment for each, making the §2.2 trade-offs
-// concrete: chunking trades TTFT for TPOT; mixing trades both; disaggregation decouples them.
+// concrete: chunking trades TTFT for TPOT; disaggregation decouples them.
 #include <cstdio>
 
 #include "baselines/vllm_system.h"
@@ -53,7 +52,6 @@ int main() {
   };
 
   report("vLLM (prefill-prio)", run_colocated(SchedulingMode::kPrefillPriority));
-  report("Orca (mixed batch)", run_colocated(SchedulingMode::kMixed));
   report("SARATHI (chunked)", run_colocated(SchedulingMode::kChunked));
 
   serving::ServingConfig ds_config;
@@ -69,7 +67,7 @@ int main() {
 
   std::printf(
       "\nReading the table: prefill-priority favours TTFT at TPOT's expense; chunking does\n"
-      "the opposite; mixed batching sits between. Disaggregation decouples the two metrics\n"
+      "the opposite. Disaggregation decouples the two metrics\n"
       "and lets the prefill:decode GPU ratio be chosen per workload (§2.2, §3).\n");
   return 0;
 }

@@ -106,12 +106,15 @@ class SpeculativeTaskSet {
 
   size_t size() const { return state_->tasks.size(); }
 
-  // Returns task i's value, running it inline if no worker claimed it yet and waiting for the
-  // worker otherwise. Must not be called after Cancel(i).
+  // Returns task i's value, running it inline if no worker claimed it yet (or it was
+  // cancelled) and waiting for the worker otherwise.
   const R& Force(size_t i) {
     std::atomic<int>& st = state_->status[i];
     int expected = kPending;
-    if (st.compare_exchange_strong(expected, kRunning, std::memory_order_acq_rel)) {
+    // Workers never claim a cancelled task, so only the owner can revive it.
+    if (st.compare_exchange_strong(expected, kRunning, std::memory_order_acq_rel) ||
+        (expected == kCancelled &&
+         st.compare_exchange_strong(expected, kRunning, std::memory_order_acq_rel))) {
       RunOne(*state_, i);
     } else if (expected == kRunning) {
       std::unique_lock<std::mutex> lock(state_->mu);
@@ -121,8 +124,9 @@ class SpeculativeTaskSet {
     return *state_->values[i];
   }
 
-  // Prevents task i from starting; a no-op if it already ran or is running (the value is
-  // simply never consumed). Returns true when the task will never have executed.
+  // Stops workers from starting task i; a no-op if it already ran or is running (the value is
+  // simply never consumed). A later Force still runs it inline. Returns true when the task
+  // has not started.
   bool Cancel(size_t i) {
     int expected = kPending;
     if (state_->status[i].compare_exchange_strong(expected, kCancelled,

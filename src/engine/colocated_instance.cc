@@ -233,7 +233,7 @@ void ColocatedInstance::MaybeStep() {
 
   // Decode side. Under prefill-priority scheduling a step carrying prefill work is
   // prefill-only: resident decodes stall until it finishes (the vLLM baseline behaviour the
-  // paper measures). Mixed/chunked modes batch decodes into the same step.
+  // paper measures). Chunked mode batches decodes into the same step.
   const bool prefill_only_step =
       options_.mode == Options::SchedulingMode::kPrefillPriority && !prefilled_now.empty();
   const bool decodes_advance = !decoding_.empty() && !prefill_only_step;

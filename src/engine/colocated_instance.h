@@ -6,13 +6,11 @@
 // prefill-decoding interference comes from (a 512-token prompt in the batch pushes the shared
 // GEMMs into the compute-bound regime, stretching every decode token in that step; Figure 2).
 //
-// Three scheduling modes:
+// Two scheduling modes:
 //   * kPrefillPriority (vLLM, the paper's baseline): when prompts wait, the engine runs a
 //     prefill-only iteration (bounded by the per-step token budget and KV memory), stalling
 //     every resident decode for its duration — the queuing flavour of interference (§2.3
 //     "ineffective scheduling");
-//   * kMixed (Orca-style): prompts and decodes share one batch; interference appears as the
-//     roofline `max()` stretching the shared step;
 //   * kChunked (SARATHI): prompts split into chunks piggybacked onto decodes — trading TTFT
 //     for TPOT, as §2.2 describes. Every step carries a fixed token budget
 //     (Options::chunk_budget) shared by the resident decodes (one token each) and prompt
@@ -49,10 +47,11 @@ namespace distserve::engine {
 class ColocatedInstance {
  public:
   struct Options {
+    // Values are stable (1 belonged to a removed mixed-batch mode): parameterized test
+    // names print them.
     enum class SchedulingMode {
-      kPrefillPriority,  // vLLM: prefill-only iterations stall decodes
-      kMixed,            // Orca: one shared batch
-      kChunked,          // SARATHI: chunked prefill piggybacked on decodes
+      kPrefillPriority = 0,  // vLLM: prefill-only iterations stall decodes
+      kChunked = 2,          // SARATHI: chunked prefill piggybacked on decodes
     };
 
     SchedulingMode mode = SchedulingMode::kPrefillPriority;

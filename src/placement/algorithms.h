@@ -15,10 +15,12 @@
 // Search engine (this reproduction's extension; see DESIGN.md §10): candidate goodput
 // simulations are pure, so both algorithms evaluate them on a thread pool while the winner
 // fold runs on the calling thread in enumeration order — N-thread results are bit-identical
-// to the serial search. Probe traces are shared through a workload::TraceCache, per-config
-// goodputs are memoized across invocations in a placement::GoodputCache (replanning
-// re-searches only simulate configs whose inputs changed), and an analytic roofline upper
-// bound prunes configs that provably cannot beat the incumbent.
+// to the serial search. The folds themselves (placement/search_context.h) are shared with the
+// heterogeneous pool-pair search (placement/hetero.h); each planner here only enumerates.
+// Probe traces are shared through a workload::TraceCache, per-config goodputs are memoized
+// across invocations in a placement::GoodputCache (replanning re-searches only simulate
+// configs whose inputs changed), and an analytic roofline upper bound prunes configs that
+// provably cannot beat the incumbent.
 //
 // Tiered fidelity (this PR's extension; see DESIGN.md §15): tier 1 prices every candidate
 // with a closed-form M/D/1 + Appendix-A estimate (placement/analytic_tier.h), batched
@@ -188,12 +190,6 @@ struct PlannerResult {
   int64_t probes = 0;
   int64_t trace_cache_hits = 0;
 };
-
-// Per-phase goodput of one parallelism config, measured with the fast simulator against the
-// phase-specific SLO. Exposed for tests and the ablation bench. Honors
-// inputs.search.trace_cache / rate_hint; does not consult the goodput cache.
-double SimulatePrefillGoodput(const PlannerInputs& inputs, const model::ParallelismConfig& par);
-double SimulateDecodeGoodput(const PlannerInputs& inputs, const model::ParallelismConfig& par);
 
 PlannerResult HighNodeAffinityPlacement(const PlannerInputs& inputs);
 PlannerResult LowNodeAffinityPlacement(const PlannerInputs& inputs);

@@ -13,11 +13,14 @@
 //     in its own pool. KV transfers ride the cross-node NIC; as with Algorithm 1, the planner
 //     does not charge the transfer against goodput — the serving simulation downstream does.
 //
-// Every per-pool search reuses the homogeneous machinery verbatim (placement/search_context.h)
+// Every per-pool search reuses the homogeneous machinery verbatim (placement/search_context.h):
+// the same phase fold (FoldPhase) and pair fold (FoldPairs) the homogeneous planners run,
 // with `inputs.cluster` pointed at HeteroClusterSpec::PoolCluster(pool), so each pool is
 // priced with its own Appendix-A coefficients, its own analytic tier-1 caps, and its own
 // roofline prune — and pool identity keys the goodput cache for free, because the GPU spec is
-// already part of every cache key.
+// already part of every cache key. Each pool's phase simulations live in one memo shared by
+// that pool's folds and speculated on the caller's thread pool (inputs.pool, or one built
+// from inputs.num_threads).
 //
 // Objectives (PlannerInputs::objective):
 //   MaxGoodput — rank pairs by per-GPU system goodput (the paper's metric).
@@ -27,9 +30,10 @@
 //
 // Determinism contract (enforced by hetero_placement_test and the CI determinism job): the
 // chosen assignment and every reported candidate are bit-identical with the analytic tier on
-// or off, and with the goodput cache cold or warm. Config-level skips use bounds the
-// simulated results are clamped to (sound, tier-dependent); pair-level cost skips use the
-// roofline bound only (tier-independent), so the evaluated-candidate list never varies.
+// or off, with the goodput cache cold or warm, and at any thread count. Config-level skips use
+// bounds the simulated results are clamped to (sound, tier-dependent); pair-level cost skips
+// use the roofline bound only (tier-independent), so the evaluated-candidate list never
+// varies.
 #ifndef DISTSERVE_PLACEMENT_HETERO_H_
 #define DISTSERVE_PLACEMENT_HETERO_H_
 

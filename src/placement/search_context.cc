@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -13,58 +14,29 @@
 #include "placement/fast_sim.h"
 
 namespace distserve::placement::detail {
+namespace {
+
+// The simulator's prefill batch cap (SimulatePrefillFinishTimes callers); the analytic tier
+// and the roofline bound scan batch sizes up to the same cap so their idealised batching
+// never assumes a batch the simulator could not form.
+constexpr int kPrefillMaxBatch = 64;
+
+// Slack multiplier on the analytic saturation-throughput roofline. The roofline already
+// assumes a best case (perfect batching, zero queueing, no SLO constraint, Jensen-favourable
+// mean-length batches); the slack additionally absorbs trace sampling variation around the
+// Monte-Carlo mean lengths.
+constexpr double kRooflineSlack = 1.5;
+
+// Stream-fork constant for the mean-length estimation RNG (SplitMix64 golden gamma), so the
+// estimate never perturbs trace generation streams.
+constexpr uint64_t kMeanLengthStream = 0x9e3779b97f4a7c15ull;
 
 model::LatencyModel MakeLm(const PlannerInputs& inputs, const model::ParallelismConfig& par) {
   return model::LatencyModel(inputs.model, par, inputs.cluster.gpu);
 }
 
-bool ConfigFeasible(const PlannerInputs& inputs, const model::ParallelismConfig& par) {
-  if (par.pp > inputs.model.num_layers) {
-    return false;
-  }
-  // Tensor parallelism shards attention head-wise: tp must divide the head count (e.g. the
-  // paper's tp=3 on OPT-175B's 96 heads).
-  if (inputs.model.num_heads % par.tp != 0) {
-    return false;
-  }
-  const model::ShardedModelView view(inputs.model, par);
-  return view.FitsInMemory(inputs.cluster.gpu);
-}
-
-int ReplicaCount(double traffic_rate, double goodput) {
-  if (goodput <= 0.0) {
-    return 1;  // infeasible config; keep a single instance so the plan stays constructible
-  }
-  return std::max(1, static_cast<int>(std::ceil(traffic_rate / goodput)));
-}
-
-bool Improves(const CandidateResult& candidate, int candidate_gpus,
-              const CandidateResult& incumbent, int incumbent_gpus) {
-  if (incumbent.per_gpu <= 0.0) {
-    return candidate.per_gpu > 0.0;
-  }
-  if (candidate.per_gpu > incumbent.per_gpu * 1.10) {
-    return true;
-  }
-  return candidate.per_gpu > incumbent.per_gpu * 0.90 && candidate_gpus < incumbent_gpus;
-}
-
-model::ParallelismConfig SmallestFeasible(const PlannerInputs& inputs, int max_nodes) {
-  const int gpus_per_node = inputs.cluster.gpus_per_node;
-  for (int gpus = 1; gpus <= max_nodes * gpus_per_node; ++gpus) {
-    for (int tp = 1; tp <= std::min(gpus, gpus_per_node); ++tp) {
-      if (gpus % tp != 0) {
-        continue;
-      }
-      const model::ParallelismConfig par{tp, gpus / tp};
-      if (ConfigFeasible(inputs, par)) {
-        return par;
-      }
-    }
-  }
-  return model::ParallelismConfig{gpus_per_node, max_nodes};
-}
-
+// Raw (un-derated) max rate for one phase config. Pure: depends only on (inputs, par, search),
+// so instances may run concurrently on pool workers.
 double SimulatePrefillRate(const PlannerInputs& inputs, const model::ParallelismConfig& par,
                            const GoodputSearchOptions& search, GoodputSearchStats* stats) {
   const model::LatencyModel lm = MakeLm(inputs, par);
@@ -119,6 +91,16 @@ void AppendInt(std::string& out, int64_t v) {
   out += ';';
 }
 
+// Analytic roofline on a phase config's sustainable request rate (un-derated, un-slacked):
+// saturation throughput at mean request lengths, ignoring SLOs and queueing.
+//
+// This plays two roles. Simulated rates are clamped to kRooflineSlack times this value —
+// FindMaxRate's finite trial can report "effectively unbounded" rates for large decode
+// configs (the whole capped trace drains fast enough that per-token queueing amortizes under
+// the TPOT SLO), but no real deployment sustains arrivals beyond the roofline, so the clamp
+// removes a pure small-trial artifact. And because results are clamped to slack * roofline,
+// the prune bound derate * slack * roofline is a true upper bound on any simulated goodput
+// BY CONSTRUCTION, which is what makes the pruned fold bit-identical to the full one.
 double RateUpperBound(const PlannerInputs& inputs, const model::ParallelismConfig& par,
                       bool is_prefill, const workload::LengthSample& mean) {
   const model::LatencyModel lm = MakeLm(inputs, par);
@@ -156,6 +138,79 @@ double RateUpperBound(const PlannerInputs& inputs, const model::ParallelismConfi
   }
   const double token_rate = static_cast<double>(batch) / step;
   return token_rate / std::max(1, mean.output_len);
+}
+
+// One task per memo key, in key order (PhaseMemo::Key).
+std::vector<std::function<PhaseSim()>> PhaseTasks(
+    const SearchContext& ctx, const std::vector<model::ParallelismConfig>& configs) {
+  std::vector<std::function<PhaseSim()>> tasks;
+  tasks.reserve(2 * configs.size());
+  for (const bool is_prefill : {true, false}) {
+    for (const model::ParallelismConfig& par : configs) {
+      tasks.push_back([c = &ctx, par, is_prefill] { return c->SimulatePhase(par, is_prefill); });
+    }
+  }
+  return tasks;
+}
+
+}  // namespace
+
+bool ConfigFeasible(const PlannerInputs& inputs, const model::ParallelismConfig& par) {
+  if (par.pp > inputs.model.num_layers) {
+    return false;
+  }
+  // Tensor parallelism shards attention head-wise: tp must divide the head count (e.g. the
+  // paper's tp=3 on OPT-175B's 96 heads).
+  if (inputs.model.num_heads % par.tp != 0) {
+    return false;
+  }
+  const model::ShardedModelView view(inputs.model, par);
+  return view.FitsInMemory(inputs.cluster.gpu);
+}
+
+std::vector<model::ParallelismConfig> PhaseConfigs(const PlannerInputs& inputs, int max_nodes) {
+  const int gpus_per_node = inputs.cluster.gpus_per_node;
+  std::vector<model::ParallelismConfig> configs;
+  for (int intra = 1; intra <= gpus_per_node; ++intra) {
+    const int max_inter = (max_nodes * gpus_per_node) / intra;
+    for (int inter = 1; inter <= max_inter; ++inter) {
+      const model::ParallelismConfig par{intra, inter};
+      if (ConfigFeasible(inputs, par)) {
+        configs.push_back(par);
+      }
+    }
+  }
+  return configs;
+}
+
+int ReplicaCount(double traffic_rate, double goodput) {
+  if (goodput <= 0.0) {
+    return 1;  // infeasible config; keep a single instance so the plan stays constructible
+  }
+  return std::max(1, static_cast<int>(std::ceil(traffic_rate / goodput)));
+}
+
+int64_t NeededGpus(double rate, double goodput, int gpus) {
+  if (goodput <= 0.0) {
+    return kInfGpus;
+  }
+  return static_cast<int64_t>(ReplicaCount(rate, goodput)) * gpus;
+}
+
+model::ParallelismConfig SmallestFeasible(const PlannerInputs& inputs, int max_nodes) {
+  const int gpus_per_node = inputs.cluster.gpus_per_node;
+  for (int gpus = 1; gpus <= max_nodes * gpus_per_node; ++gpus) {
+    for (int tp = 1; tp <= std::min(gpus, gpus_per_node); ++tp) {
+      if (gpus % tp != 0) {
+        continue;
+      }
+      const model::ParallelismConfig par{tp, gpus / tp};
+      if (ConfigFeasible(inputs, par)) {
+        return par;
+      }
+    }
+  }
+  return model::ParallelismConfig{gpus_per_node, max_nodes};
 }
 
 SearchContext::SearchContext(const PlannerInputs& inputs)
@@ -328,6 +383,208 @@ void SearchContext::BuildKeyPrefixes() {
   s += inputs_.dataset->identity();
   s += '|';
   value_prefix_ = std::move(s);
+}
+
+PhaseMemo::PhaseMemo(const SearchContext& ctx, std::vector<model::ParallelismConfig> configs)
+    : ctx_(ctx),
+      configs_(std::move(configs)),
+      bounds_(2 * configs_.size()),
+      visited_(2 * configs_.size(), 0),
+      forced_(2 * configs_.size(), 0),
+      sims_(ctx.pool(), PhaseTasks(ctx, configs_)) {}
+
+std::optional<size_t> PhaseMemo::Find(bool is_prefill, const model::ParallelismConfig& par) const {
+  for (size_t i = 0; i < configs_.size(); ++i) {
+    if (configs_[i].tp == par.tp && configs_[i].pp == par.pp) {
+      return Key(is_prefill, i);
+    }
+  }
+  return std::nullopt;
+}
+
+const SearchContext::PhaseBounds& PhaseMemo::Bounds(size_t key) {
+  std::optional<SearchContext::PhaseBounds>& slot = bounds_[key];
+  if (!slot.has_value()) {
+    const bool is_prefill = key < configs_.size();
+    slot = ctx_.GoodputUpperBounds(configs_[key % configs_.size()], is_prefill);
+  }
+  return *slot;
+}
+
+void PhaseMemo::Visit(size_t key) {
+  if (!visited_[key]) {
+    visited_[key] = 1;
+    ++cost_.keys_visited;
+  }
+}
+
+double PhaseMemo::Force(size_t key) {
+  const PhaseSim& sim = sims_.Force(key);
+  if (!forced_[key]) {
+    forced_[key] = 1;
+    ++cost_.simulations_run;
+    cost_.probes += sim.stats.probes;
+    cost_.trace_cache_hits += sim.stats.trace_cache_hits;
+    if (sim.cache_hit) {
+      ++cost_.cache_hits;
+    }
+  }
+  return sim.goodput;
+}
+
+namespace {
+
+// Prefers `candidate` over `incumbent` on per-GPU goodput, breaking near-ties (within 10%)
+// toward the smaller instance: replication scales capacity just as well, smaller instances
+// quantize better against the actual traffic rate, and they bound the fault blast radius
+// (§4.3 discusses decode-instance faults crippling many prefill instances).
+//
+// Monotone in candidate.per_gpu for fixed GPU counts — the property the upper-bound prune
+// relies on: if a candidate built from an *over*-estimate of the goodput does not improve on
+// the incumbent, the actually-simulated candidate cannot either.
+bool Improves(const CandidateResult& candidate, int candidate_gpus,
+              const CandidateResult& incumbent, int incumbent_gpus) {
+  if (incumbent.per_gpu <= 0.0) {
+    return candidate.per_gpu > 0.0;
+  }
+  if (candidate.per_gpu > incumbent.per_gpu * 1.10) {
+    return true;
+  }
+  return candidate.per_gpu > incumbent.per_gpu * 0.90 && candidate_gpus < incumbent_gpus;
+}
+
+// One fold's incumbent under its objective, plus the prune and keep bookkeeping both folds
+// share.
+class Fold {
+ public:
+  Fold(const PlannerInputs& inputs, const FoldObjective& objective)
+      : inputs_(inputs),
+        max_goodput_(objective.objective == PlannerObjective::kMaxGoodput),
+        capacity_(objective.capacity) {}
+
+  // Two-tier prune with attribution: true (and counted) when the candidate, credited with
+  // the min of its keys' goodput bounds (a phase candidate passes its one key twice), still
+  // cannot replace the incumbent. Strict on ties under kMinGpus, which settles them on the
+  // simulated goodput.
+  bool Pruned(PhaseMemo& memo, size_t key_a, size_t key_b, int gpus) {
+    if (!inputs_.prune_search_space) {
+      return false;
+    }
+    const SearchContext::PhaseBounds& a = memo.Bounds(key_a);
+    const SearchContext::PhaseBounds& b = memo.Bounds(key_b);
+    if (!CouldWin(std::min(a.roofline_goodput, b.roofline_goodput), gpus)) {
+      ++result_.pruned_roofline;
+      return true;
+    }
+    if (inputs_.use_analytic_tier && !CouldWin(std::min(a.tier_goodput, b.tier_goodput), gpus)) {
+      ++result_.pruned_tier;
+      return true;
+    }
+    return false;
+  }
+
+  // Records a simulated candidate and makes it the incumbent if it ranks higher.
+  void Offer(const CandidateResult& candidate, int gpus) {
+    result_.kept.push_back(candidate);
+    bool better = false;
+    if (max_goodput_) {
+      better = Improves(candidate, gpus, result_.best, result_.best_gpus);
+    } else {
+      const int64_t total = NeededGpus(inputs_.traffic_rate, candidate.goodput, gpus);
+      better = total <= capacity_ &&
+               (total < best_total_ ||
+                (total == best_total_ && candidate.goodput > result_.best.goodput));
+      if (better) {
+        best_total_ = total;
+      }
+    }
+    if (better) {
+      result_.found = true;
+      result_.best = candidate;
+      result_.best_gpus = gpus;
+    }
+  }
+
+  FoldResult Take() { return std::move(result_); }
+
+ private:
+  bool CouldWin(double goodput_bound, int gpus) const {
+    if (max_goodput_) {
+      const CandidateResult at_bound{{}, goodput_bound, goodput_bound / gpus, 0, 0};
+      return Improves(at_bound, gpus, result_.best, result_.best_gpus);
+    }
+    const int64_t needed = NeededGpus(inputs_.traffic_rate, goodput_bound, gpus);
+    return needed <= capacity_ && needed <= best_total_;
+  }
+
+  const PlannerInputs& inputs_;
+  const bool max_goodput_;
+  const int64_t capacity_;
+  int64_t best_total_ = kInfGpus;  // kMinGpus: GPUs the incumbent needs
+  FoldResult result_;
+};
+
+}  // namespace
+
+FoldResult FoldPhase(PhaseMemo& memo, bool is_prefill, const FoldObjective& objective) {
+  Fold fold(memo.inputs(), objective);
+  for (size_t i = 0; i < memo.configs().size(); ++i) {
+    const model::ParallelismConfig& par = memo.configs()[i];
+    const size_t key = memo.Key(is_prefill, i);
+    const int gpus = par.num_gpus();
+    memo.Visit(key);
+    if (fold.Pruned(memo, key, key, gpus)) {
+      memo.Skip(key);
+      continue;
+    }
+    const double goodput = memo.Force(key);
+    fold.Offer(CandidateResult{par, goodput, goodput / gpus, 0, 0}, gpus);
+  }
+  return fold.Take();
+}
+
+std::vector<SegmentPair> SegmentPairs(const PhaseMemo& memo, int max_inter) {
+  const int gpus_per_node = memo.inputs().cluster.gpus_per_node;
+  std::vector<SegmentPair> pairs;
+  for (int inter = 1; inter <= max_inter; ++inter) {
+    for (int tp_p = 1; tp_p < gpus_per_node; ++tp_p) {
+      const std::optional<size_t> prefill = memo.Find(/*is_prefill=*/true, {tp_p, inter});
+      if (!prefill) {
+        continue;
+      }
+      for (int tp_d = 1; tp_p + tp_d <= gpus_per_node; ++tp_d) {
+        if (const std::optional<size_t> decode = memo.Find(/*is_prefill=*/false, {tp_d, inter})) {
+          pairs.push_back(SegmentPair{inter, tp_p, tp_d, *prefill, *decode});
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
+FoldResult FoldPairs(PhaseMemo& memo, const std::vector<SegmentPair>& pairs,
+                     const FoldObjective& objective) {
+  Fold fold(memo.inputs(), objective);
+  for (const SegmentPair& pair : pairs) {
+    memo.Visit(pair.prefill_key);
+    memo.Visit(pair.decode_key);
+    // Phase sims a pruned pair skips may still be forced by another pair, so nothing is
+    // cancelled here.
+    if (fold.Pruned(memo, pair.prefill_key, pair.decode_key, pair.gpus())) {
+      continue;
+    }
+    const double pg = memo.Force(pair.prefill_key);
+    const double dg = memo.Force(pair.decode_key);
+    if (pg <= 0.0 || dg <= 0.0) {
+      continue;
+    }
+    const double goodput = std::min(pg, dg);
+    fold.Offer(CandidateResult{model::ParallelismConfig{0, pair.inter}, goodput,
+                               goodput / static_cast<double>(pair.gpus()), pair.tp_p,
+                               pair.tp_d},
+               pair.gpus());
+  }
+  return fold.Take();
 }
 
 }  // namespace distserve::placement::detail

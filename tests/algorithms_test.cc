@@ -4,6 +4,8 @@
 
 #include <memory>
 
+#include "placement/search_context.h"
+
 namespace distserve::placement {
 namespace {
 
@@ -41,12 +43,14 @@ TEST(PlacementPlanTest, GoodputArithmetic) {
 TEST(AlgorithmsTest, PhaseGoodputsArePositiveAndOrdered) {
   const auto dataset = workload::MakeShareGptLike();
   const PlannerInputs inputs = FastInputs(dataset.get());
-  const double prefill_1 = SimulatePrefillGoodput(inputs, {1, 1});
-  const double prefill_2 = SimulatePrefillGoodput(inputs, {2, 1});
+  // No goodput cache: every call simulates.
+  const detail::SearchContext ctx(inputs);
+  const double prefill_1 = ctx.SimulatePhase({1, 1}, /*is_prefill=*/true).goodput;
+  const double prefill_2 = ctx.SimulatePhase({2, 1}, /*is_prefill=*/true).goodput;
   EXPECT_GT(prefill_1, 0.0);
   // More compute per instance -> more sustainable rate (whole-instance goodput).
   EXPECT_GT(prefill_2, prefill_1);
-  const double decode_1 = SimulateDecodeGoodput(inputs, {1, 1});
+  const double decode_1 = ctx.SimulatePhase({1, 1}, /*is_prefill=*/false).goodput;
   EXPECT_GT(decode_1, 0.0);
   // §2.3: a decode instance handles a much higher rate than a prefill instance.
   EXPECT_GT(decode_1, prefill_1);

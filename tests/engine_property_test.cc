@@ -147,8 +147,7 @@ std::string ColocName(const ::testing::TestParamInfo<ColocParam>& info) {
   const char* mode_name =
       mode == engine::ColocatedInstance::Options::SchedulingMode::kPrefillPriority
           ? "PrefillPrio"
-          : (mode == engine::ColocatedInstance::Options::SchedulingMode::kMixed ? "Mixed"
-                                                                                : "Chunked");
+          : "Chunked";
   return std::string(mode_name) + "_tp" + std::to_string(tp) + "_cv" +
          std::to_string(static_cast<int>(cv));
 }
@@ -158,7 +157,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(
             engine::ColocatedInstance::Options::SchedulingMode::kPrefillPriority,
-            engine::ColocatedInstance::Options::SchedulingMode::kMixed,
             engine::ColocatedInstance::Options::SchedulingMode::kChunked),
         ::testing::Values(1, 2), ::testing::Values(1.0, 4.0)),
     ColocName);

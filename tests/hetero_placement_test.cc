@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "common/thread_pool.h"
 #include "placement/algorithms.h"
 #include "placement/goodput_cache.h"
 #include "placement/hetero.h"
@@ -71,6 +72,48 @@ TEST(HeteroPlacementTest, SinglePoolFleetMatchesLowNodeAffinity) {
   EXPECT_EQ(a.prefill_goodput, b.prefill_goodput);  // bitwise
   EXPECT_EQ(a.decode_goodput, b.decode_goodput);
   EXPECT_TRUE(a.intra_node_transfers);
+  // The same pair fold over the same memo keys: the same simulations, probe for probe.
+  EXPECT_EQ(hetero.simulations_run, homogeneous.simulations_run);
+  EXPECT_EQ(hetero.probes, homogeneous.probes);
+}
+
+// The pool-pair search speculates on the caller's thread pool while every prune, keep and
+// select happens on the calling thread in enumeration order, so everything but the probe-
+// trace cache's hit count (concurrent misses may both generate) is thread-count independent.
+TEST(HeteroPlacementTest, BitIdenticalAcrossThreadCounts) {
+  const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
+  ThreadPool external(3);
+  for (PlannerObjective objective :
+       {PlannerObjective::kMaxGoodput, PlannerObjective::kMinGpus,
+        PlannerObjective::kMinCost}) {
+    const HeteroPlannerResult serial = HeterogeneousPlacement(Inputs(objective), fleet);
+    std::vector<HeteroPlannerResult> runs;
+    for (int threads : {2, 4}) {
+      PlannerInputs inputs = Inputs(objective);
+      inputs.num_threads = threads;
+      runs.push_back(HeterogeneousPlacement(inputs, fleet));
+    }
+    PlannerInputs pooled = Inputs(objective);
+    pooled.pool = &external;
+    runs.push_back(HeterogeneousPlacement(pooled, fleet));
+
+    for (const HeteroPlannerResult& r : runs) {
+      ExpectSameAssignment(serial.chosen, r.chosen);
+      ASSERT_EQ(serial.candidates.size(), r.candidates.size());
+      for (size_t i = 0; i < serial.candidates.size(); ++i) {
+        ExpectSameAssignment(serial.candidates[i], r.candidates[i]);
+      }
+      EXPECT_EQ(serial.pairs_considered, r.pairs_considered);
+      EXPECT_EQ(serial.pairs_cost_pruned, r.pairs_cost_pruned);
+      EXPECT_EQ(serial.configs_evaluated, r.configs_evaluated);
+      EXPECT_EQ(serial.simulations_run, r.simulations_run);
+      EXPECT_EQ(serial.simulations_skipped, r.simulations_skipped);
+      EXPECT_EQ(serial.cache_hits, r.cache_hits);
+      EXPECT_EQ(serial.configs_pruned_roofline, r.configs_pruned_roofline);
+      EXPECT_EQ(serial.configs_pruned_tier, r.configs_pruned_tier);
+      EXPECT_EQ(serial.probes, r.probes);
+    }
+  }
 }
 
 TEST(HeteroPlacementTest, TierOnOffBitIdenticalAcrossObjectives) {

@@ -89,6 +89,24 @@ TEST(SpeculativeTaskSetTest, CancelPreventsExecutionWithoutPool) {
   EXPECT_EQ(runs.load(), 1);
 }
 
+TEST(SpeculativeTaskSetTest, ForceAfterCancelRunsInline) {
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};
+  std::vector<std::function<int()>> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back([i, &runs] {
+      ++runs;
+      return i + 1;
+    });
+  }
+  SpeculativeTaskSet<int> set(&pool, std::move(tasks));
+  set.Cancel(5);
+  // A cancelled task is still available to its owner: the value is the task's own.
+  EXPECT_EQ(set.Force(5), 6);
+  EXPECT_EQ(set.Force(5), 6);
+  EXPECT_LE(runs.load(), 8);  // each task ran at most once
+}
+
 TEST(SpeculativeTaskSetTest, PooledValuesMatchSerial) {
   ThreadPool pool(4);
   constexpr int kN = 64;
