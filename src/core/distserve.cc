@@ -22,6 +22,7 @@ DistServe::DistServe(DistServeOptions options) : options_(std::move(options)) {
       DS_LOG(Info) << "goodput cache " << options_.goodput_cache_path << ": warm-started with "
                    << loaded.values_loaded << " entries, " << loaded.hints_loaded << " hints";
     }
+    persisted_mutations_ = goodput_cache_.mutations();
   }
 }
 
@@ -72,11 +73,15 @@ const placement::PlannerResult& DistServe::PlannerDetails() {
   planner_result_ = used_high_affinity_ ? placement::HighNodeAffinityPlacement(inputs)
                                         : placement::LowNodeAffinityPlacement(inputs);
   DS_LOG(Info) << "DistServe plan: " << planner_result_->plan.ToString();
-  if (!options_.goodput_cache_path.empty()) {
+  if (!options_.goodput_cache_path.empty() &&
+      goodput_cache_.mutations() != persisted_mutations_) {
     // Save-on-plan-complete: persist everything this search measured (merged over compatible
-    // on-disk entries; newest wins) so the next process replans warm.
-    placement::GoodputCacheStore::Save(options_.goodput_cache_path, goodput_cache_hash_,
-                                       goodput_cache_);
+    // on-disk entries; newest wins) so the next process replans warm. A search answered
+    // wholly from the cache measured nothing new, and the file already holds all of it.
+    if (placement::GoodputCacheStore::Save(options_.goodput_cache_path, goodput_cache_hash_,
+                                           goodput_cache_)) {
+      persisted_mutations_ = goodput_cache_.mutations();
+    }
   }
   return *planner_result_;
 }

@@ -54,10 +54,11 @@ struct DistServeOptions {
   // Persistent goodput-cache file (DESIGN.md §13). Empty = in-memory caching only. When set,
   // the facade loads compatible entries at construction — entries persisted under different
   // Appendix-A latency-model coefficients are rejected by calibration hash, never silently
-  // reused — and saves the merged cache after every completed plan and replan, so the next
-  // process starts warm. Cached goodputs are exact simulation results, so a warm-started plan
-  // is bitwise identical to the cold search's. Benches resolve their --goodput-cache flag
-  // (env DISTSERVE_GOODPUT_CACHE fallback) into this field.
+  // reused — and saves the merged cache after every plan and replan that simulated
+  // something, so the next process starts warm (an all-hit plan has nothing new to write).
+  // Cached goodputs are exact simulation results, so a warm-started plan is bitwise
+  // identical to the cold search's. Benches resolve their --goodput-cache flag (env
+  // DISTSERVE_GOODPUT_CACHE fallback) into this field.
   std::string goodput_cache_path;
 
   // Manual plan override: skips the planner entirely when set.
@@ -113,6 +114,9 @@ class DistServe {
   // Calibration fingerprint guarding the persisted cache file (0 until computed; only
   // meaningful when options_.goodput_cache_path is set).
   uint64_t goodput_cache_hash_ = 0;
+  // goodput_cache_.mutations() when the file last matched the cache (after the constructor's
+  // load, then after each successful save); a plan that leaves it unmoved skips the save.
+  int64_t persisted_mutations_ = 0;
 };
 
 }  // namespace distserve

@@ -105,6 +105,10 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
 // uninterrupted runs (mean output lengths are hundreds of tokens).
 constexpr int kDecodeStepChunk = 32;
 
+// Heap order (std::push_heap/pop_heap) that keeps the member with the earliest `finish` step
+// on top.
+constexpr auto kFinishesLater = [](const auto& a, const auto& b) { return a.finish > b.finish; };
+
 std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
                                     const TraceView& trace, std::span<const double> ready_times,
                                     int max_batch_size) {
@@ -131,48 +135,50 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     return ready_times[a] < ready_times[b];
   });
 
-  struct Active {
+  // Members sit in a min-heap keyed on the absolute step at which they emit their last
+  // token. A member admitted at global step g with output length L finishes at step
+  // g + L - 1, and its context at step s is (input_len + 1) + (s - g), so the one counter
+  // `gstep` advances every member at once: a run costs O(log batch + completions), not a
+  // pass over the batch.
+  struct Member {
+    int64_t finish;
     size_t idx;
-    int remaining;
-    int64_t ctx;
-    double join;
   };
-  std::vector<Active> active;
-  active.reserve(static_cast<size_t>(max_batch_size));
+  std::vector<Member> heap;
+  heap.reserve(static_cast<size_t>(max_batch_size));
   const int pp = lm.par().pp;
   size_t next = 0;
   double now = 0.0;
+  int64_t gstep = 0;
   int64_t used_tokens = 0;
-  int64_t ctx_sum = 0;  // invariant: sum of ctx over `active` (exact: integer adds)
+  int64_t ctx_sum = 0;  // invariant: sum of member contexts (exact: integer adds)
 
   // Scratch for the batched step pricing, reused across runs.
   model::BatchWorkloadLattice lattice;
   std::vector<double> step_times;
 
-  while (next < order.size() || !active.empty()) {
-    if (active.empty()) {
+  while (next < order.size() || !heap.empty()) {
+    if (heap.empty()) {
       now = std::max(now, ready_times[order[next]]);
     }
     // Admit ready requests while memory and the batch cap allow.
     while (next < order.size() && ready_times[order[next]] <= now &&
-           static_cast<int>(active.size()) < max_batch_size) {
+           static_cast<int>(heap.size()) < max_batch_size) {
       const size_t idx = order[next];
       const int64_t need = trace[idx].total_len();
       if (used_tokens + need > kv_capacity_tokens) {
         break;
       }
       used_tokens += need;
-      // TPOT is measured from first-token readiness, so admission queueing counts toward it
-      // (matching RequestRecord::Tpot in the engine runtime).
-      const int64_t ctx = static_cast<int64_t>(trace[idx].input_len) + 1;
-      active.push_back(Active{idx, trace[idx].output_len - 1, ctx, ready_times[idx]});
-      ctx_sum += ctx;
+      heap.push_back(Member{gstep + trace[idx].output_len - 1, idx});
+      std::push_heap(heap.begin(), heap.end(), kFinishesLater);
+      ctx_sum += static_cast<int64_t>(trace[idx].input_len) + 1;
       ++next;
     }
-    if (active.empty()) {
+    if (heap.empty()) {
       continue;  // jump to the next ready time at loop head
     }
-    const int64_t batch = static_cast<int64_t>(active.size());
+    const int64_t batch = static_cast<int64_t>(heap.size());
     const int64_t lane_batch = (batch + pp - 1) / pp;
 
     // Run-batched stepping. Between membership changes the batch is fixed and the context
@@ -182,15 +188,12 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     // reference): the step times are bit-identical (EvaluateBatch mirrors FullTime), `now`
     // accumulates them in the same order, and the loop stops stepping exactly where the
     // scalar loop's admission check would fire — membership can only change at a
-    // completion (bounded by the smallest remaining count) or when `now` reaches the next
-    // admissible request's ready time (nothing else in the admission condition moves during
-    // a run).
-    int run = active[0].remaining;
-    for (const Active& a : active) {
-      run = std::min(run, a.remaining);
-    }
+    // completion (the earliest finish step, at the heap's top) or when `now` reaches the
+    // next admissible request's ready time (nothing else in the admission condition moves
+    // during a run).
+    const int run = static_cast<int>(heap.front().finish - gstep);
     const bool admit_pending =
-        next < order.size() && static_cast<int>(active.size()) < max_batch_size &&
+        next < order.size() && static_cast<int>(heap.size()) < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
     const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
     int stepped = 0;
@@ -214,23 +217,20 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
       }
     }
     // Apply the whole run at once. Completions can only happen when the run ran to its
-    // completion bound (stepped == run == min remaining); an admission cut leaves everyone
-    // with tokens to go, and the same code handles both.
-    const int64_t delta = stepped;
-    ctx_sum += delta * batch;
-    size_t write = 0;
-    for (Active& a : active) {
-      a.remaining -= stepped;
-      a.ctx += delta;
-      if (a.remaining <= 0) {
-        ctx_sum -= a.ctx;
-        tpot[a.idx] = (now - a.join) / static_cast<double>(trace[a.idx].output_len - 1);
-        used_tokens -= trace[a.idx].total_len();
-      } else {
-        active[write++] = a;
-      }
+    // completion bound (an admission cut leaves everyone with tokens to go), and they land
+    // exactly on their finish step, where a member's context has grown to its total length.
+    gstep += stepped;
+    ctx_sum += static_cast<int64_t>(stepped) * batch;
+    while (!heap.empty() && heap.front().finish <= gstep) {
+      const size_t idx = heap.front().idx;
+      std::pop_heap(heap.begin(), heap.end(), kFinishesLater);
+      heap.pop_back();
+      ctx_sum -= trace[idx].total_len();
+      // TPOT is measured from first-token readiness, so admission queueing counts toward it
+      // (matching RequestRecord::Tpot in the engine runtime).
+      tpot[idx] = (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1);
+      used_tokens -= trace[idx].total_len();
     }
-    active.resize(write);
   }
   return tpot;
 }
@@ -240,10 +240,12 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
 void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
                           const ColocatedFastConfig& config,
                           std::vector<FastRecord>& records) {
-  struct Active {
+  // Resident decodes in a min-heap keyed on the decode step (counted by `dstep`, which
+  // advances only on steps where decodes do) that emits their last token — the same
+  // representation as DecodeTpotsView, so a step costs O(log batch + completions).
+  struct Decoding {
+    int64_t finish;
     size_t local_idx;
-    int remaining;
-    int64_t ctx;
     double first_token;
   };
   // Chunked mode: an admitted prompt whose compute window has advanced to `done` tokens
@@ -254,12 +256,14 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
   };
   std::deque<size_t> waiting;
   std::deque<Prefilling> prefilling;  // chunked mode only
-  std::vector<Active> decoding;
+  std::vector<Decoding> decoding;
   decoding.reserve(static_cast<size_t>(config.max_batch_size));
+  std::vector<size_t> prefilled_now;  // prompts completing this step (cleared per step)
   size_t next_arrival = 0;
   double now = 0.0;
+  int64_t dstep = 0;
   int64_t used_tokens = 0;
-  int64_t decode_ctx_sum = 0;  // invariant: sum of ctx over `decoding` (exact: integer adds)
+  int64_t decode_ctx_sum = 0;  // invariant: sum of decode contexts (exact: integer adds)
   const bool chunked = config.chunk_budget > 0;
 
   auto pull_arrivals = [&] {
@@ -281,7 +285,7 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
 
     // Step formation: decodes plus admitted whole prompts under the token budget.
     BatchWorkload workload;
-    std::vector<size_t> prefilled_now;
+    prefilled_now.clear();
     int64_t prefill_tokens = 0;
     bool decodes_advance = false;
     if (chunked) {
@@ -377,24 +381,20 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
 
     now += lm.FullTime(workload) + config.cpu_overhead_per_step;
 
-    // Decode advancement (skipped on prefill-only steps). Survivors compact in place, with
-    // the running context sum tracking steps and departures.
+    // Decode advancement (skipped on prefill-only steps): every resident context grows by
+    // one, and the members whose finish step this is depart with their full context.
     if (decodes_advance) {
-      size_t write = 0;
-      for (Active& a : decoding) {
-        --a.remaining;
-        ++a.ctx;
-        ++decode_ctx_sum;
-        if (a.remaining <= 0) {
-          decode_ctx_sum -= a.ctx;
-          records[trace.global(a.local_idx)].tpot =
-              (now - a.first_token) / static_cast<double>(trace[a.local_idx].output_len - 1);
-          used_tokens -= trace[a.local_idx].total_len();
-        } else {
-          decoding[write++] = a;
-        }
+      ++dstep;
+      decode_ctx_sum += static_cast<int64_t>(decoding.size());
+      while (!decoding.empty() && decoding.front().finish <= dstep) {
+        const Decoding done = decoding.front();
+        std::pop_heap(decoding.begin(), decoding.end(), kFinishesLater);
+        decoding.pop_back();
+        decode_ctx_sum -= trace[done.local_idx].total_len();
+        records[trace.global(done.local_idx)].tpot =
+            (now - done.first_token) / static_cast<double>(trace[done.local_idx].output_len - 1);
+        used_tokens -= trace[done.local_idx].total_len();
       }
-      decoding.resize(write);
     }
 
     // Prompts finished this step.
@@ -403,9 +403,9 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
       if (trace[idx].output_len <= 1) {
         used_tokens -= trace[idx].total_len();
       } else {
-        const int64_t ctx = static_cast<int64_t>(trace[idx].input_len) + 1;
-        decoding.push_back(Active{idx, trace[idx].output_len - 1, ctx, now});
-        decode_ctx_sum += ctx;
+        decoding.push_back(Decoding{dstep + trace[idx].output_len - 1, idx, now});
+        std::push_heap(decoding.begin(), decoding.end(), kFinishesLater);
+        decode_ctx_sum += static_cast<int64_t>(trace[idx].input_len) + 1;
       }
     }
   }

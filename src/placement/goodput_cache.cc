@@ -16,6 +16,7 @@ std::optional<double> GoodputCache::Lookup(const std::string& key) {
 void GoodputCache::Insert(const std::string& key, double goodput) {
   std::lock_guard<std::mutex> lock(mu_);
   values_[key] = goodput;
+  ++mutations_;
 }
 
 std::optional<double> GoodputCache::RateHint(const std::string& config_key) const {
@@ -30,6 +31,7 @@ std::optional<double> GoodputCache::RateHint(const std::string& config_key) cons
 void GoodputCache::UpdateRateHint(const std::string& config_key, double goodput) {
   std::lock_guard<std::mutex> lock(mu_);
   hints_[config_key] = goodput;
+  ++mutations_;
 }
 
 GoodputCache::Stats GoodputCache::stats() const {
@@ -55,12 +57,19 @@ void GoodputCache::Merge(const Snapshot& snapshot) {
   for (const auto& [key, value] : snapshot.hints) {
     hints_.emplace(key, value);
   }
+  ++mutations_;
 }
 
 void GoodputCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   values_.clear();
   hints_.clear();
+  ++mutations_;
+}
+
+int64_t GoodputCache::mutations() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return mutations_;
 }
 
 void GoodputCache::ResetStats() {

@@ -63,12 +63,18 @@ class GoodputCache {
   void Clear();
   void ResetStats();
 
+  // Bumped by every Insert, UpdateRateHint, Merge and Clear (whether or not it changed a
+  // value). A caller that persists the cache records it after each load or save, and can
+  // skip the next save when it has not moved.
+  int64_t mutations() const;
+
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, double> values_;
   std::unordered_map<std::string, double> hints_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
+  int64_t mutations_ = 0;
 };
 
 }  // namespace distserve::placement

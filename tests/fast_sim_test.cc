@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <deque>
+#include <limits>
+
 #include "cluster/gpu_spec.h"
+#include "workload/dataset.h"
 #include "workload/generator.h"
 
 namespace distserve::placement {
@@ -189,6 +195,220 @@ TEST(FastColocatedTest, MoreInstancesImproveTtft) {
     t2 += r2[i].ttft;
   }
   EXPECT_LT(t2, t1);
+}
+
+// Per-step reference for one colocated instance: every resident decode is walked and
+// compacted on each step it advances, with remaining-token and context counters per member.
+// The production loop keys members on their finish step instead, and must reproduce this
+// loop bit for bit.
+std::vector<FastRecord> ReferenceColocatedOne(const model::LatencyModel& lm,
+                                              const workload::Trace& trace,
+                                              const ColocatedFastConfig& config) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<FastRecord> records(trace.size());
+  struct Active {
+    size_t idx;
+    int remaining;
+    int64_t ctx;
+    double first_token;
+  };
+  struct Prefilling {
+    size_t idx;
+    int64_t done;
+  };
+  std::deque<size_t> waiting;
+  std::deque<Prefilling> prefilling;
+  std::vector<Active> decoding;
+  size_t next_arrival = 0;
+  double now = 0.0;
+  int64_t used_tokens = 0;
+  int64_t decode_ctx_sum = 0;
+  const bool chunked = config.chunk_budget > 0;
+  while (true) {
+    while (next_arrival < trace.size() && trace[next_arrival].arrival_time <= now) {
+      waiting.push_back(next_arrival++);
+    }
+    if (waiting.empty() && prefilling.empty() && decoding.empty()) {
+      if (next_arrival >= trace.size()) {
+        break;
+      }
+      now = trace[next_arrival].arrival_time;
+      continue;
+    }
+    model::BatchWorkload workload;
+    std::vector<size_t> prefilled_now;
+    int64_t prefill_tokens = 0;
+    bool decodes_advance = false;
+    if (chunked) {
+      while (!waiting.empty() &&
+             static_cast<int>(decoding.size() + prefilling.size()) < config.max_batch_size) {
+        const size_t idx = waiting.front();
+        const int64_t need = trace[idx].total_len();
+        if (need > config.kv_capacity_tokens) {
+          records[idx] = {kInf, kInf};
+          waiting.pop_front();
+          continue;
+        }
+        if (used_tokens + need > config.kv_capacity_tokens) {
+          break;
+        }
+        used_tokens += need;
+        waiting.pop_front();
+        prefilling.push_back(Prefilling{idx, trace[idx].cached_prefix_len});
+      }
+      int64_t budget = config.chunk_budget - static_cast<int64_t>(decoding.size());
+      auto it = prefilling.begin();
+      while (budget > 0 && it != prefilling.end()) {
+        const int64_t chunk = std::min(trace[it->idx].input_len - it->done, budget);
+        workload.prefill_tokens += chunk;
+        workload.prefill_sq_tokens +=
+            static_cast<double>(chunk) *
+            (static_cast<double>(it->done) + static_cast<double>(chunk));
+        it->done += chunk;
+        prefill_tokens += chunk;
+        budget -= chunk;
+        if (it->done == trace[it->idx].input_len) {
+          prefilled_now.push_back(it->idx);
+          it = prefilling.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      decodes_advance = !decoding.empty();
+    } else {
+      while (!waiting.empty() &&
+             static_cast<int>(decoding.size() + prefilled_now.size()) <
+                 config.max_batch_size) {
+        const size_t idx = waiting.front();
+        const int64_t need = trace[idx].total_len();
+        if (need > config.kv_capacity_tokens) {
+          records[idx] = {kInf, kInf};
+          waiting.pop_front();
+          continue;
+        }
+        if (used_tokens + need > config.kv_capacity_tokens) {
+          break;
+        }
+        const int64_t computed = trace[idx].input_len - trace[idx].cached_prefix_len;
+        if (!prefilled_now.empty() &&
+            prefill_tokens + computed > config.max_prefill_tokens_per_step) {
+          break;
+        }
+        used_tokens += need;
+        waiting.pop_front();
+        workload.prefill_tokens += computed;
+        workload.prefill_sq_tokens +=
+            static_cast<double>(computed) * static_cast<double>(trace[idx].input_len);
+        prefill_tokens += computed;
+        prefilled_now.push_back(idx);
+      }
+      decodes_advance = decoding.empty() ? false : prefilled_now.empty();
+    }
+    if (decodes_advance) {
+      workload.decode_requests = static_cast<int64_t>(decoding.size());
+      workload.decode_context_tokens = decode_ctx_sum;
+    }
+    if (workload.empty()) {
+      now = trace[next_arrival].arrival_time;
+      continue;
+    }
+    now += lm.FullTime(workload) + config.cpu_overhead_per_step;
+    if (decodes_advance) {
+      size_t write = 0;
+      for (Active& a : decoding) {
+        --a.remaining;
+        ++a.ctx;
+        ++decode_ctx_sum;
+        if (a.remaining <= 0) {
+          decode_ctx_sum -= a.ctx;
+          records[a.idx].tpot =
+              (now - a.first_token) / static_cast<double>(trace[a.idx].output_len - 1);
+          used_tokens -= trace[a.idx].total_len();
+        } else {
+          decoding[write++] = a;
+        }
+      }
+      decoding.resize(write);
+    }
+    for (size_t idx : prefilled_now) {
+      records[idx].ttft = now - trace[idx].arrival_time;
+      if (trace[idx].output_len <= 1) {
+        used_tokens -= trace[idx].total_len();
+      } else {
+        const int64_t ctx = static_cast<int64_t>(trace[idx].input_len) + 1;
+        decoding.push_back(Active{idx, trace[idx].output_len - 1, ctx, now});
+        decode_ctx_sum += ctx;
+      }
+    }
+  }
+  return records;
+}
+
+// Round-robin over instances, as SimulateColocated dispatches.
+std::vector<FastRecord> ReferenceColocated(const model::LatencyModel& lm,
+                                           const workload::Trace& trace,
+                                           const ColocatedFastConfig& config) {
+  std::vector<FastRecord> records(trace.size());
+  const size_t n = static_cast<size_t>(config.num_instances);
+  for (size_t inst = 0; inst < n; ++inst) {
+    workload::Trace sub;
+    for (size_t i = inst; i < trace.size(); i += n) {
+      sub.push_back(trace[i]);
+    }
+    const std::vector<FastRecord> sub_records = ReferenceColocatedOne(lm, sub, config);
+    for (size_t k = 0; k < sub.size(); ++k) {
+      records[inst + k * n] = sub_records[k];
+    }
+  }
+  return records;
+}
+
+TEST(FastColocatedTest, BitIdenticalToPerStepReference) {
+  const auto dataset = workload::MakeShareGptLike();
+  workload::TraceSpec spec;
+  spec.rate = 8.0;
+  spec.num_requests = 200;
+  spec.seed = 17;
+  workload::Trace trace = workload::GenerateTrace(spec, *dataset);
+  // Prefix-cache hits on every third prompt: they skip compute but keep their KV footprint.
+  int64_t longest = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (i % 3 == 0) {
+      trace[i].cached_prefix_len = trace[i].input_len / 2;
+    }
+    longest = std::max<int64_t>(longest, trace[i].total_len());
+  }
+  const model::LatencyModel lm = Lm13B();
+  bool saw_unservable = false;
+  for (int64_t chunk_budget : {int64_t{0}, int64_t{512}}) {
+    // 1M tokens is unconstrained; four longest requests' worth queues admissions behind
+    // completions; one token short of the longest leaves it (at least) unservable.
+    for (int64_t kv_capacity : {int64_t{1} << 20, 4 * longest, longest - 1}) {
+      for (int max_batch : {256, 4}) {
+        for (int instances : {1, 2}) {
+          ColocatedFastConfig config;
+          config.num_instances = instances;
+          config.kv_capacity_tokens = kv_capacity;
+          config.max_batch_size = max_batch;
+          config.chunk_budget = chunk_budget;
+          config.cpu_overhead_per_step = instances == 2 ? 1e-3 : 0.0;
+          const std::vector<FastRecord> expected = ReferenceColocated(lm, trace, config);
+          const std::vector<FastRecord> actual = SimulateColocated(lm, trace, config);
+          ASSERT_EQ(expected.size(), actual.size());
+          for (size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(expected[i].ttft, actual[i].ttft)
+                << "chunk=" << chunk_budget << " kv=" << kv_capacity << " batch=" << max_batch
+                << " inst=" << instances << " i=" << i;
+            EXPECT_EQ(expected[i].tpot, actual[i].tpot)
+                << "chunk=" << chunk_budget << " kv=" << kv_capacity << " batch=" << max_batch
+                << " inst=" << instances << " i=" << i;
+            saw_unservable = saw_unservable || std::isinf(actual[i].tpot);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_unservable);
 }
 
 }  // namespace

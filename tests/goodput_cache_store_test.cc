@@ -399,5 +399,61 @@ TEST(GoodputCacheStoreTest, DistServeFacadeWarmStartsFromDisk) {
   ExpectPlansIdentical(cold_plan, warm_plan);
 }
 
+// A plan answered wholly from the cache measured nothing new, so the facade must not
+// rewrite the file; a plan that simulated something must, with every older entry kept.
+TEST(GoodputCacheStoreTest, WarmReplanDoesNotRewriteUnchangedFile) {
+  const std::string path = TempPath("gpcache_skip_save.txt");
+  std::remove(path.c_str());
+  const uint64_t hash = GoodputCacheStore::CalibrationHash(TestCoefficients());
+  const auto sharegpt = workload::MakeShareGptLike();
+  const auto humaneval = workload::MakeHumanEvalLike();
+  DistServeOptions options;
+  options.model = model::ModelSpec::Opt13B();
+  options.cluster = cluster::ClusterSpec::PaperTestbed();
+  options.slo = {0.2, 0.1};
+  options.traffic_rate = 10.0;
+  options.dataset = sharegpt.get();
+  options.search.num_requests = 120;
+  options.search.min_trace_duration = 15.0;
+  options.search.max_requests = 1200;
+  options.search.bisection_iters = 4;
+  options.goodput_cache_path = path;
+
+  DistServe cold(options);
+  cold.Plan();
+  GoodputCache persisted;
+  ASSERT_TRUE(GoodputCacheStore::Load(path, hash, &persisted).ok());
+  const GoodputCache::Snapshot before = persisted.TakeSnapshot();
+  ASSERT_FALSE(before.values.empty());
+
+  DistServe warm(options);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  auto file_exists = [&] { return std::ifstream(path).good(); };
+
+  warm.Plan();
+  EXPECT_GT(warm.PlannerDetails().simulations_run, 0);
+  EXPECT_EQ(warm.PlannerDetails().cache_hits, warm.PlannerDetails().simulations_run);
+  EXPECT_FALSE(file_exists());
+
+  warm.ReplanDegraded(options.cluster.Degraded(2), 10.0);
+  EXPECT_GT(warm.PlannerDetails().simulations_run, 0);
+  EXPECT_EQ(warm.PlannerDetails().cache_hits, warm.PlannerDetails().simulations_run);
+  EXPECT_FALSE(file_exists());
+
+  warm.Replan(humaneval.get(), 10.0);
+  EXPECT_LT(warm.PlannerDetails().cache_hits, warm.PlannerDetails().simulations_run);
+  ASSERT_TRUE(file_exists());
+  GoodputCache reloaded;
+  const GoodputCacheStore::LoadResult loaded = GoodputCacheStore::Load(path, hash, &reloaded);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_GT(loaded.values_loaded, static_cast<int64_t>(before.values.size()));
+  const GoodputCache::Snapshot after = reloaded.TakeSnapshot();
+  for (const auto& [key, value] : before.values) {
+    const auto it = after.values.find(key);
+    ASSERT_NE(it, after.values.end()) << key;
+    EXPECT_TRUE(BitEqual(it->second, value)) << key;
+  }
+}
+
 }  // namespace
 }  // namespace distserve::placement

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -20,20 +22,22 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
 TEST(ThreadPoolTest, SubmitRunsOnWorkers) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.num_workers(), 3);
-  std::atomic<int> count{0};
+  // `count` changes only under `mu`, and the last task notifies while still holding it, so
+  // the waiter cannot see 100, return and destroy `cv` before that notify is done.
+  int count = 0;
   std::mutex mu;
   std::condition_variable cv;
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&] {
-      if (count.fetch_add(1) + 1 == 100) {
-        std::lock_guard<std::mutex> lock(mu);
+      std::lock_guard<std::mutex> lock(mu);
+      if (++count == 100) {
         cv.notify_all();
       }
     });
   }
   std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return count.load() == 100; });
-  EXPECT_EQ(count.load(), 100);
+  cv.wait(lock, [&] { return count == 100; });
+  EXPECT_EQ(count, 100);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {

@@ -261,20 +261,29 @@ TEST(DecodeBatchedStepsTest, BitIdenticalToScalarLoop) {
     }
   }
   // KV pressure path: tiny capacity forces queued admissions at completion boundaries; at
-  // 1024 tokens some requests can never fit and score an infinite TPOT on both paths.
-  const model::LatencyModel lm = Lm13B();
+  // 1024 tokens some requests can never fit and score an infinite TPOT on both paths. The
+  // pipelined lanes (pp > 1) and a binding batch cap cover the other two ways the finish-step
+  // heap meets its admission cut.
   const workload::Trace trace = VariedTrace(2.0, 60, 11);
   std::vector<double> ready;
   for (const auto& r : trace) ready.push_back(r.arrival_time);
-  for (int64_t kv_capacity : {4096, 1024}) {
-    const std::vector<double> scalar = ScalarDecodeTpots(lm, kv_capacity, trace, ready, 256);
-    const std::vector<double> batched = SimulateDecodeTpots(lm, kv_capacity, trace, ready, 256);
-    ASSERT_EQ(scalar.size(), batched.size());
-    for (size_t i = 0; i < scalar.size(); ++i) {
-      EXPECT_EQ(scalar[i], batched[i]) << "kv=" << kv_capacity << " i=" << i;
-    }
-    if (kv_capacity == 1024) {
-      EXPECT_NE(std::find(batched.begin(), batched.end(), kInf), batched.end());
+  for (int pp : {1, 2, 4}) {
+    const model::LatencyModel lm = Lm13B(1, pp);
+    for (int64_t kv_capacity : {4096, 1024}) {
+      for (int max_batch : {256, 8}) {
+        const std::vector<double> scalar =
+            ScalarDecodeTpots(lm, kv_capacity, trace, ready, max_batch);
+        const std::vector<double> batched =
+            SimulateDecodeTpots(lm, kv_capacity, trace, ready, max_batch);
+        ASSERT_EQ(scalar.size(), batched.size());
+        for (size_t i = 0; i < scalar.size(); ++i) {
+          EXPECT_EQ(scalar[i], batched[i]) << "pp=" << pp << " kv=" << kv_capacity
+                                           << " max_batch=" << max_batch << " i=" << i;
+        }
+        if (kv_capacity == 1024) {
+          EXPECT_NE(std::find(batched.begin(), batched.end(), kInf), batched.end());
+        }
+      }
     }
   }
 }
