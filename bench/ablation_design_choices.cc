@@ -44,9 +44,10 @@ void AblationBatchTarget() {
     std::vector<std::unique_ptr<engine::RequestState>> states;
     for (const workload::Request& req : trace) {
       states.push_back(std::make_unique<engine::RequestState>(req));
-      engine::RequestState* state = states.back().get();
-      sim.ScheduleAt(req.arrival_time, [&instance, state] { instance.Enqueue(state); });
     }
+    sim.StreamArrivals(
+        states.size(), [&states](size_t i) { return states[i]->request.arrival_time; },
+        [&instance, &states](size_t i) { instance.Enqueue(states[i].get()); });
     sim.Run();
     std::printf("%-14lld %10.1fms %10.1fms %14lld\n", static_cast<long long>(target),
                 1e3 * ttft.Percentile(50), 1e3 * ttft.Percentile(90),
@@ -78,9 +79,10 @@ void AblationPipelineBubbles() {
       req.output_len = 2;
       t += rng.Exponential(8.0);
       states.push_back(std::make_unique<engine::RequestState>(req));
-      engine::RequestState* state = states.back().get();
-      sim.ScheduleAt(req.arrival_time, [&instance, state] { instance.Enqueue(state); });
     }
+    sim.StreamArrivals(
+        states.size(), [&states](size_t i) { return states[i]->request.arrival_time; },
+        [&instance, &states](size_t i) { instance.Enqueue(states[i].get()); });
     sim.Run();
     std::printf("%-24s busy=%7.2fs bubbles=%6.3fs (%.2f%% of busy)\n", name,
                 instance.busy_seconds(), instance.bubble_seconds(),

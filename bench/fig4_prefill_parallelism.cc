@@ -44,9 +44,10 @@ double EngineMeanTtft(const model::LatencyModel& lm, double rate, uint64_t seed)
   std::vector<std::unique_ptr<engine::RequestState>> states;
   for (const workload::Request& req : trace) {
     states.push_back(std::make_unique<engine::RequestState>(req));
-    engine::RequestState* state = states.back().get();
-    sim.ScheduleAt(req.arrival_time, [&instance, state] { instance.Enqueue(state); });
   }
+  sim.StreamArrivals(
+      states.size(), [&states](size_t i) { return states[i]->request.arrival_time; },
+      [&instance, &states](size_t i) { instance.Enqueue(states[i].get()); });
   sim.Run();
   return sum / done;
 }

@@ -23,6 +23,26 @@ void BM_ScheduleAndFire(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleAndFire);
 
+// One schedule+fire cycle while `range(0)` later events stand in the queue: every push and
+// pop sifts through that many entries. 40000 is the depth a serve-chatbot trace left behind
+// when its arrivals were all scheduled up front; Simulator::StreamArrivals keeps the standing
+// depth at in-flight work, which the /0 row approximates.
+void BM_ScheduleAndFireWithBacklog(benchmark::State& state) {
+  const int64_t backlog = state.range(0);
+  simcore::Simulator sim;
+  for (int64_t i = 0; i < backlog; ++i) {
+    sim.ScheduleAt(1e9 + static_cast<double>(i), [] {});
+  }
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 1e-3;
+    sim.ScheduleAt(t, [] {});
+    benchmark::DoNotOptimize(sim.Run(t));  // fires the one event at t, none of the backlog
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScheduleAndFireWithBacklog)->Arg(0)->Arg(40000);
+
 void BM_CancelHeavy(benchmark::State& state) {
   for (auto _ : state) {
     simcore::Simulator sim;

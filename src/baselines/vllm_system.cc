@@ -126,9 +126,9 @@ metrics::Collector VllmSystem::FinishStream(double /*end_time*/) {
 
 metrics::Collector VllmSystem::Run(const workload::Trace& trace) {
   BeginStream(trace.size());
-  for (const workload::Request& req : trace) {
-    sim_->ScheduleAt(req.arrival_time, [this, req] { Submit(req); });
-  }
+  sim_->StreamArrivals(
+      trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },
+      [this, &trace](size_t i) { Submit(trace[i]); });
   sim_->Run();
   return FinishStream(sim_->now());
 }

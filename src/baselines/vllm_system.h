@@ -61,11 +61,14 @@ class VllmSystem {
   VllmSystem& operator=(const VllmSystem&) = delete;
   ~VllmSystem();
 
+  // Replays the trace to completion. Arrival times must not decrease (a trace that does
+  // aborts, naming the offending index).
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
-  // Mirrors serving::ServingSystem's: Run() is exactly BeginStream + one arrival event per
-  // request + drive the simulator + FinishStream.
+  // Mirrors serving::ServingSystem's: Run() is BeginStream + the trace's arrivals streamed
+  // through Simulator::StreamArrivals (each calling Submit) + drive the simulator +
+  // FinishStream, bit-identical to one ScheduleAt per request up front.
 
   // Resets per-stream state; call before scheduling arrivals of a new stream.
   void BeginStream(size_t expected_requests);

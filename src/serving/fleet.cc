@@ -162,16 +162,24 @@ void FleetSystem::FlushRouterParked() {
 }
 
 FleetResult FleetSystem::Run(const workload::Trace& trace) {
-  const size_t per_group = trace.size() / groups_.size() + 1;
+  BeginGroups(trace.size());
+  // Setup order is fixed regardless of shard count: arrivals (trace order, streamed into the
+  // router's shard), then fault plans per group — mirroring ServingSystem::Run's
+  // arrivals-then-faults convention so equal-time tie-breaks match the standalone path.
+  sharded_.shard(0)->StreamArrivals(
+      trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },
+      [this, &trace](size_t i) { RouteArrival(trace[i]); });
+  return FaultAndRun();
+}
+
+void FleetSystem::BeginGroups(size_t trace_size) {
+  const size_t per_group = trace_size / groups_.size() + 1;
   for (auto& group : groups_) {
     group->BeginStream(per_group);
   }
-  // Setup order is fixed regardless of shard count: arrivals (trace order, on the router's
-  // shard), then fault plans per group — mirroring ServingSystem::Run's arrivals-then-faults
-  // convention so equal-time tie-breaks match the standalone path.
-  for (const workload::Request& req : trace) {
-    sharded_.shard(0)->ScheduleAt(req.arrival_time, [this, req] { RouteArrival(req); });
-  }
+}
+
+FleetResult FleetSystem::FaultAndRun() {
   for (auto& group : groups_) {
     group->ScheduleFaults();
   }

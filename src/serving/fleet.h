@@ -95,6 +95,15 @@ class FleetSystem {
 
  private:
   struct Group;
+  // Tests drive the router with one ScheduleAt per arrival (the schedule Run() streams
+  // instead) and check that the results stay bit-identical.
+  friend class FleetSystemTestPeer;
+
+  // Run() is BeginGroups, the arrivals streamed into the router's shard, then FaultAndRun:
+  // the group fault plans are scheduled after the arrivals, the sharded core runs to
+  // completion and the per-group results are merged.
+  void BeginGroups(size_t trace_size);
+  FleetResult FaultAndRun();
 
   // Router logic; every method below runs inside shard-0 events.
   void RouteArrival(const workload::Request& req);

@@ -649,9 +649,9 @@ void ServingSystem::ScheduleFaults() {
 
 metrics::Collector ServingSystem::Run(const workload::Trace& trace) {
   BeginStream(trace.size());
-  for (const workload::Request& req : trace) {
-    sim_->ScheduleAt(req.arrival_time, [this, req] { Submit(req); });
-  }
+  sim_->StreamArrivals(
+      trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },
+      [this, &trace](size_t i) { Submit(trace[i]); });
   ScheduleFaults();
   sim_->Run();
   return FinishStream(sim_->now());

@@ -101,12 +101,17 @@ class ServingSystem {
   // Replays the trace to completion and returns the per-request records. With a fault plan a
   // request may fail fast (retry exhaustion with no healthy route) or end the run stranded
   // with every instance dead; both are recorded as lost, not completed. A faulted system is
-  // single-use: permanently failed instances stay dead across runs.
+  // single-use: permanently failed instances stay dead across runs. Arrival times must not
+  // decrease (a trace that does aborts, naming the offending index).
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
-  // The Run() above is exactly BeginStream + one arrival event per request + ScheduleFaults +
-  // drive the simulator + FinishStream(now), so the two modes share every code path.
+  // The Run() above is BeginStream + the trace's arrivals streamed through
+  // Simulator::StreamArrivals (one pending arrival at a time, each calling Submit) +
+  // ScheduleFaults + drive the simulator + FinishStream(now), so the two modes share every
+  // code path. The streamed arrivals tie against other events exactly as one ScheduleAt per
+  // request before ScheduleFaults would, so a caller that schedules its arrivals that way
+  // gets bit-identical results.
 
   // Resets per-stream state (collector, request states, parked list) and starts a new trace
   // recorder run. Call before scheduling any arrivals of a new stream.

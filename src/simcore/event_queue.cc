@@ -49,10 +49,19 @@ void EventQueue::CancelNode(uint32_t node, uint32_t generation) {
 }
 
 EventHandle EventQueue::Schedule(SimTime when, EventCallback&& fn) {
+  return Push(when, next_seq_++, std::move(fn));
+}
+
+EventHandle EventQueue::ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn) {
+  DS_DCHECK(seq < next_seq_) << "sequence number " << seq << " was never reserved";
+  return Push(when, seq, std::move(fn));
+}
+
+EventHandle EventQueue::Push(SimTime when, uint64_t seq, EventCallback&& fn) {
   DS_DCHECK(when >= 0.0);
   const uint32_t node = AcquireNode(std::move(fn));
   const uint32_t generation = nodes_[node].generation;
-  heap_.push_back(Entry{when, next_seq_++, node, generation});
+  heap_.push_back(Entry{when, seq, node, generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   MaybeCompact();
   return EventHandle(this, node, generation);

@@ -71,6 +71,22 @@ class EventQueue {
   // through ScheduleAt/Schedule/AcquireNode was three of them per event.
   EventHandle Schedule(SimTime when, EventCallback&& fn);
 
+  // Reserves `n` consecutive sequence numbers and returns the first. An event later scheduled
+  // under one of them with ScheduleReserved ties against every other event exactly as if it
+  // had been scheduled at reservation time: after everything scheduled before the
+  // reservation, before everything scheduled after it. This lets a producer feed a long
+  // time-ordered stream into the queue one event at a time (Simulator::StreamArrivals)
+  // without changing the order of events at equal times.
+  uint64_t ReserveSeqs(uint64_t n) {
+    const uint64_t base = next_seq_;
+    next_seq_ += n;
+    return base;
+  }
+
+  // Schedules `fn` at `when` under a sequence number returned by ReserveSeqs (each at most
+  // once).
+  EventHandle ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn);
+
   // True when no live (uncancelled) event remains.
   bool empty() const;
 
@@ -124,6 +140,8 @@ class EventQueue {
     return node < nodes_.size() && nodes_[node].generation == generation;
   }
   void CancelNode(uint32_t node, uint32_t generation);
+
+  EventHandle Push(SimTime when, uint64_t seq, EventCallback&& fn);
 
   uint32_t AcquireNode(EventCallback&& fn);
   void ReleaseNode(uint32_t index);  // bumps generation, frees the callback, links free-list

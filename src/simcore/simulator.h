@@ -8,6 +8,7 @@
 #ifndef DISTSERVE_SIMCORE_SIMULATOR_H_
 #define DISTSERVE_SIMCORE_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -46,6 +47,18 @@ class Simulator {
     return queue_.Schedule(now_ + delay, std::move(fn));
   }
 
+  // Streams `n` timed arrivals (a workload trace) into the queue one at a time: only the next
+  // arrival is ever pending, so the heap holds in-flight work, not the whole trace. Arrival i
+  // fires at time_of(i); its event first schedules arrival i + 1 and then calls fire(i).
+  // Every arrival carries the sequence number it would have had if all n had been scheduled
+  // here, up front (EventQueue::ReserveSeqs), so events at equal times fire in the same order
+  // as under that up-front schedule: after events scheduled before this call, before events
+  // scheduled after it (fault plans, and everything the arrivals cause). Arrival times must
+  // not decrease; a trace that does aborts, naming the offending index. time_of and fire must
+  // stay valid until the last arrival has fired.
+  template <typename TimeOf, typename Fire>
+  void StreamArrivals(size_t n, TimeOf time_of, Fire fire);
+
   // Runs until the event queue is empty or virtual time would exceed `until`.
   // Returns the number of events processed by this call.
   int64_t Run(SimTime until = std::numeric_limits<SimTime>::infinity());
@@ -63,12 +76,53 @@ class Simulator {
   // each lookahead window's start as the minimum across shards.
   SimTime NextTime() const { return queue_.NextTime(); }
 
+  // Entries stored in the event queue (EventQueue::size).
+  size_t queue_size() const { return queue_.size(); }
+
  private:
+  // The event of one streamed arrival; captures an index, not a copy of the arrival.
+  template <typename TimeOf, typename Fire>
+  struct StreamedArrival {
+    Simulator* sim;
+    uint64_t base;  // sequence number of arrival 0
+    size_t index;
+    size_t n;
+    TimeOf time_of;
+    Fire fire;
+
+    void operator()() {
+      const size_t next = index + 1;
+      if (next < n) {
+        const SimTime when = time_of(next);
+        DS_CHECK(when >= sim->now_) << "arrival times must not decrease: arrival " << next
+                                    << " at " << when << " follows arrival " << index
+                                    << " at " << sim->now_;
+        sim->queue_.ScheduleReserved(when, base + next,
+                                     StreamedArrival{sim, base, next, n, time_of, fire});
+      }
+      fire(index);
+    }
+  };
+
   EventQueue queue_;
   SimTime now_ = 0.0;
   SimTime last_event_time_ = 0.0;
   int64_t events_processed_ = 0;
 };
+
+template <typename TimeOf, typename Fire>
+void Simulator::StreamArrivals(size_t n, TimeOf time_of, Fire fire) {
+  using Event = StreamedArrival<TimeOf, Fire>;
+  static_assert(sizeof(Event) <= 64, "a streamed arrival must fit EventCallback's inline storage");
+  if (n == 0) {
+    return;
+  }
+  const uint64_t base = queue_.ReserveSeqs(n);
+  const SimTime first = time_of(0);
+  DS_DCHECK(first >= now_) << "scheduling into the past: " << first << " < " << now_;
+  queue_.ScheduleReserved(first, base,
+                          Event{this, base, 0, n, std::move(time_of), std::move(fire)});
+}
 
 }  // namespace distserve::simcore
 

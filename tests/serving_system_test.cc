@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "scenario_trace.h"
+#include "simcore/simulator.h"
 #include "workload/generator.h"
 
 namespace distserve::serving {
@@ -126,6 +130,63 @@ TEST(ServingSystemTest, HigherRateDegradesTtft) {
 TEST(ServingSystemTest, AutoTokenTargetAtLeast512) {
   ServingSystem system(BasicConfig());
   EXPECT_GE(system.prefill_token_target(), 512);
+}
+
+// --- Run() streams its arrivals; the results match the up-front schedule bit for bit ---
+
+// Two of each instance, with failures and a recovery that land exactly on arrival times.
+ServingConfig FaultedConfig(const workload::Trace& trace) {
+  ServingConfig config = BasicConfig(/*num_prefill=*/2, /*num_decode=*/2);
+  config.faults.events = {
+      {trace[60].arrival_time, FaultDomain::kPrefill, FaultAction::kFail, 0},
+      {trace[140].arrival_time, FaultDomain::kDecode, FaultAction::kFail, 1},
+      {trace[200].arrival_time, FaultDomain::kPrefill, FaultAction::kRecover, 0}};
+  return config;
+}
+
+// The streaming interface driven with one ScheduleAt per request before ScheduleFaults: the
+// arrival schedule Run() used before it streamed its trace.
+metrics::Collector RunUpFront(ServingConfig config, const workload::Trace& trace) {
+  simcore::Simulator sim;
+  config.sim = &sim;
+  ServingSystem system(std::move(config));
+  system.BeginStream(trace.size());
+  for (const workload::Request& req : trace) {
+    sim.ScheduleAt(req.arrival_time, [&system, req] { system.Submit(req); });
+  }
+  system.ScheduleFaults();
+  sim.Run();
+  return system.FinishStream(sim.now());
+}
+
+TEST(ServingSystemStreamTest, RunIsBitIdenticalToUpFrontArrivals) {
+  const workload::Trace trace = test_util::ScenarioTraceWithTies(400, 12.0, 5);
+  ServingSystem system(FaultedConfig(trace));
+  const metrics::Collector streamed = system.Run(trace);
+  const metrics::Collector up_front = RunUpFront(FaultedConfig(trace), trace);
+  EXPECT_TRUE(metrics::BitIdentical(streamed, up_front));
+  const metrics::FaultStats& a = streamed.fault_stats();
+  const metrics::FaultStats& b = up_front.fault_stats();
+  EXPECT_EQ(a.instance_failures, 2);
+  EXPECT_EQ(b.instance_failures, 2);
+  EXPECT_EQ(a.instance_recoveries, b.instance_recoveries);
+  EXPECT_EQ(a.prefill_restarts, b.prefill_restarts);
+  EXPECT_EQ(a.kv_reprefills, b.kv_reprefills);
+  EXPECT_EQ(a.decode_redispatches, b.decode_redispatches);
+  EXPECT_EQ(a.requests_lost, b.requests_lost);
+  EXPECT_EQ(a.downtime_seconds, b.downtime_seconds);
+  EXPECT_EQ(streamed.scenario_stats().decode_preemptions,
+            up_front.scenario_stats().decode_preemptions);
+  // Every axis fired, or the comparison is vacuous.
+  EXPECT_GT(streamed.cancelled_count(), 0u);
+  EXPECT_EQ(streamed.count() + streamed.NeverCompletedCount(), trace.size());
+}
+
+TEST(ServingSystemDeathTest, DecreasingArrivalTimeAborts) {
+  workload::Trace trace = MakeTrace(2.0, 50);
+  trace[17].arrival_time = trace[16].arrival_time - 0.25;
+  auto run = [&trace] { ServingSystem(BasicConfig()).Run(trace); };
+  EXPECT_DEATH(run(), "arrival times must not decrease: arrival 17 ");
 }
 
 TEST(ServingSystemDeathTest, OversizedModelRejected) {

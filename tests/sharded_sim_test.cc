@@ -5,14 +5,35 @@
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "placement/sweep.h"
+#include "scenario_trace.h"
 #include "serving/fleet.h"
 #include "simcore/sharded_simulator.h"
 #include "trace/recorder.h"
 #include "workload/generator.h"
+
+namespace distserve::serving {
+
+// Runs a fleet with one ScheduleAt per arrival on the router's shard, before the group fault
+// plans: the arrival schedule FleetSystem::Run used before it streamed its trace.
+class FleetSystemTestPeer {
+ public:
+  static FleetResult RunUpFront(FleetConfig config, const workload::Trace& trace) {
+    FleetSystem fleet(std::move(config));
+    fleet.BeginGroups(trace.size());
+    for (const workload::Request& req : trace) {
+      fleet.sharded_.shard(0)->ScheduleAt(req.arrival_time,
+                                          [&fleet, req] { fleet.RouteArrival(req); });
+    }
+    return fleet.FaultAndRun();
+  }
+};
+
+}  // namespace distserve::serving
 
 namespace distserve {
 namespace {
@@ -238,6 +259,40 @@ TEST(FleetShardingTest, RouterParksWhenNoGroupServiceable) {
   const serving::FleetResult r = RunFleet(std::move(fc), trace);
   EXPECT_GT(r.router_parked_lost, 0);
   EXPECT_EQ(r.collector.count() + r.collector.lost_count(), trace.size());
+}
+
+// --- Run() streams the trace into the router's shard; results match the up-front schedule ---
+
+TEST(FleetStreamTest, RunIsBitIdenticalToUpFrontArrivalsAtShards12) {
+  const workload::Trace trace = test_util::ScenarioTraceWithTies(400, 10.0, 7);
+  // Group faults land exactly on arrival times, so at one shard they tie with the router.
+  auto disagg = [&trace](int shards) {
+    serving::FleetConfig fc = DisaggFleet(3, shards);
+    fc.group_faults.resize(3);
+    fc.group_faults[1].events = {
+        {trace[50].arrival_time, serving::FaultDomain::kPrefill, serving::FaultAction::kFail, 0},
+        {trace[150].arrival_time, serving::FaultDomain::kPrefill, serving::FaultAction::kRecover,
+         0}};
+    fc.group_faults[2].events = {
+        {trace[100].arrival_time, serving::FaultDomain::kDecode, serving::FaultAction::kFail, 0}};
+    return fc;
+  };
+  auto chunked = [](int shards) {
+    serving::FleetConfig fc = ColocatedFleet(2, shards);
+    fc.colocated_config.engine_options.mode =
+        engine::ColocatedInstance::Options::SchedulingMode::kChunked;
+    fc.colocated_config.engine_options.chunk_budget = 512;
+    return fc;
+  };
+  for (const int shards : {1, 2}) {
+    const serving::FleetResult d = RunFleet(disagg(shards), trace);
+    EXPECT_GT(d.collector.fault_stats().instance_failures, 0);
+    EXPECT_GT(d.collector.cancelled_count(), 0u);
+    ExpectFleetIdentical(d, serving::FleetSystemTestPeer::RunUpFront(disagg(shards), trace));
+    const serving::FleetResult c = RunFleet(chunked(shards), trace);
+    EXPECT_GT(c.collector.cancelled_count(), 0u);
+    ExpectFleetIdentical(c, serving::FleetSystemTestPeer::RunUpFront(chunked(shards), trace));
+  }
 }
 
 // --- The sweep driver is deterministic too. ---

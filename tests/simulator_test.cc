@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 namespace distserve::simcore {
@@ -81,6 +83,118 @@ TEST(SimulatorTest, CancelledEventNotProcessed) {
   sim.Run();
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.events_processed(), 1);
+}
+
+// --- StreamArrivals: one pending arrival at a time, ties exactly as the up-front schedule ---
+
+TEST(SimulatorStreamTest, ArrivalsFireInOrderAtTheirTimes) {
+  Simulator sim;
+  const std::vector<double> times = {0.5, 1.0, 1.0, 4.0};
+  std::vector<size_t> fired;
+  std::vector<double> at;
+  sim.StreamArrivals(
+      times.size(), [&times](size_t i) { return times[i]; },
+      [&](size_t i) {
+        fired.push_back(i);
+        at.push_back(sim.now());
+      });
+  EXPECT_EQ(sim.queue_size(), 1u);  // only the first arrival is pending
+  EXPECT_EQ(sim.Run(), 4);
+  EXPECT_EQ(fired, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(at, times);
+}
+
+TEST(SimulatorStreamTest, EmptyStreamSchedulesNothing) {
+  Simulator sim;
+  sim.StreamArrivals(
+      0, [](size_t) { return 0.0; }, [](size_t) { FAIL() << "no arrival to fire"; });
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.Run(), 0);
+}
+
+// Runs one scenario with its arrivals either streamed or scheduled up front (one ScheduleAt
+// each, the schedule StreamArrivals replaces) and returns the order in which events fired.
+// Events land on exactly the arrivals' times from before the stream, from inside arrivals
+// (at their own time and at a later arrival's time), from inside other events, and after
+// the stream is set up (as a fault plan is), with one of them cancelled.
+std::vector<std::string> TieOrderLog(bool streamed) {
+  Simulator sim;
+  std::vector<std::string> log;
+  const std::vector<double> times = {0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 5.0};
+  for (const double t : {0.0, 1.0, 2.0, 5.0}) {
+    sim.ScheduleAt(t, [&log, t] { log.push_back("pre@" + std::to_string(t)); });
+  }
+  auto fire = [&sim, &log, &times](size_t i) {
+    log.push_back("arrival" + std::to_string(i));
+    sim.ScheduleAfter(0.0, [&log, i] { log.push_back("echo" + std::to_string(i)); });
+    if (i + 2 < times.size()) {
+      sim.ScheduleAt(times[i + 2], [&sim, &log, i] {
+        log.push_back("ahead" + std::to_string(i));
+        sim.ScheduleAfter(0.0, [&log, i] { log.push_back("chain" + std::to_string(i)); });
+      });
+    }
+  };
+  if (streamed) {
+    sim.StreamArrivals(
+        times.size(), [&times](size_t i) { return times[i]; }, fire);
+  } else {
+    for (size_t i = 0; i < times.size(); ++i) {
+      sim.ScheduleAt(times[i], [fire, i] { fire(i); });
+    }
+  }
+  std::vector<EventHandle> post;
+  for (const double t : {1.0, 3.0, 5.0, 5.0}) {
+    post.push_back(
+        sim.ScheduleAt(t, [&log, t] { log.push_back("post@" + std::to_string(t)); }));
+  }
+  post[3].Cancel();
+  sim.Run();
+  return log;
+}
+
+TEST(SimulatorStreamTest, TiesMatchTheUpFrontSchedule) {
+  const std::vector<std::string> up_front = TieOrderLog(/*streamed=*/false);
+  ASSERT_EQ(up_front.size(), 4u + 10u + 10u + 8u + 8u + 3u);
+  EXPECT_EQ(TieOrderLog(/*streamed=*/true), up_front);
+}
+
+TEST(SimulatorStreamTest, QueueHoldsOneArrivalPlusInFlightWork) {
+  // 10k arrivals 10 ms apart, each starting 0.5 s of work: about 50 requests are in flight
+  // at any time, and the queue holds those plus the one next arrival — never the trace.
+  constexpr size_t kArrivals = 10000;
+  Simulator sim;
+  struct Counts {
+    int64_t in_flight = 0;
+    size_t max_size = 0;
+    size_t checked = 0;
+  } c;
+  // fire captures two pointers: a streamed arrival's closure must fit EventCallback inline.
+  sim.StreamArrivals(
+      kArrivals, [](size_t i) { return 0.01 * static_cast<double>(i); },
+      [&sim, &c](size_t i) {
+        const size_t next_arrival = i + 1 < kArrivals ? 1 : 0;
+        EXPECT_EQ(sim.queue_size(), next_arrival + static_cast<size_t>(c.in_flight)) << i;
+        c.max_size = std::max(c.max_size, sim.queue_size());
+        ++c.checked;
+        ++c.in_flight;
+        sim.ScheduleAfter(0.5, [&c] { --c.in_flight; });
+      });
+  sim.Run();
+  EXPECT_EQ(c.checked, kArrivals);
+  EXPECT_EQ(c.in_flight, 0);
+  EXPECT_LE(c.max_size, 60u);
+  EXPECT_EQ(sim.events_processed(), static_cast<int64_t>(2 * kArrivals));
+}
+
+TEST(SimulatorStreamDeathTest, DecreasingArrivalTimeAbortsNamingTheIndex) {
+  auto run = [] {
+    Simulator sim;
+    const std::vector<double> times = {0.0, 1.0, 2.0, 1.5, 3.0};
+    sim.StreamArrivals(
+        times.size(), [&times](size_t i) { return times[i]; }, [](size_t) {});
+    sim.Run();
+  };
+  EXPECT_DEATH(run(), "arrival 3 at 1.5 follows arrival 2");
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "scenario_trace.h"
+#include "simcore/simulator.h"
 #include "workload/generator.h"
 
 namespace distserve::baselines {
@@ -66,6 +70,50 @@ TEST(VllmSystemTest, InterferenceShowsInTpotUnderLoad) {
   const metrics::Collector idle = VllmSystem(BasicConfig()).Run(MakeTrace(0.2, 100, 3));
   const metrics::Collector loaded = system.Run(MakeTrace(6.0, 400, 3));
   EXPECT_GT(loaded.TpotPercentile(90), 2.0 * idle.TpotPercentile(90));
+}
+
+// --- Run() streams its arrivals; the results match the up-front schedule bit for bit ---
+
+// The streaming interface driven with one ScheduleAt per request up front: the arrival
+// schedule Run() used before it streamed its trace.
+metrics::Collector RunUpFront(VllmConfig config, const workload::Trace& trace) {
+  simcore::Simulator sim;
+  config.sim = &sim;
+  VllmSystem system(std::move(config));
+  system.BeginStream(trace.size());
+  for (const workload::Request& req : trace) {
+    sim.ScheduleAt(req.arrival_time, [&system, req] { system.Submit(req); });
+  }
+  sim.Run();
+  return system.FinishStream(sim.now());
+}
+
+void ExpectRunMatchesUpFront(const VllmConfig& config, const workload::Trace& trace) {
+  const metrics::Collector streamed = VllmSystem(config).Run(trace);
+  const metrics::Collector up_front = RunUpFront(config, trace);
+  EXPECT_TRUE(metrics::BitIdentical(streamed, up_front));
+  EXPECT_EQ(streamed.scenario_stats().decode_preemptions,
+            up_front.scenario_stats().decode_preemptions);
+  EXPECT_GT(streamed.cancelled_count(), 0u);  // the scenario fired
+  EXPECT_EQ(streamed.count() + streamed.NeverCompletedCount(), trace.size());
+}
+
+TEST(VllmSystemStreamTest, RunIsBitIdenticalToUpFrontArrivals) {
+  ExpectRunMatchesUpFront(BasicConfig(1, 2), test_util::ScenarioTraceWithTies(400, 8.0, 5));
+}
+
+TEST(VllmSystemStreamTest, ChunkedRunIsBitIdenticalToUpFrontArrivals) {
+  VllmConfig config = BasicConfig(1, 2);
+  config.engine_options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
+  config.engine_options.chunk_budget = 512;
+  ExpectRunMatchesUpFront(config, test_util::ScenarioTraceWithTies(400, 8.0, 11));
+}
+
+TEST(VllmSystemDeathTest, DecreasingArrivalTimeAborts) {
+  workload::Trace trace = MakeTrace(2.0, 50);
+  trace[23].arrival_time = trace[22].arrival_time - 0.25;
+  auto run = [&trace] { VllmSystem(BasicConfig()).Run(trace); };
+  EXPECT_DEATH(run(), "arrival times must not decrease: arrival 23 ");
 }
 
 TEST(ColocatedGoodputTest, SearchPrefersSomeConfig) {
