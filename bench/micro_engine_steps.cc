@@ -1,7 +1,9 @@
-// Microbenchmarks of the engine step loops — the per-step cost of the DES instances
-// (decode lanes, prefill batch launches, the colocated baseline) and of the fast placement
-// simulator. These loops dominate every end-to-end figure run; the perf-smoke CI job
-// tracks them.
+// Microbenchmarks of the engine step loops — the cost of the DES instances (decode lanes,
+// prefill batch launches, the colocated baseline) and of the fast placement simulator. These
+// loops dominate every end-to-end figure run; the perf-smoke CI job tracks them. Each engine
+// bench reports its engine steps (`steps`), generated tokens (`tokens`) and DES events fired
+// (`events`): decode lanes and the colocated engine fire one event per membership-stable run
+// of steps, so events < steps.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -28,15 +30,36 @@ workload::Trace MakeTrace(double rate, int num_requests, uint64_t seed) {
   return workload::GenerateTrace(spec, *dataset);
 }
 
+// What one engine run did: its steps, generated tokens and the DES events fired. Items
+// processed are tokens.
+struct EngineCounts {
+  int64_t steps = 0;
+  int64_t tokens = 0;
+  int64_t events = 0;
+
+  template <typename Instance>
+  static EngineCounts Of(const Instance& instance, const simcore::Simulator& sim) {
+    return {instance.steps_executed(), instance.tokens_generated(), sim.events_processed()};
+  }
+
+  void Report(benchmark::State& state) const {
+    state.SetItemsProcessed(state.iterations() * tokens);
+    state.counters["steps"] = static_cast<double>(steps);
+    state.counters["tokens"] = static_cast<double>(tokens);
+    state.counters["events"] = static_cast<double>(events);
+  }
+};
+
 // Sustained continuous-batching decode: 256 requests with ShareGPT-like lengths, admitted
-// and completing continuously. The per-step costs under test: batch formation (O(1) context
-// accounting), one step-time evaluation, one event schedule/fire, survivor compaction.
+// and completing continuously. The costs under test: run formation (O(1) context
+// accounting), batched pricing of the run's steps, one event schedule/fire per run, and
+// completions off the finish-step heap.
 void BM_DecodeEngineSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/1024, /*seed=*/7);
   engine::DecodeInstance::Options options;
-  int64_t tokens = 0;
+  EngineCounts counts;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::DecodeInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -50,19 +73,17 @@ void BM_DecodeEngineSteps(benchmark::State& state) {
       instance.Submit(states.back().get());
     }
     sim.Run();
-    tokens = instance.tokens_generated();
-    benchmark::DoNotOptimize(tokens);
+    counts = EngineCounts::Of(instance, sim);
+    benchmark::DoNotOptimize(counts);
   }
-  state.SetItemsProcessed(state.iterations() * tokens);
-  state.counters["steps"] = static_cast<double>(tokens);
+  counts.Report(state);
 }
 BENCHMARK(BM_DecodeEngineSteps);
 
 // Steady-state decode lanes at a fixed small batch: 8 identical requests join at t=0 and
-// step together for 2048 generated tokens each across pp=2 lanes. At this lane batch size
-// the per-step overheads under test (event scheduling, batch re-formation, context
-// accounting) are not drowned out by per-token bookkeeping, so this is the cleanest view of
-// the step loop itself.
+// step together for 2048 generated tokens each across pp=2 lanes. Membership never changes
+// mid-stream, so every run is kDecodeStepChunk steps long: the cleanest view of the per-run
+// overheads (pricing, event scheduling, counter commits) without joins cutting runs short.
 void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 2},
                                cluster::GpuSpec::A100_80GB());
@@ -73,7 +94,7 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
   spec.seed = 3;
   const workload::Trace trace = workload::GenerateTrace(spec, dataset);
   engine::DecodeInstance::Options options;
-  int64_t tokens = 0;
+  EngineCounts counts;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::DecodeInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -84,10 +105,10 @@ void BM_DecodeSteadyStateSteps(benchmark::State& state) {
       instance.Submit(states.back().get());
     }
     sim.Run();
-    tokens = instance.tokens_generated();
-    benchmark::DoNotOptimize(tokens);
+    counts = EngineCounts::Of(instance, sim);
+    benchmark::DoNotOptimize(counts);
   }
-  state.SetItemsProcessed(state.iterations() * tokens);
+  counts.Report(state);
 }
 BENCHMARK(BM_DecodeSteadyStateSteps);
 
@@ -128,7 +149,7 @@ void BM_ColocatedEngineSteps(benchmark::State& state) {
                                cluster::GpuSpec::A100_80GB());
   const workload::Trace trace = MakeTrace(/*rate=*/8.0, /*num_requests=*/256, /*seed=*/13);
   engine::ColocatedInstance::Options options;
-  int64_t tokens = 0;
+  EngineCounts counts;
   for (auto _ : state) {
     simcore::Simulator sim;
     engine::ColocatedInstance instance(&sim, lm, 1 << 20, options, 0);
@@ -140,10 +161,10 @@ void BM_ColocatedEngineSteps(benchmark::State& state) {
       sim.ScheduleAt(req.arrival_time, [&instance, rs] { instance.Enqueue(rs); });
     }
     sim.Run();
-    tokens = instance.tokens_generated();
-    benchmark::DoNotOptimize(tokens);
+    counts = EngineCounts::Of(instance, sim);
+    benchmark::DoNotOptimize(counts);
   }
-  state.SetItemsProcessed(state.iterations() * tokens);
+  counts.Report(state);
 }
 BENCHMARK(BM_ColocatedEngineSteps);
 

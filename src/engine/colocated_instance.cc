@@ -36,11 +36,78 @@ void ColocatedInstance::Enqueue(RequestState* request) {
   priorities_active_ = priorities_active_ || request->request.priority != 0;
   request->prefill_instance = id_;  // owning replica, for the serving layer's Cancel routing
   request->phase = RequestPhase::kPrefillQueued;
+  CommitThrough(sim_->now());
   DS_TRACE(recorder_, Transition(request->request.id, sim_->now(),
                                  trace::SpanKind::kPrefillQueue, trace::ColocatedPid(id_), 0));
   waiting_.push_back(request);
-  MaybeStep();
+  if (run_.in_flight()) {
+    CutRun();  // the next step boundary may admit it
+  } else {
+    MaybeStep();
+  }
 }
+
+void ColocatedInstance::CommitThrough(double now) {
+  while (run_.StartDueBy(now)) {
+    CommitStart();
+  }
+}
+
+void ColocatedInstance::CommitStart() {
+  const int i = run_.CommitStart();
+  if (i > 0) {  // step i starts where step i - 1 ends; only decode-only runs are longer than 1
+    tokens_generated_ += decoding_.EndStep();
+  }
+  busy_seconds_ += run_.time_of(i);
+  ++steps_executed_;
+  if (recorder_ != nullptr && run_decodes_) {
+    const double at = run_.start_of(i);
+    for (const DecodeBatch::Member& m : decoding_) {
+      // Coalesced by the recorder into one contiguous decode_step run per stretch.
+      recorder_->Transition(m.request->request.id, at, trace::SpanKind::kDecodeStep,
+                            trace::ColocatedPid(id_), 0, decoding_.Progress(m));
+    }
+  }
+}
+
+void ColocatedInstance::CutRun() {
+  if (run_.CutAfterCommitted()) {
+    run_.event.Cancel();
+    ScheduleRunEnd();
+  }
+}
+
+void ColocatedInstance::ScheduleRunEnd() {
+  run_.event = sim_->ScheduleAt(run_.end(), [this] { RunEnd(); });
+}
+
+int64_t ColocatedInstance::steps_executed() const {
+  if (!run_.in_flight()) {
+    return steps_executed_;
+  }
+  return steps_executed_ + run_.StartedBy(sim_->now()) - run_.committed();
+}
+
+int64_t ColocatedInstance::tokens_generated() const {
+  if (!run_.in_flight() || !run_decodes_) {
+    return tokens_generated_;
+  }
+  return tokens_generated_ +
+         static_cast<int64_t>(run_.StartedBy(sim_->now()) - run_.committed()) *
+             static_cast<int64_t>(decoding_.size());
+}
+
+double ColocatedInstance::busy_seconds() const {
+  double busy = busy_seconds_;
+  if (run_.in_flight()) {
+    const int started = run_.StartedBy(sim_->now());
+    for (int i = run_.committed(); i < started; ++i) {
+      busy += run_.time_of(i);
+    }
+  }
+  return busy;
+}
+
 
 std::deque<RequestState*>::iterator ColocatedInstance::PickWaiting() {
   if (!priorities_active_) {
@@ -56,23 +123,29 @@ std::deque<RequestState*>::iterator ColocatedInstance::PickWaiting() {
 }
 
 bool ColocatedInstance::PreemptLowestBelow(int floor) {
-  DS_CHECK(!step_in_flight_);
+  DS_CHECK(!run_.in_flight());
+  // Lowest priority; among equals the latest joiner (least decode progress invested).
   int best = -1;
   for (int i = 0; i < static_cast<int>(decoding_.size()); ++i) {
-    if (decoding_[i]->request.priority >= floor) {
+    const DecodeBatch::Member& m = decoding_[static_cast<size_t>(i)];
+    const int priority = m.request->request.priority;
+    if (priority >= floor) {
       continue;
     }
-    // Lowest priority; among equals the latest joiner (least decode progress invested).
-    if (best < 0 || decoding_[i]->request.priority <= decoding_[best]->request.priority) {
+    if (best < 0) {
+      best = i;
+      continue;
+    }
+    const DecodeBatch::Member& b = decoding_[static_cast<size_t>(best)];
+    if (priority < b.request->request.priority ||
+        (priority == b.request->request.priority && m.seq > b.seq)) {
       best = i;
     }
   }
   if (best < 0) {
     return false;
   }
-  RequestState* victim = decoding_[best];
-  decoding_.erase(decoding_.begin() + best);
-  decode_ctx_tokens_ -= victim->context_len();
+  RequestState* victim = decoding_.Remove(static_cast<size_t>(best)).request;
   kv_.Release(victim->request.id);
   // Full re-prefill: generated tokens are discarded; only the prefix cache survives.
   victim->decode_steps_done = 0;
@@ -109,36 +182,50 @@ void ColocatedInstance::Cancel(RequestState* request) {
            request->phase == RequestPhase::kTimedOut)
       << "Cancel without a terminal phase set for request " << request->request.id;
   const double now = sim_->now();
+  CommitThrough(now);
+  // A queued prompt leaves at once, even mid-run: the step in flight references only
+  // prefilled_now_ and decoding_. The queues changed, so the next boundary re-forms the step.
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
     if (*it == request) {
       waiting_.erase(it);
       FinishCancel(request, now);
+      if (run_.in_flight()) {
+        CutRun();
+      }
       return;
     }
   }
-  // A partially-prefilled prompt can leave mid-run even while a step executes: the in-flight
-  // step only references prefilled_now and decoding_, never the prefilling_ queue.
   for (auto it = prefilling_.begin(); it != prefilling_.end(); ++it) {
     if (*it == request) {
       prefilling_.erase(it);
       FinishCancel(request, now);
-      MaybeStep();
+      if (run_.in_flight()) {
+        CutRun();
+      } else {
+        MaybeStep();
+      }
       return;
     }
   }
-  if (!step_in_flight_) {
-    for (auto it = decoding_.begin(); it != decoding_.end(); ++it) {
-      if (*it == request) {
-        decode_ctx_tokens_ -= request->context_len();
-        decoding_.erase(it);
-        FinishCancel(request, now);
-        MaybeStep();
-        return;
-      }
+  for (size_t pos = 0; pos < decoding_.size(); ++pos) {
+    const DecodeBatch::Member m = decoding_[pos];
+    if (m.request != request) {
+      continue;
     }
+    decoding_.Remove(pos);
+    if (!run_.in_flight()) {
+      FinishCancel(request, now);
+      MaybeStep();
+      return;
+    }
+    // Inside the executing step: it leaves the batch now (earning no token for this step)
+    // and is reaped at the step's end, in join order with that step's completions.
+    reaping_.push_back(m);
+    request->cancel_pending = true;
+    CutRun();
+    return;
   }
-  // Inside the executing step (a resident decode, or a prompt finishing this step): the step
-  // boundary reaps it — tearing it out now would corrupt the step's incremental accounting.
+  // A prompt finishing in the step in flight: the step boundary reaps it.
   request->cancel_pending = true;
 }
 
@@ -162,7 +249,7 @@ void ColocatedInstance::AddPrefillWork(RequestState* request, int64_t chunk,
 }
 
 void ColocatedInstance::MaybeStep() {
-  if (step_in_flight_) {
+  if (run_.in_flight()) {
     return;
   }
   // Admission: move waiting requests into the prefilling set while KV memory and the batch
@@ -190,7 +277,7 @@ void ColocatedInstance::MaybeStep() {
 
   // Select this step's prefill work.
   model::BatchWorkload workload;
-  std::vector<RequestState*> prefilled_now;
+  DS_DCHECK(prefilled_now_.empty());
   int64_t prefill_tokens_in_step = 0;
   if (!prefilling_.empty()) {
     if (options_.mode == Options::SchedulingMode::kChunked) {
@@ -206,7 +293,7 @@ void ColocatedInstance::MaybeStep() {
         prefill_tokens_in_step += chunk;
         budget -= chunk;
         if (head->prefill_tokens_done == head->request.input_len) {
-          prefilled_now.push_back(head);
+          prefilled_now_.push_back(head);
           it = prefilling_.erase(it);
         } else {
           ++it;  // budget exhausted mid-prompt; the next step continues this window
@@ -219,13 +306,13 @@ void ColocatedInstance::MaybeStep() {
       while (!prefilling_.empty()) {
         RequestState* head = prefilling_.front();
         const int64_t computed = head->request.input_len - head->prefill_tokens_done;
-        if (!prefilled_now.empty() &&
+        if (!prefilled_now_.empty() &&
             prefill_tokens_in_step + computed > options_.max_prefill_tokens_per_step) {
           break;
         }
         AddPrefillWork(head, computed, &workload);
         prefill_tokens_in_step += computed;
-        prefilled_now.push_back(head);
+        prefilled_now_.push_back(head);
         prefilling_.pop_front();
       }
     }
@@ -235,80 +322,65 @@ void ColocatedInstance::MaybeStep() {
   // prefill-only: resident decodes stall until it finishes (the vLLM baseline behaviour the
   // paper measures). Chunked mode batches decodes into the same step.
   const bool prefill_only_step =
-      options_.mode == Options::SchedulingMode::kPrefillPriority && !prefilled_now.empty();
+      options_.mode == Options::SchedulingMode::kPrefillPriority && !prefilled_now_.empty();
   const bool decodes_advance = !decoding_.empty() && !prefill_only_step;
-  if (decodes_advance) {
-    workload.decode_requests = static_cast<int64_t>(decoding_.size());
-    workload.decode_context_tokens = decode_ctx_tokens_;
-    if (recorder_ != nullptr) {
-      const double now = sim_->now();
-      for (RequestState* r : decoding_) {
-        // Coalesced by the recorder into one contiguous decode_step run per stretch.
-        recorder_->Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
-                              trace::ColocatedPid(id_), 0, r->decode_steps_done);
-      }
+  const double now = sim_->now();
+  if (workload.prefill_tokens > 0) {
+    // A step carrying prefill work is a run of one step.
+    if (decodes_advance) {
+      workload.decode_requests = static_cast<int64_t>(decoding_.size());
+      workload.decode_context_tokens = decoding_.ctx_tokens();
     }
-  }
-
-  if (workload.empty()) {
+    run_.StartSingle(now, latency_model_.FullTime(workload) + options_.cpu_overhead_per_step);
+  } else if (decodes_advance) {
+    // Decode-only: the membership holds until the earliest completion or a queue change.
+    const int steps =
+        static_cast<int>(std::min<int64_t>(decoding_.StepsToNextFinish(), kDecodeStepChunk));
+    run_.StartDecode(latency_model_, now, static_cast<int64_t>(decoding_.size()),
+                     decoding_.ctx_tokens(), steps, options_.cpu_overhead_per_step, &lattice_);
+  } else {
     return;  // Idle; the next Enqueue re-arms the loop.
   }
-
-  const double step_time = latency_model_.FullTime(workload) + options_.cpu_overhead_per_step;
-  DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
-                                   sim_->now(), sim_->now() + step_time, steps_executed_));
-  step_in_flight_ = true;
-  busy_seconds_ += step_time;
-  ++steps_executed_;
-  sim_->ScheduleAfter(step_time,
-                      [this, prefilled_now = std::move(prefilled_now),
-                       decodes_advance]() mutable {
-                        StepEnd(std::move(prefilled_now), decodes_advance);
-                      });
+  run_decodes_ = decodes_advance;
+  CommitStart();
+  ScheduleRunEnd();
 }
 
-void ColocatedInstance::StepEnd(std::vector<RequestState*> prefilled_now,
-                                bool decodes_advanced) {
-  step_in_flight_ = false;
+void ColocatedInstance::RunEnd() {
   const double now = sim_->now();
+  CommitThrough(now);
+  DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
+                                   run_.start_of(0), now, run_.len()));
+  run_.Clear();
 
-  // Decode advancement and completions (advancement skipped when the step was prefill-only;
-  // cancel reaping happens either way). Survivors compact in place; the running context sum
-  // tracks the +1 token per stepped request and the departure of completers and cancels.
-  {
-    size_t write = 0;
-    for (RequestState* r : decoding_) {
-      if (r->cancel_pending) {
-        decode_ctx_tokens_ -= r->context_len();
-        FinishCancel(r, now);
-        continue;
-      }
-      if (!decodes_advanced) {
-        decoding_[write++] = r;
-        continue;
-      }
-      ++r->decode_steps_done;
-      ++decode_ctx_tokens_;
-      ++tokens_generated_;
-      if (r->remaining_decode_steps() <= 0) {
-        decode_ctx_tokens_ -= r->context_len();
-        r->record.completion = now;
-        r->phase = RequestPhase::kDone;
-        DS_TRACE(recorder_, Finish(r->request.id, now));
-        kv_.Release(r->request.id);
-        if (on_complete_) {
-          on_complete_(r);
-        }
-      } else {
-        decoding_[write++] = r;
-      }
+  // End the run's last step: the batch advances (unless the step was prefill-only), then the
+  // step's cancels and completions leave in join order.
+  finished_.clear();
+  if (run_decodes_) {
+    tokens_generated_ += decoding_.EndStep();
+    decoding_.PopFinished(&finished_);
+  }
+  finished_.insert(finished_.end(), reaping_.begin(), reaping_.end());
+  reaping_.clear();
+  DecodeBatch::SortByJoin(&finished_);
+  for (const DecodeBatch::Member& m : finished_) {
+    RequestState* r = m.request;
+    if (r->cancel_pending) {
+      FinishCancel(r, now);  // it left the batch when it was cancelled
+      continue;
     }
-    decoding_.resize(write);
+    r->record.completion = now;
+    r->phase = RequestPhase::kDone;
+    DS_TRACE(recorder_, Finish(r->request.id, now));
+    kv_.Release(r->request.id);
+    if (on_complete_) {
+      on_complete_(r);
+    }
   }
 
   // Prompts that finished this step produce their first token now; colocation means no
   // transfer and no decode queue (they are already resident).
-  for (RequestState* r : prefilled_now) {
+  for (RequestState* r : prefilled_now_) {
     if (r->cancel_pending) {
       FinishCancel(r, now);
       continue;
@@ -332,10 +404,10 @@ void ColocatedInstance::StepEnd(std::vector<RequestState*> prefilled_now,
       // collector's subtractions).
       DS_TRACE(recorder_, Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
                                      trace::ColocatedPid(id_), 0, 0));
-      decoding_.push_back(r);
-      decode_ctx_tokens_ += r->context_len();
+      decoding_.Join(r);
     }
   }
+  prefilled_now_.clear();
 
   MaybeStep();
 }

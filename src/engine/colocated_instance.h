@@ -26,6 +26,17 @@
 //   * Cancel() tears a request down at the next step boundary, releasing its KV.
 //
 // The paper's evaluated vLLM supports intra-op parallelism only, so pp must be 1 here.
+//
+// The engine steps per run, not per token (engine/step_run.h). Resident decodes sit in a
+// min-heap keyed on the decode step (counted only on steps where decodes advance) at which
+// each emits its last token; a member's progress is that counter minus its join step, written
+// into RequestState::decode_steps_done only when read (completion, cancel, preemption). A
+// stretch of decode-only steps with unchanged membership is one DES event, at its earliest
+// completion or after kDecodeStepChunk steps; an Enqueue or Cancel cuts it at the end of the
+// step in flight, where the per-step schedule would next look at the queues. Steps carrying
+// prefill work (prefill-only, or chunked) are runs of one step. Every sim time and counter
+// stays bit-identical to one event per step (tests/engine_run_stepping_test.cc keeps that
+// engine as its reference).
 #ifndef DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 #define DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 
@@ -35,6 +46,7 @@
 
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
+#include "engine/step_run.h"
 #include "model/latency_model.h"
 #include "simcore/simulator.h"
 
@@ -102,23 +114,38 @@ class ColocatedInstance {
   void Cancel(RequestState* request);
 
   int64_t load() const {
-    return static_cast<int64_t>(waiting_.size() + prefilling_.size() + decoding_.size());
+    return static_cast<int64_t>(waiting_.size() + prefilling_.size() + decoding_.size() +
+                                reaping_.size());
   }
   size_t waiting_count() const { return waiting_.size(); }
 
   int id() const { return id_; }
   const KvBlockManager& kv() const { return kv_; }
 
-  // Observability.
-  int64_t steps_executed() const { return steps_executed_; }
-  int64_t tokens_generated() const { return tokens_generated_; }
-  double busy_seconds() const { return busy_seconds_; }
+  // Observability. Counters read as the per-step engine's at the simulator's current time,
+  // also mid-run: steps and busy time count every step started by now, tokens every step
+  // ended by now.
+  int64_t steps_executed() const;
+  int64_t tokens_generated() const;
+  double busy_seconds() const;
   int64_t preemptions() const { return preemptions_; }
   int64_t cancellations() const { return cancellations_; }
 
  private:
+  // Admits waiting prompts, forms the next step and starts its run (no-op mid-run).
   void MaybeStep();
-  void StepEnd(std::vector<RequestState*> prefilled_now, bool decodes_advanced);
+  // The run's event: ends its last step, reaps cancels and completions in join order, turns
+  // the step's finished prompts into decodes, then forms the next step.
+  void RunEnd();
+  // Commits the in-flight run's step starts at or before `now`. Every entry point calls it
+  // first.
+  void CommitThrough(double now);
+  // Commits the next step start: ends the step before it, adds its busy time, and traces each
+  // decode's decode_step transition at the step's start.
+  void CommitStart();
+  // Moves the run's event to the end of the step in flight (the queues changed mid-run).
+  void CutRun();
+  void ScheduleRunEnd();
   // Adds one prompt's chunk (or whole remaining prompt) to `workload`; stamps prefill_start
   // on the first computed token and opens the prefill_exec span.
   void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);
@@ -143,16 +170,22 @@ class ColocatedInstance {
 
   std::deque<RequestState*> waiting_;       // not yet admitted (no KV reserved)
   std::deque<RequestState*> prefilling_;    // admitted, prompt partially processed (chunked)
-  std::vector<RequestState*> decoding_;     // prompt done, generating tokens
-  // Invariant: sum of context_len() over `decoding_`, maintained incrementally on
-  // join/step/complete so batch formation is O(1) (integer adds are exactly associative, so
-  // this matches a per-step rescan bit for bit).
-  int64_t decode_ctx_tokens_ = 0;
-  bool step_in_flight_ = false;
+  // Prompt done, generating tokens; its step counter counts decode-advancing steps only.
+  DecodeBatch decoding_;
+  // Decodes cancelled during the step in flight: out of the batch, reaped at its end.
+  std::vector<DecodeBatch::Member> reaping_;
+  // Prompts whose last prefill token is in the step in flight (one step is ever in flight).
+  std::vector<RequestState*> prefilled_now_;
+  StepRun run_;
+  bool run_decodes_ = false;  // the run in flight advances the decodes
+  // Scratch for pricing runs and ordering step-end callbacks, reused across runs.
+  model::BatchWorkloadLattice lattice_;
+  std::vector<DecodeBatch::Member> finished_;
   // True once any enqueued request carried priority != 0; gates the admission scan so
   // single-tenant runs keep the plain FCFS front() path.
   bool priorities_active_ = false;
 
+  // Committed counters: through the last committed step start (tokens: step end).
   int64_t steps_executed_ = 0;
   int64_t tokens_generated_ = 0;
   double busy_seconds_ = 0.0;

@@ -1,6 +1,7 @@
 #include "engine/decode_instance.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.h"
 #include "trace/recorder.h"
@@ -26,11 +27,108 @@ int DecodeInstance::per_lane_cap() const {
   return std::max(1, options_.max_batch_size / lanes);
 }
 
+template <typename Cursor>
+int DecodeInstance::EarliestDueLane(double now, Cursor cursor) const {
+  int best = -1;
+  double best_start = 0.0;
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    const StepRun& run = lanes_[l].run;
+    const int i = cursor(l);
+    if (!run.in_flight() || i >= run.len()) {
+      continue;
+    }
+    const double start = run.start_of(i);
+    if (start <= now && (best < 0 || start < best_start)) {
+      best = static_cast<int>(l);
+      best_start = start;
+    }
+  }
+  return best;
+}
+
+void DecodeInstance::CommitThrough(double now) {
+  for (int l; (l = EarliestDueLane(now, [this](size_t i) {
+                 return lanes_[i].run.committed();
+               })) >= 0;) {
+    CommitStart(static_cast<size_t>(l));
+  }
+}
+
+void DecodeInstance::CommitStart(size_t lane_idx) {
+  Lane& lane = lanes_[lane_idx];
+  const int i = lane.run.CommitStart();
+  if (i > 0) {  // step i starts where step i - 1 ends
+    tokens_generated_ += lane.batch.EndStep();
+  }
+  busy_seconds_ += lane.run.time_of(i);
+  ++steps_executed_;
+  if (recorder_ != nullptr && i > 0) {
+    TraceMembers(lane_idx, lane.run.start_of(i), std::numeric_limits<int64_t>::max());
+  }
+}
+
+void DecodeInstance::TraceMembers(size_t lane_idx, double at, int64_t seq_limit) {
+  const DecodeBatch& batch = lanes_[lane_idx].batch;
+  for (const DecodeBatch::Member& m : batch) {
+    if (m.seq < seq_limit) {
+      // Coalesced by the recorder into one contiguous decode_step run per stretch.
+      recorder_->Transition(m.request->request.id, at, trace::SpanKind::kDecodeStep,
+                            trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
+                            batch.Progress(m));
+    }
+  }
+}
+
+void DecodeInstance::TraceRun(size_t lane_idx, int steps) {
+  const StepRun& run = lanes_[lane_idx].run;
+  DS_TRACE(recorder_, InstanceSpan(trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
+                                   trace::SpanKind::kDecodeStep, run.start_of(0),
+                                   run.end_of(steps - 1), steps));
+}
+
+int64_t DecodeInstance::steps_executed() const {
+  const double now = sim_->now();
+  int64_t steps = steps_executed_;
+  for (const Lane& lane : lanes_) {
+    if (lane.run.in_flight()) {
+      steps += lane.run.StartedBy(now) - lane.run.committed();
+    }
+  }
+  return steps;
+}
+
+int64_t DecodeInstance::tokens_generated() const {
+  const double now = sim_->now();
+  int64_t tokens = tokens_generated_;
+  for (const Lane& lane : lanes_) {
+    if (lane.run.in_flight()) {
+      tokens += static_cast<int64_t>(lane.run.StartedBy(now) - lane.run.committed()) *
+                static_cast<int64_t>(lane.batch.size());
+    }
+  }
+  return tokens;
+}
+
+double DecodeInstance::busy_seconds() const {
+  // The uncommitted starts, added in the order CommitThrough would add them.
+  std::vector<int> next(lanes_.size());
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    next[l] = lanes_[l].run.committed();
+  }
+  double busy = busy_seconds_;
+  const double now = sim_->now();
+  for (int l; (l = EarliestDueLane(now, [&next](size_t i) { return next[i]; })) >= 0;) {
+    busy += lanes_[static_cast<size_t>(l)].run.time_of(next[static_cast<size_t>(l)]++);
+  }
+  return busy;
+}
+
 void DecodeInstance::Submit(RequestState* request) {
   DS_CHECK(request != nullptr);
   DS_CHECK(alive_) << "submit on failed decode instance " << id_;
   DS_CHECK_GE(request->request.output_len, 2)
       << "single-token requests must not be submitted to decode";
+  CommitThrough(sim_->now());
   request->decode_instance = id_;
   request->phase = RequestPhase::kDecodePending;
   priorities_active_ = priorities_active_ || request->request.priority != 0;
@@ -54,17 +152,44 @@ std::deque<RequestState*>::iterator DecodeInstance::PickPending() {
 }
 
 bool DecodeInstance::PreemptLowestBelow(int floor) {
+  // Lowest priority wins; among equals the latest in scan order (lanes in order, each lane's
+  // joiners before its members, members in join order): the least decode progress invested.
   RequestState* victim = nullptr;
-  for (Lane& lane : lanes_) {
-    for (const std::vector<RequestState*>* members : {&lane.joining, &lane.active}) {
-      for (RequestState* r : *members) {
-        if (r->request.priority >= floor) {
-          continue;
-        }
-        // Lowest priority wins; ties go to the latest-scanned (least decode progress bias).
-        if (victim == nullptr || r->request.priority <= victim->request.priority) {
-          victim = r;
-        }
+  size_t victim_lane = 0;
+  bool victim_is_member = false;
+  size_t victim_pos = 0;
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    const Lane& lane = lanes_[l];
+    for (size_t k = 0; k < lane.joining.size(); ++k) {
+      RequestState* r = lane.joining[k];
+      if (r->request.priority < floor &&
+          (victim == nullptr || r->request.priority <= victim->request.priority)) {
+        victim = r;
+        victim_lane = l;
+        victim_is_member = false;
+        victim_pos = k;
+      }
+    }
+    int best = -1;
+    for (size_t k = 0; k < lane.batch.size(); ++k) {
+      const DecodeBatch::Member& m = lane.batch[k];
+      const int priority = m.request->request.priority;
+      if (priority >= floor) {
+        continue;
+      }
+      const DecodeBatch::Member* b = best < 0 ? nullptr : &lane.batch[static_cast<size_t>(best)];
+      if (b == nullptr || priority < b->request->request.priority ||
+          (priority == b->request->request.priority && m.seq > b->seq)) {
+        best = static_cast<int>(k);
+      }
+    }
+    if (best >= 0) {
+      RequestState* r = lane.batch[static_cast<size_t>(best)].request;
+      if (victim == nullptr || r->request.priority <= victim->request.priority) {
+        victim = r;
+        victim_lane = l;
+        victim_is_member = true;
+        victim_pos = static_cast<size_t>(best);
       }
     }
   }
@@ -73,11 +198,12 @@ bool DecodeInstance::PreemptLowestBelow(int floor) {
   }
   kv_.Release(victim->request.id);
   --resident_count_;
-  for (Lane& lane : lanes_) {
-    std::erase(lane.joining, victim);
-    if (std::erase(lane.active, victim) > 0) {
-      lane.ctx_tokens -= victim->context_len();
-    }
+  Lane& lane = lanes_[victim_lane];
+  if (victim_is_member) {
+    lane.batch.Remove(victim_pos);
+    CutRun(victim_lane);
+  } else {
+    lane.joining.erase(lane.joining.begin() + static_cast<std::ptrdiff_t>(victim_pos));
   }
   ++victim->preemptions;
   ++preemptions_;
@@ -93,14 +219,19 @@ void DecodeInstance::Fail() {
   if (!alive_) {
     return;
   }
+  CommitThrough(sim_->now());
   alive_ = false;
-  ++epoch_;  // invalidates scheduled lane steps and in-flight transfer completions
+  ++epoch_;  // invalidates in-flight transfer completions
   pending_.clear();
-  for (Lane& lane : lanes_) {
-    lane.active.clear();
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    Lane& lane = lanes_[l];
+    if (lane.run.in_flight()) {
+      TraceRun(l, lane.run.committed());  // the steps started before the fault
+      lane.run.event.Cancel();
+      lane.run.Clear();
+    }
+    lane.batch.Clear();
     lane.joining.clear();
-    lane.ctx_tokens = 0;
-    lane.step_in_flight = false;
   }
   resident_count_ = 0;
   kv_.Clear();
@@ -119,10 +250,17 @@ void DecodeInstance::Abort(RequestState* request) {
   if (!alive_) {
     return;  // Fail() already dropped everything
   }
+  CommitThrough(sim_->now());
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (*it == request) {
+      // Not yet admitted: no reservation, no lane membership. If it was the blocked head,
+      // the next step end's admission scan sees a new head.
+      const bool was_head = it == PickPending();
       pending_.erase(it);
-      return;  // not yet admitted: no reservation, no lane membership
+      if (was_head && !pending_.empty()) {
+        CutEarliestRun();
+      }
+      return;
     }
   }
   if (!kv_.Holds(request->request.id)) {
@@ -130,10 +268,15 @@ void DecodeInstance::Abort(RequestState* request) {
   }
   kv_.Release(request->request.id);
   --resident_count_;
-  for (Lane& lane : lanes_) {
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    Lane& lane = lanes_[l];
     std::erase(lane.joining, request);
-    if (std::erase(lane.active, request) > 0) {
-      lane.ctx_tokens -= request->context_len();
+    for (size_t k = 0; k < lane.batch.size(); ++k) {
+      if (lane.batch[k].request == request) {
+        lane.batch.Remove(k);
+        CutRun(l);
+        break;
+      }
     }
   }
   // Freed memory may admit a pending request right away.
@@ -142,7 +285,7 @@ void DecodeInstance::Abort(RequestState* request) {
 
 void DecodeInstance::TryAdmit() {
   if (pending_.empty()) {
-    return;  // every step end lands here; skip the watermark math when there is no queue
+    return;  // every run end lands here; skip the watermark math when there is no queue
   }
   const int64_t usable_blocks = static_cast<int64_t>(
       static_cast<double>(kv_.total_blocks()) * options_.admission_watermark);
@@ -184,6 +327,7 @@ void DecodeInstance::TryAdmit() {
 }
 
 void DecodeInstance::OnTransferDone(RequestState* request) {
+  CommitThrough(sim_->now());
   request->record.transfer_end = sim_->now();
   request->phase = RequestPhase::kDecoding;
   DS_TRACE(recorder_, Transition(request->request.id, sim_->now(),
@@ -192,85 +336,114 @@ void DecodeInstance::OnTransferDone(RequestState* request) {
   size_t best = 0;
   size_t best_load = SIZE_MAX;
   for (size_t i = 0; i < lanes_.size(); ++i) {
-    const size_t lane_load = lanes_[i].active.size() + lanes_[i].joining.size();
+    const size_t lane_load = lanes_[i].batch.size() + lanes_[i].joining.size();
     if (lane_load < best_load) {
       best_load = lane_load;
       best = i;
     }
   }
-  lanes_[best].joining.push_back(request);
-  LaneMaybeStep(best);
+  Lane& lane = lanes_[best];
+  lane.joining.push_back(request);
+  if (!lane.run.in_flight()) {
+    LaneMaybeStep(best);
+  } else if (static_cast<int>(lane.batch.size()) < per_lane_cap()) {
+    CutRun(best);  // the joiner merges at the end of the step in flight
+  }
+  if (priorities_active_ && !pending_.empty()) {
+    CutEarliestRun();  // a blocked tenant may preempt the joiner at the next step end
+  }
+}
+
+void DecodeInstance::CutEarliestRun() {
+  int earliest = -1;
+  double end = 0.0;
+  for (size_t l = 0; l < lanes_.size(); ++l) {
+    const StepRun& run = lanes_[l].run;
+    if (run.in_flight() && (earliest < 0 || run.end_of(run.committed() - 1) < end)) {
+      earliest = static_cast<int>(l);
+      end = run.end_of(run.committed() - 1);
+    }
+  }
+  if (earliest >= 0) {
+    CutRun(static_cast<size_t>(earliest));
+  }
+}
+
+void DecodeInstance::CutRun(size_t lane_idx) {
+  StepRun& run = lanes_[lane_idx].run;
+  if (run.in_flight() && run.CutAfterCommitted()) {
+    run.event.Cancel();
+    ScheduleRunEnd(lane_idx);
+  }
+}
+
+void DecodeInstance::ScheduleRunEnd(size_t lane_idx) {
+  lanes_[lane_idx].run.event =
+      sim_->ScheduleAt(lanes_[lane_idx].run.end(), [this, lane_idx] { LaneRunEnd(lane_idx); });
 }
 
 void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   Lane& lane = lanes_[lane_idx];
-  if (lane.step_in_flight) {
+  if (lane.run.in_flight()) {
     return;
   }
-  // Merge joiners up to the lane cap; they start decoding this step.
-  const int cap = per_lane_cap();
-  while (!lane.joining.empty() && static_cast<int>(lane.active.size()) < cap) {
-    RequestState* request = lane.joining.front();
-    lane.joining.erase(lane.joining.begin());
-    request->record.decode_start = sim_->now();
-    lane.active.push_back(request);
-    lane.ctx_tokens += request->context_len();
+  // Merge joiners up to the lane cap; they start decoding with this run.
+  const double now = sim_->now();
+  const size_t cap = static_cast<size_t>(per_lane_cap());
+  const size_t admit =
+      lane.batch.size() < cap ? std::min(lane.joining.size(), cap - lane.batch.size()) : 0;
+  const int64_t first_joiner = lane.batch.next_seq();
+  for (size_t k = 0; k < admit; ++k) {
+    lane.joining[k]->record.decode_start = now;
+    lane.batch.Join(lane.joining[k]);
   }
-  if (lane.active.empty()) {
+  if (lane.batch.empty()) {
     return;
   }
-  const double step_time = latency_model_.FullTime(model::BatchWorkload::Decode(
-      static_cast<int64_t>(lane.active.size()), lane.ctx_tokens));
+  const int steps =
+      static_cast<int>(std::min<int64_t>(lane.batch.StepsToNextFinish(), kDecodeStepChunk));
+  lane.run.StartDecode(latency_model_, now, static_cast<int64_t>(lane.batch.size()),
+                       lane.batch.ctx_tokens(), steps, /*overhead=*/0.0, &lattice_);
+  CommitStart(lane_idx);
   if (recorder_ != nullptr) {
-    const double now = sim_->now();
-    for (RequestState* r : lane.active) {
-      // Coalesced by the recorder into one contiguous decode_step run per stretch.
+    // Residents first, then the joiners in join order: the order their queue spans close.
+    TraceMembers(lane_idx, now, first_joiner);
+    for (size_t k = 0; k < admit; ++k) {
+      RequestState* r = lane.joining[k];
       recorder_->Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
                             trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
                             r->decode_steps_done);
     }
-    recorder_->InstanceSpan(trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
-                            trace::SpanKind::kDecodeStep, now, now + step_time,
-                            static_cast<int64_t>(lane.active.size()));
   }
-  lane.step_in_flight = true;
-  busy_seconds_ += step_time;
-  ++steps_executed_;
-  sim_->ScheduleAfter(step_time, [this, epoch = epoch_, lane_idx] {
-    if (epoch != epoch_) {
-      return;  // the instance died mid-step
-    }
-    LaneStepEnd(lane_idx);
-  });
+  lane.joining.erase(lane.joining.begin(),
+                     lane.joining.begin() + static_cast<std::ptrdiff_t>(admit));
+  ScheduleRunEnd(lane_idx);
 }
 
-void DecodeInstance::LaneStepEnd(size_t lane_idx) {
+void DecodeInstance::LaneRunEnd(size_t lane_idx) {
+  const double now = sim_->now();
+  CommitThrough(now);
   Lane& lane = lanes_[lane_idx];
-  lane.step_in_flight = false;
-  // Compact survivors in place (no per-step vector) and keep the lane's running context sum
-  // current: every stepped request grows by one token; completers leave with their final
-  // context.
-  size_t write = 0;
-  for (RequestState* r : lane.active) {
-    ++r->decode_steps_done;
-    ++lane.ctx_tokens;
-    ++tokens_generated_;
-    if (r->remaining_decode_steps() <= 0) {
-      lane.ctx_tokens -= r->context_len();
-      r->record.completion = sim_->now();
-      r->phase = RequestPhase::kDone;
-      DS_TRACE(recorder_, Finish(r->request.id, sim_->now()));
-      kv_.Release(r->request.id);
-      --resident_count_;
-      if (on_complete_) {
-        on_complete_(r);
-      }
-    } else {
-      lane.active[write++] = r;
+  TraceRun(lane_idx, lane.run.len());
+  lane.run.Clear();
+  // End the run's last step, then complete the members that emitted their last token on it,
+  // in join order.
+  tokens_generated_ += lane.batch.EndStep();
+  finished_.clear();
+  lane.batch.PopFinished(&finished_);
+  DecodeBatch::SortByJoin(&finished_);
+  for (const DecodeBatch::Member& m : finished_) {
+    RequestState* r = m.request;
+    r->record.completion = now;
+    r->phase = RequestPhase::kDone;
+    DS_TRACE(recorder_, Finish(r->request.id, now));
+    kv_.Release(r->request.id);
+    --resident_count_;
+    if (on_complete_) {
+      on_complete_(r);
     }
   }
-  lane.active.resize(write);
-  // Freed memory may admit pending requests before the next step forms.
+  // Freed memory may admit pending requests before the next run forms.
   TryAdmit();
   LaneMaybeStep(lane_idx);
 }

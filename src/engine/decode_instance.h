@@ -14,6 +14,18 @@
 // modelling vLLM's preemption-free steady state; the simulator knows output lengths, so this
 // is exact rather than optimistic. A watermark knob admits less aggressively for the
 // backpressure tests.
+//
+// Each lane steps per run, not per token (engine/step_run.h). A lane keeps a step counter and
+// its members in a min-heap keyed on the lane step at which each emits its last token; a
+// member's progress is the lane's step minus its join step, written into
+// RequestState::decode_steps_done only when read (completion, Abort, preemption, Fail). The
+// lane fires one DES event per membership-stable run, at its earliest completion or after
+// kDecodeStepChunk steps; a join, Abort or preemption cuts the run at the end of the step in
+// flight. The per-step engine also re-ran admission at every step end, so a change to its
+// inputs between run events (the blocked head of the queue aborted, or a join that a blocked
+// tenant may preempt) cuts whichever run's step ends first. Step times, busy time and step counts are accumulated step by step in the order the
+// per-step engine used, so every sim time and counter is bit-identical to stepping one event
+// per token (tests/engine_run_stepping_test.cc keeps that engine as its reference).
 #ifndef DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 #define DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 
@@ -23,6 +35,7 @@
 
 #include "engine/kv_block_manager.h"
 #include "engine/request_state.h"
+#include "engine/step_run.h"
 #include "model/latency_model.h"
 #include "simcore/simulator.h"
 
@@ -90,10 +103,12 @@ class DecodeInstance {
   const KvBlockManager& kv() const { return kv_; }
   const model::LatencyModel& latency_model() const { return latency_model_; }
 
-  // Observability.
-  int64_t tokens_generated() const { return tokens_generated_; }
-  int64_t steps_executed() const { return steps_executed_; }
-  double busy_seconds() const { return busy_seconds_; }
+  // Observability. Counters read as the per-step engine's at the simulator's current time,
+  // also mid-run: steps and busy time count every step started by now, tokens every step
+  // ended by now.
+  int64_t tokens_generated() const;
+  int64_t steps_executed() const;
+  double busy_seconds() const;
   int64_t resident_requests() const { return resident_count_; }
   int64_t preemptions() const { return preemptions_; }
 
@@ -104,21 +119,43 @@ class DecodeInstance {
   // Evicts the lowest-priority joining/active resident strictly below `floor`: releases its
   // KV, emits a preempt span, and hands it to on_preempt_. Returns false when no such victim.
   bool PreemptLowestBelow(int floor);
+
   struct Lane {
-    std::vector<RequestState*> active;
-    std::vector<RequestState*> joining;  // admitted, waiting for the next step boundary
-    // Invariant: sum of context_len() over `active` — maintained incrementally on
-    // admit/evict/step so forming a batch is O(1), not O(batch). Integer adds are exactly
-    // associative, so this matches the per-step rescan bit for bit.
-    int64_t ctx_tokens = 0;
-    bool step_in_flight = false;
+    DecodeBatch batch;                   // members: stepping together
+    std::vector<RequestState*> joining;  // admitted, waiting for the next run to start
+    StepRun run;
   };
 
   void TryAdmit();
   void OnTransferDone(RequestState* request);
+  // Merges joiners up to the lane cap and starts the lane's next run (no-op mid-run).
   void LaneMaybeStep(size_t lane_idx);
-  void LaneStepEnd(size_t lane_idx);
+  // The run's event: ends its last step, completes the members that finished on it, then
+  // admits and starts the next run.
+  void LaneRunEnd(size_t lane_idx);
   int per_lane_cap() const;
+
+  // Commits every lane's step starts at or before `now`, in the order the per-step engine
+  // started them (by time; equal times by lane index). Every entry point calls it first.
+  void CommitThrough(double now);
+  // Commits lane `lane_idx`'s next step start: ends the step before it, adds its busy time,
+  // and traces each member's decode_step transition at the step's start.
+  void CommitStart(size_t lane_idx);
+  // The lane with the earliest start at or before `now` among positions cursor(lane); -1
+  // when none is due.
+  template <typename Cursor>
+  int EarliestDueLane(double now, Cursor cursor) const;
+  // Traces a decode_step transition at `at` for each member that joined before `seq_limit`.
+  void TraceMembers(size_t lane_idx, double at, int64_t seq_limit);
+  // Emits the run's instance span over its first `steps` steps.
+  void TraceRun(size_t lane_idx, int steps);
+  // Moves the lane's event to the end of the step in flight (membership changed mid-run).
+  void CutRun(size_t lane_idx);
+  // Cuts the run whose step in flight ends first: the admission queue or the preemption
+  // candidates changed without an admission pass, and the per-step schedule makes one at
+  // every step end.
+  void CutEarliestRun();
+  void ScheduleRunEnd(size_t lane_idx);
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;
@@ -131,7 +168,8 @@ class DecodeInstance {
   std::function<void(RequestState*)> on_preempt_;
   trace::Recorder* recorder_ = nullptr;
 
-  // Fault state: events scheduled before a Fail() carry the old epoch and become no-ops.
+  // Fault state: transfer completions issued before a Fail() carry the old epoch and become
+  // no-ops (Fail cancels the lanes' run events outright).
   bool alive_ = true;
   uint64_t epoch_ = 0;
 
@@ -142,6 +180,11 @@ class DecodeInstance {
   // single-tenant runs keep the plain FCFS front() path.
   bool priorities_active_ = false;
 
+  // Scratch for pricing runs and ordering completions, reused across runs.
+  model::BatchWorkloadLattice lattice_;
+  std::vector<DecodeBatch::Member> finished_;
+
+  // Committed counters: through the last committed step start (tokens: step end).
   int64_t tokens_generated_ = 0;
   int64_t steps_executed_ = 0;
   double busy_seconds_ = 0.0;

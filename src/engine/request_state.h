@@ -58,7 +58,10 @@ struct RequestState {
   int preemptions = 0;
 
   // Decode progress: tokens generated by decode steps so far (the first output token comes
-  // from prefill, so a request finishes when decode_steps_done == output_len - 1).
+  // from prefill, so a request finishes when decode_steps_done == output_len - 1). While the
+  // request is resident on a decode lane or colocated engine, its progress lives in that
+  // engine's step counter (engine step minus join step); the engine writes it here when it is
+  // read: on completion, Abort/Cancel, preemption and Fail.
   int decode_steps_done = 0;
 
   // Prefill progress for chunked-prefill engines (SARATHI baseline): prompt tokens already

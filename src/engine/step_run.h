@@ -1,0 +1,220 @@
+// The per-run representation the DES engines step with: the resident decode batch as a
+// finish-step heap (DecodeBatch), and the run of engine steps in flight (StepRun).
+//
+// Between membership changes a decode batch is fixed and its context sum grows by exactly
+// `batch` tokens per step, so the next steps' workloads are known when the run starts. A run
+// prices them up front (chunk-wise, through LatencyModel::EvaluateBatch, which is bit-identical
+// to FullTime), accumulates each step's end time in step order — the same additions the
+// per-step event chain made — and the engine schedules one DES event at the run's last
+// boundary instead of one per step. Steps that carry prefill work are runs of length 1.
+//
+// The engine commits a step's start (busy time, step count, per-member trace transitions)
+// lazily: when it next handles an event, it commits every start at or before that event's
+// time. An interior boundary at exactly an event's time counts as passed: the step ending
+// there has ended and the next one has started. A membership change mid-run cuts the run at
+// the end of the step in flight (CutAfterCommitted), and the engine moves the run's event there.
+#ifndef DISTSERVE_ENGINE_STEP_RUN_H_
+#define DISTSERVE_ENGINE_STEP_RUN_H_
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/logging.h"
+#include "engine/request_state.h"
+#include "model/latency_model.h"
+#include "simcore/event_queue.h"
+
+namespace distserve::engine {
+
+// Longest run priced at once. Bounds the pricing wasted when a join cuts a run short, while
+// amortizing the batched evaluation over long uninterrupted runs (placement/fast_sim.cc
+// prices its decode runs in chunks of the same size).
+inline constexpr int kDecodeStepChunk = 32;
+
+// A decode batch in the fast sim's representation: a step counter, the members in a min-heap
+// keyed on the step at which each emits its last token, and the running sum of their
+// contexts. A member that joins at step j with r decode steps left finishes at j + r, and its
+// progress at step s is output_len - 1 - (finish - s), so the one counter advances every
+// member at once and no step walks the batch. RequestState::decode_steps_done is written only
+// when a member leaves (Remove, PopFinished) or the engine reads it (Progress).
+class DecodeBatch {
+ public:
+  struct Member {
+    int64_t finish;  // step at which it emits its last token
+    int64_t seq;     // join order: completions and tie-breaks follow it
+    RequestState* request;
+  };
+
+  size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
+  const Member& operator[](size_t pos) const { return heap_[pos]; }
+  auto begin() const { return heap_.begin(); }
+  auto end() const { return heap_.end(); }
+  // Invariant: the sum of member contexts at step(). Integer adds, exact in any order.
+  int64_t ctx_tokens() const { return ctx_tokens_; }
+  // The next join's sequence number: members joined from here on compare >= it.
+  int64_t next_seq() const { return next_seq_; }
+  // Steps until the earliest member finishes (>= 1).
+  int64_t StepsToNextFinish() const { return heap_.front().finish - step_; }
+  int Progress(const Member& member) const {
+    return member.request->request.output_len - 1 - static_cast<int>(member.finish - step_);
+  }
+
+  void Join(RequestState* request) {
+    heap_.push_back(Member{step_ + request->remaining_decode_steps(), next_seq_++, request});
+    std::push_heap(heap_.begin(), heap_.end(), kFinishesLater);
+    ctx_tokens_ += request->context_len();
+  }
+
+  // Ends one step: every member gains a token. Returns the tokens generated.
+  int64_t EndStep() {
+    const int64_t batch = static_cast<int64_t>(heap_.size());
+    ctx_tokens_ += batch;
+    ++step_;
+    return batch;
+  }
+
+  // Removes the member at `pos` (mid-run: abort, cancel, preemption), writing its progress.
+  Member Remove(size_t pos) {
+    const Member member = heap_[pos];
+    member.request->decode_steps_done = Progress(member);
+    ctx_tokens_ -= member.request->context_len();
+    heap_[pos] = heap_.back();
+    heap_.pop_back();
+    std::make_heap(heap_.begin(), heap_.end(), kFinishesLater);
+    return member;
+  }
+
+  // Appends the members that emitted their last token by step() to `out` (any order).
+  void PopFinished(std::vector<Member>* out) {
+    while (!heap_.empty() && heap_.front().finish <= step_) {
+      std::pop_heap(heap_.begin(), heap_.end(), kFinishesLater);
+      Member& member = heap_.back();
+      member.request->decode_steps_done = member.request->request.output_len - 1;
+      ctx_tokens_ -= member.request->context_len();
+      out->push_back(member);
+      heap_.pop_back();
+    }
+  }
+
+  // Drops every member (the instance failed), writing each one's progress.
+  void Clear() {
+    for (const Member& member : heap_) {
+      member.request->decode_steps_done = Progress(member);
+    }
+    heap_.clear();
+    ctx_tokens_ = 0;
+  }
+
+  // Puts `members` in join order: the order the per-step engines walked their batch.
+  static void SortByJoin(std::vector<Member>* members) {
+    std::sort(members->begin(), members->end(),
+              [](const Member& a, const Member& b) { return a.seq < b.seq; });
+  }
+
+ private:
+  // Heap order (std::push_heap/pop_heap) that keeps the earliest finish on top.
+  static constexpr auto kFinishesLater = [](const Member& a, const Member& b) {
+    return a.finish > b.finish;
+  };
+
+  std::vector<Member> heap_;
+  int64_t step_ = 0;
+  int64_t ctx_tokens_ = 0;
+  int64_t next_seq_ = 0;
+};
+
+class StepRun {
+ public:
+  // Starts a run of `steps` decode-only steps at time `start`: `batch` members whose contexts
+  // sum to `ctx_tokens` before the first step. Step i costs
+  // FullTime(Decode(batch, ctx_tokens + i * batch)) + overhead.
+  void StartDecode(const model::LatencyModel& lm, double start, int64_t batch,
+                   int64_t ctx_tokens, int steps, double overhead,
+                   model::BatchWorkloadLattice* lattice) {
+    DS_DCHECK(steps > 0 && steps <= kDecodeStepChunk);
+    lattice->Clear();
+    for (int i = 0; i < steps; ++i) {
+      lattice->PushBack(
+          model::BatchWorkload::Decode(batch, ctx_tokens + static_cast<int64_t>(i) * batch));
+    }
+    lm.EvaluateBatch(*lattice, {}, std::span<double>(times_.data(), static_cast<size_t>(steps)));
+    double now = start;
+    for (int i = 0; i < steps; ++i) {
+      times_[static_cast<size_t>(i)] += overhead;
+      now += times_[static_cast<size_t>(i)];
+      ends_[static_cast<size_t>(i)] = now;
+    }
+    Begin(start, steps);
+  }
+
+  // Starts a one-step run of known duration (a step that carries prefill work).
+  void StartSingle(double start, double step_time) {
+    times_[0] = step_time;
+    ends_[0] = start + step_time;
+    Begin(start, 1);
+  }
+
+  bool in_flight() const { return len_ > 0; }
+  void Clear() { len_ = 0; }
+
+  int len() const { return len_; }
+  double start_of(int i) const { return i == 0 ? start_ : ends_[static_cast<size_t>(i - 1)]; }
+  double time_of(int i) const { return times_[static_cast<size_t>(i)]; }
+  double end_of(int i) const { return ends_[static_cast<size_t>(i)]; }
+  // The run's last boundary: where its event fires.
+  double end() const { return ends_[static_cast<size_t>(len_ - 1)]; }
+
+  // Steps whose start the engine has committed. Step i > 0 starts where step i - 1 ends, so
+  // committed() - 1 interior boundaries have passed.
+  int committed() const { return committed_; }
+  // True when the next uncommitted step starts at or before `now`.
+  bool StartDueBy(double now) const {
+    return committed_ < len_ && start_of(committed_) <= now;
+  }
+  // Commits the next step's start; returns its index.
+  int CommitStart() { return committed_++; }
+  // Steps started at or before `now`, committed or not (read-only views of the counters).
+  int StartedBy(double now) const {
+    int i = committed_;
+    while (i < len_ && start_of(i) <= now) {
+      ++i;
+    }
+    return i;
+  }
+
+  // Shortens the run to end with the step in flight (the last committed one). Returns false
+  // when it already does, so the run's event needs no move. The caller must have committed
+  // every start at or before now.
+  bool CutAfterCommitted() {
+    DS_DCHECK(committed_ > 0);
+    if (committed_ == len_) {
+      return false;
+    }
+    len_ = committed_;
+    return true;
+  }
+
+  // The pending event at end(); cancelled and rescheduled on a cut.
+  simcore::EventHandle event;
+
+ private:
+  void Begin(double start, int steps) {
+    start_ = start;
+    len_ = steps;
+    committed_ = 0;
+  }
+
+  double start_ = 0.0;
+  int len_ = 0;
+  int committed_ = 0;
+  std::array<double, kDecodeStepChunk> times_{};
+  std::array<double, kDecodeStepChunk> ends_{};
+};
+
+}  // namespace distserve::engine
+
+#endif  // DISTSERVE_ENGINE_STEP_RUN_H_

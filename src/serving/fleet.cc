@@ -48,6 +48,22 @@ struct FleetSystem::Group {
   bool Serviceable() const {
     return disagg != nullptr ? disagg->Serviceable() : colocated->Serviceable();
   }
+  int64_t UsedKvBlocks() const {
+    int64_t blocks = 0;
+    if (disagg != nullptr) {
+      for (const auto& p : disagg->prefill_instances()) {
+        blocks += p->kv().used_blocks();
+      }
+      for (const auto& d : disagg->decode_instances()) {
+        blocks += d->kv().used_blocks();
+      }
+    } else {
+      for (const auto& c : colocated->instances()) {
+        blocks += c->kv().used_blocks();
+      }
+    }
+    return blocks;
+  }
   metrics::Collector Finish(double end_time) {
     return disagg != nullptr ? disagg->FinishStream(end_time)
                              : colocated->FinishStream(end_time);
@@ -124,6 +140,14 @@ FleetSystem::FleetSystem(FleetConfig config)
 }
 
 FleetSystem::~FleetSystem() = default;
+
+int64_t FleetSystem::used_kv_blocks() const {
+  int64_t blocks = 0;
+  for (const auto& group : groups_) {
+    blocks += group->UsedKvBlocks();
+  }
+  return blocks;
+}
 
 void FleetSystem::RouteArrival(const workload::Request& req) {
   int best = -1;

@@ -90,6 +90,10 @@ class FleetSystem {
   // the dispatch hop it then takes.
   FleetResult Run(const workload::Trace& trace);
 
+  // KV blocks held across every group's instances (prefill, decode and colocated pools).
+  // Zero after a run: whatever each request's fate, its KV was released.
+  int64_t used_kv_blocks() const;
+
   int num_shards() const { return sharded_.num_shards(); }
   const simcore::ShardedSimulator& sharded() const { return sharded_; }
 

@@ -595,8 +595,8 @@ void ServingSystem::CancelRequest(engine::RequestState* request, bool timed_out)
     }
     case engine::RequestPhase::kDecoding: {
       // Abort releases the decode-side KV and removes the request from its lane even
-      // mid-step (LaneStepEnd reads the live membership, the same safety the fault path
-      // relies on); the prefill copy was released at pull completion.
+      // mid-step (the lane cuts its run at the end of the step in flight, which the
+      // request leaves without a token); the prefill copy was released at pull completion.
       ++request->attempt;
       decodes_[static_cast<size_t>(request->decode_instance)]->Abort(request);
       FinishAbandon(request, timed_out);

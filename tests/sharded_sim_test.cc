@@ -22,6 +22,7 @@ namespace distserve::serving {
 // plans: the arrival schedule FleetSystem::Run used before it streamed its trace.
 class FleetSystemTestPeer {
  public:
+  // Also checks that the run released every KV block.
   static FleetResult RunUpFront(FleetConfig config, const workload::Trace& trace) {
     FleetSystem fleet(std::move(config));
     fleet.BeginGroups(trace.size());
@@ -29,7 +30,9 @@ class FleetSystemTestPeer {
       fleet.sharded_.shard(0)->ScheduleAt(req.arrival_time,
                                           [&fleet, req] { fleet.RouteArrival(req); });
     }
-    return fleet.FaultAndRun();
+    FleetResult result = fleet.FaultAndRun();
+    EXPECT_EQ(fleet.used_kv_blocks(), 0);
+    return result;
   }
 };
 
@@ -284,12 +287,21 @@ TEST(FleetStreamTest, RunIsBitIdenticalToUpFrontArrivalsAtShards12) {
     fc.colocated_config.engine_options.chunk_budget = 512;
     return fc;
   };
+  // Streams the trace and checks that the run released every KV block (per-run engine
+  // stepping moves when decode and colocated engines release it).
+  auto run_drained = [&trace](serving::FleetConfig config) {
+    serving::FleetSystem fleet(std::move(config));
+    serving::FleetResult result = fleet.Run(trace);
+    EXPECT_EQ(fleet.used_kv_blocks(), 0);
+    return result;
+  };
   for (const int shards : {1, 2}) {
-    const serving::FleetResult d = RunFleet(disagg(shards), trace);
+    SCOPED_TRACE(shards);
+    const serving::FleetResult d = run_drained(disagg(shards));
     EXPECT_GT(d.collector.fault_stats().instance_failures, 0);
     EXPECT_GT(d.collector.cancelled_count(), 0u);
     ExpectFleetIdentical(d, serving::FleetSystemTestPeer::RunUpFront(disagg(shards), trace));
-    const serving::FleetResult c = RunFleet(chunked(shards), trace);
+    const serving::FleetResult c = run_drained(chunked(shards));
     EXPECT_GT(c.collector.cancelled_count(), 0u);
     ExpectFleetIdentical(c, serving::FleetSystemTestPeer::RunUpFront(chunked(shards), trace));
   }
