@@ -67,13 +67,11 @@ void VllmSystem::BeginStream(size_t expected_requests) {
   collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
   states_.clear();
-  states_.reserve(expected_requests);
   completed_ = 0;
 }
 
 engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
-  states_.push_back(std::make_unique<engine::RequestState>(request));
-  engine::RequestState* state = states_.back().get();
+  engine::RequestState* state = states_.emplace_back(request);
   // Least-loaded dispatch across replicas.
   engine::ColocatedInstance* best = instances_.front().get();
   int64_t best_load = std::numeric_limits<int64_t>::max();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "common/chunked_store.h"
 #include "engine/colocated_instance.h"
 #include "engine/request_state.h"
 #include "metrics/collector.h"
@@ -105,7 +106,7 @@ class VllmSystem {
   std::unique_ptr<simcore::Simulator> owned_sim_;  // standalone mode only
   simcore::Simulator* sim_ = nullptr;              // owned_sim_ or config_.sim
   std::vector<std::unique_ptr<engine::ColocatedInstance>> instances_;
-  std::vector<std::unique_ptr<engine::RequestState>> states_;
+  ChunkedStore<engine::RequestState> states_;  // stable addresses; reused across streams
   metrics::Collector collector_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   int64_t completed_ = 0;

@@ -109,7 +109,7 @@ double ColocatedInstance::busy_seconds() const {
 }
 
 
-std::deque<RequestState*>::iterator ColocatedInstance::PickWaiting() {
+RequestQueue::iterator ColocatedInstance::PickWaiting() {
   if (!priorities_active_) {
     return waiting_.begin();  // single-tenant fast path: plain FCFS
   }

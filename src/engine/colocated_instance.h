@@ -40,7 +40,6 @@
 #ifndef DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 #define DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -151,7 +150,7 @@ class ColocatedInstance {
   void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);
   // Admission scan: highest priority first, FCFS within a class; plain front() when no
   // annotated priorities ever arrived (single-tenant fast path).
-  std::deque<RequestState*>::iterator PickWaiting();
+  RequestQueue::iterator PickWaiting();
   // Evicts the lowest-priority resident decode strictly below `floor`; returns true if one
   // was evicted (its KV is freed and it re-queues for a full re-prefill).
   bool PreemptLowestBelow(int floor);
@@ -168,8 +167,8 @@ class ColocatedInstance {
   std::function<void(RequestState*)> on_preempt_;
   trace::Recorder* recorder_ = nullptr;
 
-  std::deque<RequestState*> waiting_;       // not yet admitted (no KV reserved)
-  std::deque<RequestState*> prefilling_;    // admitted, prompt partially processed (chunked)
+  RequestQueue waiting_;       // not yet admitted (no KV reserved)
+  RequestQueue prefilling_;    // admitted, prompt partially processed (chunked)
   // Prompt done, generating tokens; its step counter counts decode-advancing steps only.
   DecodeBatch decoding_;
   // Decodes cancelled during the step in flight: out of the batch, reaped at its end.

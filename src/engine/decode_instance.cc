@@ -138,7 +138,7 @@ void DecodeInstance::Submit(RequestState* request) {
   TryAdmit();
 }
 
-std::deque<RequestState*>::iterator DecodeInstance::PickPending() {
+RequestQueue::iterator DecodeInstance::PickPending() {
   if (!priorities_active_) {
     return pending_.begin();  // single-tenant fast path: plain FCFS
   }
@@ -314,16 +314,18 @@ void DecodeInstance::TryAdmit() {
                                    trace::SpanKind::kKvTransfer, trace::DecodePid(id_), 0,
                                    request->attempt));
     if (transfer_fn_) {
-      transfer_fn_(request, [this, request, epoch = epoch_] {
-        if (epoch != epoch_) {
-          return;  // the instance died while the pull was in flight
-        }
-        OnTransferDone(request);
-      });
+      transfer_fn_(request, TransferDone{this, request, epoch_});
     } else {
       OnTransferDone(request);
     }
   }
+}
+
+void DecodeInstance::TransferDone::operator()() const {
+  if (epoch != instance->epoch_) {
+    return;  // the instance died while the pull was in flight
+  }
+  instance->OnTransferDone(request);
 }
 
 void DecodeInstance::OnTransferDone(RequestState* request) {

@@ -29,7 +29,6 @@
 #ifndef DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 #define DISTSERVE_ENGINE_DECODE_INSTANCE_H_
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -56,10 +55,22 @@ class DecodeInstance {
     double admission_watermark = 1.0;
   };
 
-  // Issued when the instance wants a request's KV moved here; the callback must fire when the
-  // transfer completes. The serving layer routes it over the right link. A null TransferFn
-  // (unit tests) completes transfers instantly.
-  using TransferFn = std::function<void(RequestState*, std::function<void()> done)>;
+  // What a TransferFn calls when the pull lands: a 24-byte value that ends the transfer on
+  // `instance` unless the instance failed after issuing it. It is a plain value rather than a
+  // std::function<void()> so that it rides inside the link's completion event and the serving
+  // layer's watchdog, copied by value, without a heap allocation per request.
+  struct TransferDone {
+    DecodeInstance* instance;
+    RequestState* request;
+    uint64_t epoch;
+
+    void operator()() const;
+  };
+
+  // Issued when the instance wants a request's KV moved here; `done` must be called once when
+  // the transfer completes. The serving layer routes it over the right link. A null
+  // TransferFn (unit tests) completes transfers instantly.
+  using TransferFn = std::function<void(RequestState*, TransferDone done)>;
 
   DecodeInstance(simcore::Simulator* sim, model::LatencyModel latency_model,
                  int64_t kv_capacity_tokens, Options options, int id);
@@ -115,7 +126,7 @@ class DecodeInstance {
  private:
   // Admission scan over pending_: highest priority first, FCFS within a class; plain front()
   // when no prioritized request was ever submitted (single-tenant fast path).
-  std::deque<RequestState*>::iterator PickPending();
+  RequestQueue::iterator PickPending();
   // Evicts the lowest-priority joining/active resident strictly below `floor`: releases its
   // KV, emits a preempt span, and hands it to on_preempt_. Returns false when no such victim.
   bool PreemptLowestBelow(int floor);
@@ -173,7 +184,7 @@ class DecodeInstance {
   bool alive_ = true;
   uint64_t epoch_ = 0;
 
-  std::deque<RequestState*> pending_;  // waiting for memory reservation
+  RequestQueue pending_;  // waiting for memory reservation
   std::vector<Lane> lanes_;
   int64_t resident_count_ = 0;  // admitted (transferring, joining, or active)
   // True once any submitted request carried priority != 0; gates the admission scan so

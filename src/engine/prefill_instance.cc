@@ -121,10 +121,15 @@ void PrefillInstance::OnLaunchEvent() {
     return true;
   };
   model::BatchWorkload workload;
-  std::vector<RequestState*> batch =
-      FormPrefillBatch(queue_, options_.batch_policy, memory_fits, &workload);
+  std::vector<RequestState*> batch;
+  if (!spare_batches_.empty()) {
+    batch = std::move(spare_batches_.back());
+    spare_batches_.pop_back();
+  }
+  FormPrefillBatch(queue_, options_.batch_policy, memory_fits, &batch, &workload);
   if (batch.empty()) {
     // Head does not fit: stall until a ReleaseKv frees space.
+    spare_batches_.push_back(std::move(batch));
     stalled_on_memory_ = true;
     return;
   }
@@ -187,7 +192,8 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
   ++batches_launched_;
 
   const double finish = entry + full_time;
-  sim_->ScheduleAt(finish, [this, epoch = epoch_, batch = std::move(batch), batch_tokens] {
+  sim_->ScheduleAt(finish, [this, epoch = epoch_, batch = std::move(batch),
+                            batch_tokens]() mutable {
     if (epoch != epoch_) {
       return;  // the instance died while this batch was in flight
     }
@@ -198,6 +204,7 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
         on_complete_(r);
       }
     }
+    spare_batches_.push_back(std::move(batch));  // its capacity serves a later batch
   });
 
   // The next batch may enter once stage 0 frees.

@@ -16,7 +16,6 @@
 #ifndef DISTSERVE_ENGINE_PREFILL_INSTANCE_H_
 #define DISTSERVE_ENGINE_PREFILL_INSTANCE_H_
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -99,7 +98,10 @@ class PrefillInstance {
   Options options_;
   int id_;
 
-  std::deque<RequestState*> queue_;
+  RequestQueue queue_;
+  // Batch vectors whose batches completed, reused by later launches so forming a batch
+  // allocates nothing in steady state (under pp > 1 several batches are in flight at once).
+  std::vector<std::vector<RequestState*>> spare_batches_;
   int64_t queued_tokens_ = 0;
   int64_t inflight_tokens_ = 0;
   std::function<void(RequestState*)> on_complete_;

@@ -7,7 +7,9 @@
 #ifndef DISTSERVE_ENGINE_REQUEST_STATE_H_
 #define DISTSERVE_ENGINE_REQUEST_STATE_H_
 
+#include "common/ring_queue.h"
 #include "metrics/collector.h"
+#include "simcore/event_queue.h"
 #include "workload/request.h"
 
 namespace distserve::engine {
@@ -43,6 +45,9 @@ struct RequestState {
   int transfer_tries = 0;   // consecutive failed pulls this attempt
   int prefill_restarts = 0; // times prefill restarted from scratch (instance died mid-prefill)
   int kv_reprefills = 0;    // re-prefills forced by losing already-computed KV
+  // The serving layer's watchdog on the KV pull in flight (transfer_seq's); the pull's
+  // completion cancels it.
+  simcore::EventHandle kv_pull_watchdog;
   bool parked = false;      // waiting in the controller's parked list for a recovery
 
   // Scenario bookkeeping. `cancel_pending` is set when a cancel/timeout fires while the
@@ -85,6 +90,10 @@ struct RequestState {
   // Sequence length currently resident (prompt + first token + decode tokens so far).
   int64_t context_len() const { return request.input_len + 1 + decode_steps_done; }
 };
+
+// The engines' FIFO request queues (prefill queue, decode admission queue, colocated waiting
+// and prefilling queues): a ring that stops allocating once it has grown to its peak length.
+using RequestQueue = RingQueue<RequestState*>;
 
 }  // namespace distserve::engine
 

@@ -74,9 +74,9 @@ ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) 
     engine::DecodeInstance* decode = decodes_.back().get();
     const size_t link_idx = links_.size() - 1;
     decode->set_transfer_fn(
-        [this, link_idx](engine::RequestState* r, std::function<void()> done) {
+        [this, link_idx](engine::RequestState* r, engine::DecodeInstance::TransferDone done) {
           r->transfer_tries = 0;
-          StartKvPull(link_idx, r, std::move(done));
+          StartKvPull(link_idx, r, done);
         });
     decode->set_on_complete([this](engine::RequestState* r) { OnDecodeDone(r); });
     decode->set_on_preempt([this](engine::RequestState* r) { OnDecodePreempt(r); });
@@ -199,19 +199,19 @@ bool ServingSystem::Serviceable() const {
 // --- KV pull with watchdog/retry ---------------------------------------------------------
 
 void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
-                                std::function<void()> done) {
+                                engine::DecodeInstance::TransferDone done) {
   Link* link = links_[link_idx].get();
   const int attempt = request->attempt;
   const int seq = ++request->transfer_seq;
   const int64_t bytes =
       static_cast<int64_t>(request->request.input_len) * kv_bytes_per_prompt_token_;
-  auto watchdog = std::make_shared<simcore::EventHandle>();
   // A dead link drops the pull silently (and counts it); only the watchdog notices.
-  link->Transfer(bytes, [this, request, attempt, seq, watchdog, done] {
+  link->Transfer(bytes, [this, request, attempt, seq, done] {
     if (request->attempt != attempt || request->transfer_seq != seq) {
       return;  // re-routed or retried while the pull was in flight
     }
-    watchdog->Cancel();
+    // (attempt, seq) still current, so the stored watchdog is this pull's own.
+    request->kv_pull_watchdog.Cancel();
     // Pull complete: the prefill side may now release its copy.
     prefills_[static_cast<size_t>(request->prefill_instance)]->ReleaseKv(request);
     done();
@@ -231,8 +231,8 @@ void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
     fire_at = sim_->now() + config_.fault_options.transfer_backoff *
                                std::pow(2.0, static_cast<double>(request->transfer_tries));
   }
-  *watchdog = sim_->ScheduleAt(
-      fire_at, [this, link_idx, request, attempt, seq, done = std::move(done)] {
+  request->kv_pull_watchdog = sim_->ScheduleAt(
+      fire_at, [this, link_idx, request, attempt, seq, done] {
         if (request->attempt != attempt || request->transfer_seq != seq) {
           return;
         }
@@ -241,14 +241,14 @@ void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
 }
 
 void ServingSystem::OnKvPullTimeout(size_t link_idx, engine::RequestState* request,
-                                    std::function<void()> done) {
+                                    engine::DecodeInstance::TransferDone done) {
   ++fault_stats().transfer_retries;
   ++request->transfer_tries;
   if (request->transfer_tries <= config_.fault_options.max_transfer_retries) {
     DS_TRACE(config_.recorder,
              Transition(request->request.id, sim_->now(), trace::SpanKind::kLinkRetry,
                         trace::kControllerPid, 0, request->transfer_tries));
-    StartKvPull(link_idx, request, std::move(done));
+    StartKvPull(link_idx, request, done);
     return;
   }
   // Retries exhausted: route around the dead link to a decode instance with a live one.
@@ -347,8 +347,8 @@ void ServingSystem::ApplyFault(const FaultEvent& event) {
 
 void ServingSystem::OnPrefillFailure(int index) {
   prefills_[static_cast<size_t>(index)]->Fail();
-  for (const auto& state : states_) {
-    engine::RequestState* r = state.get();
+  for (size_t i = 0; i < states_.size(); ++i) {
+    engine::RequestState* r = &states_[i];
     if (r->prefill_instance != index) {
       continue;
     }
@@ -401,8 +401,8 @@ void ServingSystem::OnPrefillFailure(int index) {
 
 void ServingSystem::OnDecodeFailure(int index) {
   decodes_[static_cast<size_t>(index)]->Fail();
-  for (const auto& state : states_) {
-    engine::RequestState* r = state.get();
+  for (size_t i = 0; i < states_.size(); ++i) {
+    engine::RequestState* r = &states_[i];
     if (r->decode_instance != index) {
       continue;
     }
@@ -627,14 +627,12 @@ void ServingSystem::BeginStream(size_t expected_requests) {
   collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
   states_.clear();
-  states_.reserve(expected_requests);
   parked_.clear();
   completed_ = 0;
 }
 
 engine::RequestState* ServingSystem::Submit(const workload::Request& request) {
-  states_.push_back(std::make_unique<engine::RequestState>(request));
-  engine::RequestState* state = states_.back().get();
+  engine::RequestState* state = states_.emplace_back(request);
   ScheduleAbandonment(state);
   DispatchArrival(state);
   return state;
@@ -690,8 +688,8 @@ metrics::Collector ServingSystem::FinishStream(double end_time) {
   if (completed_ + static_cast<int64_t>(collector_.NeverCompletedCount()) !=
       static_cast<int64_t>(states_.size())) {
     std::array<int, 11> by_phase{};
-    for (const auto& state : states_) {
-      by_phase[static_cast<size_t>(state->phase)]++;
+    for (size_t i = 0; i < states_.size(); ++i) {
+      by_phase[static_cast<size_t>(states_[i].phase)]++;
     }
     DS_CHECK(false) << "requests lost in flight: the simulation deadlocked (completed="
                     << completed_ << " lost=" << collector_.lost_count()

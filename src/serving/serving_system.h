@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "cluster/topology.h"
+#include "common/chunked_store.h"
 #include "engine/decode_instance.h"
 #include "engine/prefill_instance.h"
 #include "engine/request_state.h"
@@ -184,9 +185,10 @@ class ServingSystem {
   void ApplyFault(const FaultEvent& event);
   void OnPrefillFailure(int index);
   void OnDecodeFailure(int index);
-  void StartKvPull(size_t link_idx, engine::RequestState* request, std::function<void()> done);
+  void StartKvPull(size_t link_idx, engine::RequestState* request,
+                   engine::DecodeInstance::TransferDone done);
   void OnKvPullTimeout(size_t link_idx, engine::RequestState* request,
-                       std::function<void()> done);
+                       engine::DecodeInstance::TransferDone done);
   // Re-routes one stranded request per its phase (kPending -> prefill, kDecodePending ->
   // decode), after the detection delay. Parks it when no live target exists.
   void ScheduleReroute(engine::RequestState* request);
@@ -202,7 +204,7 @@ class ServingSystem {
   std::vector<std::unique_ptr<engine::PrefillInstance>> prefills_;
   std::vector<std::unique_ptr<engine::DecodeInstance>> decodes_;
   std::vector<std::unique_ptr<Link>> links_;  // one ingress link per decode instance
-  std::vector<std::unique_ptr<engine::RequestState>> states_;
+  ChunkedStore<engine::RequestState> states_;  // stable addresses; reused across streams
   metrics::Collector collector_;
   std::function<void(const FaultEvent&)> fault_callback_;
   std::function<void(const engine::RequestState&)> on_request_done_;

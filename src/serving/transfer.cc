@@ -14,11 +14,11 @@ Link::Link(simcore::Simulator* sim, double bandwidth, double latency, std::strin
   DS_CHECK_GE(latency, 0.0);
 }
 
-void Link::Transfer(int64_t bytes, std::function<void()> done) {
+bool Link::StartService(int64_t bytes) {
   DS_CHECK_GE(bytes, 0);
   if (!alive_) {
     ++transfers_dropped_;
-    return;  // bytes vanish; the caller's watchdog fires eventually
+    return false;  // bytes vanish; the caller's watchdog fires eventually
   }
   const double service = static_cast<double>(bytes) / bandwidth_;
   const double start = std::max(sim_->now(), busy_until_);
@@ -29,13 +29,7 @@ void Link::Transfer(int64_t bytes, std::function<void()> done) {
   busy_seconds_ += service;
   bytes_transferred_ += bytes;
   ++transfers_;
-  sim_->ScheduleAt(busy_until_ + latency_,
-                   [this, epoch = epoch_, done = std::move(done)] {
-                     if (epoch != epoch_) {
-                       return;  // the link died while this transfer was in flight
-                     }
-                     done();
-                   });
+  return true;
 }
 
 void Link::Fail() {

@@ -10,8 +10,8 @@
 #define DISTSERVE_SERVING_TRANSFER_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
+#include <utility>
 
 #include "simcore/simulator.h"
 
@@ -36,10 +36,23 @@ class Link {
     trace_pid_ = pid;
   }
 
-  // Enqueues a transfer; `done` fires at completion time. Issuing on a dead link drops the
-  // transfer silently (the bytes vanish; callers detect via their own watchdog timeout), as
-  // does a Fail() while the transfer is in flight.
-  void Transfer(int64_t bytes, std::function<void()> done);
+  // Enqueues a transfer; `done` (any callable) fires at completion time. Issuing on a dead
+  // link drops the transfer silently (the bytes vanish; callers detect via their own watchdog
+  // timeout), as does a Fail() while the transfer is in flight. `done` moves straight into
+  // the completion event, so a callable of up to 48 bytes costs no heap allocation.
+  template <typename Done>
+  void Transfer(int64_t bytes, Done&& done) {
+    if (!StartService(bytes)) {
+      return;
+    }
+    sim_->ScheduleAt(busy_until_ + latency_,
+                     [this, epoch = epoch_, done = std::forward<Done>(done)]() mutable {
+                       if (epoch != epoch_) {
+                         return;  // the link died while this transfer was in flight
+                       }
+                       done();
+                     });
+  }
 
   // Fault injection (serving::FaultPlan): a dead link moves no bytes and never completes a
   // transfer. Fail() aborts in-flight transfers without notification — modelling a dark NIC,
@@ -57,6 +70,10 @@ class Link {
   double busy_seconds() const { return busy_seconds_; }
 
  private:
+  // Queues `bytes` behind the transfers in flight and books the service window; false (the
+  // bytes vanish) when the link is dead.
+  bool StartService(int64_t bytes);
+
   simcore::Simulator* sim_;
   double bandwidth_;
   double latency_;

@@ -7,6 +7,16 @@
 namespace distserve::engine {
 namespace {
 
+// FormPrefillBatch into a vector that starts with stale contents, as a recycled batch vector
+// does in the prefill instance: the call must replace them.
+template <typename MemoryFits>
+std::vector<RequestState*> Form(RequestQueue& queue,
+                                const PrefillBatchPolicy& policy, MemoryFits&& memory_fits) {
+  std::vector<RequestState*> batch{nullptr, nullptr};
+  FormPrefillBatch(queue, policy, memory_fits, &batch);
+  return batch;
+}
+
 class BatchFormerTest : public ::testing::Test {
  protected:
   RequestState* Add(int input_len) {
@@ -22,11 +32,11 @@ class BatchFormerTest : public ::testing::Test {
   static bool AlwaysFits(int64_t) { return true; }
 
   std::vector<std::unique_ptr<RequestState>> states_;
-  std::deque<RequestState*> queue_;
+  RequestQueue queue_;
 };
 
 TEST_F(BatchFormerTest, EmptyQueueGivesEmptyBatch) {
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 64}, AlwaysFits);
   EXPECT_TRUE(batch.empty());
 }
 
@@ -34,7 +44,7 @@ TEST_F(BatchFormerTest, BatchesShortPromptsUpToTarget) {
   Add(200);
   Add(200);
   Add(200);  // 600 > 512, stays queued
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 64}, AlwaysFits);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(queue_.size(), 1u);
 }
@@ -42,7 +52,7 @@ TEST_F(BatchFormerTest, BatchesShortPromptsUpToTarget) {
 TEST_F(BatchFormerTest, OverLengthHeadRunsAlone) {
   Add(2000);
   Add(50);
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 64}, AlwaysFits);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0]->request.input_len, 2000);
   EXPECT_EQ(queue_.size(), 1u);
@@ -51,7 +61,7 @@ TEST_F(BatchFormerTest, OverLengthHeadRunsAlone) {
 TEST_F(BatchFormerTest, ExactTargetHeadRunsAlone) {
   Add(512);
   Add(50);
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 64}, AlwaysFits);
   EXPECT_EQ(batch.size(), 1u);
 }
 
@@ -59,7 +69,7 @@ TEST_F(BatchFormerTest, FcfsOrderPreserved) {
   Add(100);
   Add(100);
   Add(100);
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 64}, AlwaysFits);
   ASSERT_EQ(batch.size(), 3u);
   EXPECT_EQ(batch[0]->request.id, 0);
   EXPECT_EQ(batch[1]->request.id, 1);
@@ -70,7 +80,7 @@ TEST_F(BatchFormerTest, MaxBatchSizeCaps) {
   for (int i = 0; i < 10; ++i) {
     Add(10);
   }
-  const auto batch = FormPrefillBatch(queue_, {512, 4}, AlwaysFits);
+  const auto batch = Form(queue_, {512, 4}, AlwaysFits);
   EXPECT_EQ(batch.size(), 4u);
   EXPECT_EQ(queue_.size(), 6u);
 }
@@ -80,7 +90,7 @@ TEST_F(BatchFormerTest, MemoryGateStopsAdmission) {
   Add(100);
   Add(100);
   auto fits_200 = [](int64_t tokens) { return tokens <= 200; };
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, fits_200);
+  const auto batch = Form(queue_, {512, 64}, fits_200);
   EXPECT_EQ(batch.size(), 2u);
   EXPECT_EQ(queue_.size(), 1u);
 }
@@ -88,7 +98,7 @@ TEST_F(BatchFormerTest, MemoryGateStopsAdmission) {
 TEST_F(BatchFormerTest, MemoryGateBlocksHeadEntirely) {
   Add(300);
   auto fits_nothing = [](int64_t) { return false; };
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, fits_nothing);
+  const auto batch = Form(queue_, {512, 64}, fits_nothing);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(queue_.size(), 1u);  // queue untouched on stall
 }
@@ -96,7 +106,7 @@ TEST_F(BatchFormerTest, MemoryGateBlocksHeadEntirely) {
 TEST_F(BatchFormerTest, HeadOverTargetStillSubjectToMemory) {
   Add(1000);
   auto fits_500 = [](int64_t tokens) { return tokens <= 500; };
-  const auto batch = FormPrefillBatch(queue_, {512, 64}, fits_500);
+  const auto batch = Form(queue_, {512, 64}, fits_500);
   EXPECT_TRUE(batch.empty());
 }
 
@@ -107,7 +117,7 @@ class BatchFormerPropertyTest : public ::testing::TestWithParam<int64_t> {};
 TEST_P(BatchFormerPropertyTest, InvariantsHoldAcrossTargets) {
   const int64_t target = GetParam();
   std::vector<std::unique_ptr<RequestState>> states;
-  std::deque<RequestState*> queue;
+  RequestQueue queue;
   uint64_t lcg = 12345;
   for (int i = 0; i < 200; ++i) {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -119,7 +129,7 @@ TEST_P(BatchFormerPropertyTest, InvariantsHoldAcrossTargets) {
     queue.push_back(states.back().get());
   }
   while (!queue.empty()) {
-    const auto batch = FormPrefillBatch(queue, {target, 16}, [](int64_t) { return true; });
+    const auto batch = Form(queue, {target, 16}, [](int64_t) { return true; });
     ASSERT_FALSE(batch.empty());
     ASSERT_LE(batch.size(), 16u);
     int64_t tokens = 0;

@@ -96,7 +96,7 @@ TEST_F(DecodeInstanceTest, MemoryAdmissionBlocksThenAdmits) {
 TEST_F(DecodeInstanceTest, TransferFnGatesJoining) {
   auto instance = MakeInstance();
   double transfer_done_at = 0.5;
-  instance->set_transfer_fn([&](RequestState*, std::function<void()> done) {
+  instance->set_transfer_fn([&](RequestState*, DecodeInstance::TransferDone done) {
     sim_.ScheduleAt(transfer_done_at, std::move(done));
   });
   RequestState* r = NewRequest(128, 3);
