@@ -30,12 +30,14 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
   for (int i = 0; i < config_.num_instances; ++i) {
     instances_.push_back(std::make_unique<engine::ColocatedInstance>(
         sim_, lm, kv_tokens, config_.engine_options, i));
+    // Each outcome releases the request's slot for a later Submit.
     instances_.back()->set_on_complete([this](engine::RequestState* r) {
       collector_.Record(r->record);
       ++completed_;
       if (on_request_done_) {
         on_request_done_(*r);
       }
+      states_.Release(r);
     });
     instances_.back()->set_on_cancelled([this](engine::RequestState* r) {
       if (r->phase == engine::RequestPhase::kTimedOut) {
@@ -46,6 +48,7 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
       if (on_request_done_) {
         on_request_done_(*r);
       }
+      states_.Release(r);
     });
     instances_.back()->set_on_preempt([this](engine::RequestState*) {
       ++collector_.scenario_stats().decode_preemptions;
@@ -66,12 +69,16 @@ void VllmSystem::BeginStream(size_t expected_requests) {
   DS_TRACE(config_.recorder, NewRun());
   collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
-  states_.clear();
+  // Every request of the previous stream reached its outcome (FinishStream checks it), so
+  // all of its slots are free for this one.
+  DS_CHECK_EQ(states_.live(), 0u);
   completed_ = 0;
+  submitted_ = 0;
 }
 
-engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
-  engine::RequestState* state = states_.emplace_back(request);
+void VllmSystem::Submit(const workload::Request& request) {
+  engine::RequestState* state = states_.Acquire(request);
+  ++submitted_;
   // Least-loaded dispatch across replicas.
   engine::ColocatedInstance* best = instances_.front().get();
   int64_t best_load = std::numeric_limits<int64_t>::max();
@@ -83,30 +90,30 @@ engine::RequestState* VllmSystem::Submit(const workload::Request& request) {
   }
   ScheduleAbandonment(state);
   best->Enqueue(state);
-  return state;
 }
 
 void VllmSystem::ScheduleAbandonment(engine::RequestState* request) {
+  // Either event may fire after the request's outcome, when its slot may hold a later
+  // request; the serial tells them apart.
   const workload::Request& req = request->request;
+  const uint64_t serial = states_.serial(request);
   if (req.cancel_at > 0.0) {
-    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/false); });
+    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()), [this, request, serial] {
+      if (states_.serial(request) == serial) {
+        CancelRequest(request, /*timed_out=*/false);
+      }
+    });
   }
   if (req.deadline > 0.0) {
-    sim_->ScheduleAt(std::max(req.deadline, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/true); });
+    sim_->ScheduleAt(std::max(req.deadline, sim_->now()), [this, request, serial] {
+      if (states_.serial(request) == serial) {
+        CancelRequest(request, /*timed_out=*/true);
+      }
+    });
   }
 }
 
 void VllmSystem::CancelRequest(engine::RequestState* request, bool timed_out) {
-  switch (request->phase) {
-    case engine::RequestPhase::kDone:
-    case engine::RequestPhase::kCancelled:
-    case engine::RequestPhase::kTimedOut:
-      return;  // already terminal (e.g. completed before the deadline fired)
-    default:
-      break;
-  }
   if (request->cancel_pending) {
     return;  // an earlier cancel/timeout is already tearing it down
   }
@@ -117,7 +124,7 @@ void VllmSystem::CancelRequest(engine::RequestState* request, bool timed_out) {
 
 metrics::Collector VllmSystem::FinishStream(double /*end_time*/) {
   DS_CHECK_EQ(completed_ + static_cast<int64_t>(collector_.NeverCompletedCount()),
-              static_cast<int64_t>(states_.size()))
+              submitted_)
       << "requests lost in flight: the vLLM simulation deadlocked";
   return std::move(collector_);
 }

@@ -71,19 +71,22 @@ class VllmSystem {
   // through Simulator::StreamArrivals (each calling Submit) + drive the simulator +
   // FinishStream, bit-identical to one ScheduleAt per request up front.
 
-  // Resets per-stream state; call before scheduling arrivals of a new stream.
+  // Resets per-stream state; call before scheduling arrivals of a new stream, after the
+  // previous stream's FinishStream.
   void BeginStream(size_t expected_requests);
 
   // Admits one request at the simulator's current time with least-loaded dispatch across
-  // replicas. Returns the state owned by this system (stable until the next BeginStream).
-  engine::RequestState* Submit(const workload::Request& request);
+  // replicas. Its state occupies one of this system's slots until the request completes or
+  // is cancelled; the slot then goes to a later request (serving::ServingSystem's rule).
+  void Submit(const workload::Request& request);
 
   // Completes the stream, verifies nothing was dropped, and yields the records. The baseline
   // has no fault plan, so `end_time` is unused beyond the interface symmetry.
   metrics::Collector FinishStream(double end_time);
 
-  // Fired when a request completes, from within the simulation. Fleet routers use this to
-  // post completion notifications across shards.
+  // Fired when a request completes, is cancelled or times out, from within the simulation.
+  // Fleet routers use this to post completion notifications across shards. The state is
+  // released right after the call: do not keep a reference.
   void set_on_request_done(std::function<void(const engine::RequestState&)> fn) {
     on_request_done_ = std::move(fn);
   }
@@ -106,10 +109,11 @@ class VllmSystem {
   std::unique_ptr<simcore::Simulator> owned_sim_;  // standalone mode only
   simcore::Simulator* sim_ = nullptr;              // owned_sim_ or config_.sim
   std::vector<std::unique_ptr<engine::ColocatedInstance>> instances_;
-  ChunkedStore<engine::RequestState> states_;  // stable addresses; reused across streams
+  ChunkedStore<engine::RequestState> states_;  // one slot per request in flight
   metrics::Collector collector_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   int64_t completed_ = 0;
+  int64_t submitted_ = 0;  // this stream's Submit calls
 };
 
 // Per-instance goodput of a colocated configuration under joint TTFT+TPOT SLOs, using the

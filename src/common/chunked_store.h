@@ -1,15 +1,25 @@
-// Append-only storage whose elements never move, filled and emptied once per run.
+// Slot storage whose elements never move and whose slots are reused once released.
 //
-// Elements live in fixed-size chunks (each a std::vector reserved to kChunk up front, so
-// emplacing into it never reallocates); growing the store adds a chunk and leaves every
-// existing element where it is, so raw pointers handed out stay valid until clear(). clear()
-// destroys the elements but keeps the chunks, so a store refilled to its earlier size
-// allocates nothing, and one that outgrows it allocates once per kChunk elements. The serving
-// systems keep their per-request states here, so admitting a request allocates nothing.
+// Elements live in slots inside fixed-size chunks (each a std::vector reserved to kChunk up
+// front, so filling it never reallocates); growing the store adds a chunk and leaves every
+// existing slot where it is, so a raw pointer stays valid until its element is released.
+// Release() puts the slot on a free list and Acquire() refills the most recently released
+// slot before it grows the store, so the memory a run touches is bounded by the peak number of
+// live elements, not by how many were ever acquired. The serving systems keep their
+// per-request states here and release each at its request's outcome, so a serving run's
+// request state is O(in-flight), not O(trace).
+//
+// Each occupancy of a slot has a serial: the number of Acquire calls the store had served
+// before it. A reference that can outlive its element (an event scheduled for a request that
+// may finish first) keeps the serial next to the pointer and compares serial(pointer) before
+// use; a released slot, and every later occupant of it, reads a different serial. Serials
+// also order the live elements by acquisition (ForEachLive).
 #ifndef DISTSERVE_COMMON_CHUNKED_STORE_H_
 #define DISTSERVE_COMMON_CHUNKED_STORE_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -18,35 +28,82 @@ namespace distserve {
 template <typename T, size_t kChunk = 1024>
 class ChunkedStore {
  public:
-  // Constructs an element at the end and returns its stable address.
+  // Constructs an element in a free slot (the most recently released one) or, when none is
+  // free, in a new slot at the end; returns its address, stable until Release.
   template <typename... Args>
-  T* emplace_back(Args&&... args) {
-    const size_t chunk = size_ / kChunk;
-    if (chunk == chunks_.size()) {
-      chunks_.emplace_back().reserve(kChunk);
+  T* Acquire(Args&&... args) {
+    Slot* slot = free_head_;
+    if (slot != nullptr) {
+      free_head_ = slot->next_free;
+      static_cast<T&>(*slot) = T(std::forward<Args>(args)...);
+    } else {
+      const size_t chunk = slots_ / kChunk;
+      if (chunk == chunks_.size()) {
+        chunks_.emplace_back().reserve(kChunk);
+      }
+      slot = &chunks_[chunk].emplace_back(std::forward<Args>(args)...);
+      ++slots_;
     }
-    std::vector<T>& elements = chunks_[chunk];
-    elements.emplace_back(std::forward<Args>(args)...);
-    ++size_;
-    return &elements.back();
+    slot->serial = next_serial_++;
+    ++live_;
+    return slot;
   }
 
-  // Destroys every element; the chunks keep their capacity for the next fill.
-  void clear() {
-    for (std::vector<T>& elements : chunks_) {
-      elements.clear();
-    }
-    size_ = 0;
+  // Ends `element`'s occupancy: its slot's serial changes and the next Acquire reuses it.
+  // `element` must be live and come from this store.
+  void Release(T* element) {
+    Slot* slot = static_cast<Slot*>(element);
+    slot->serial = kReleased;
+    slot->next_free = free_head_;
+    free_head_ = slot;
+    --live_;
   }
 
-  size_t size() const { return size_; }
+  // The serial of the occupancy `element` belongs to (see the header comment). `element`
+  // must point into a store of this type, live or released.
+  static uint64_t serial(const T* element) { return static_cast<const Slot*>(element)->serial; }
 
-  // Elements in insertion order.
-  T& operator[](size_t i) { return chunks_[i / kChunk][i % kChunk]; }
+  // Calls fn(T*) for every live element in acquisition order. fn may release the element it
+  // is given, but must not acquire or release any other.
+  template <typename Fn>
+  void ForEachLive(Fn fn) {
+    order_.clear();
+    for (std::vector<Slot>& chunk : chunks_) {
+      for (Slot& slot : chunk) {
+        if (slot.serial != kReleased) {
+          order_.push_back(&slot);
+        }
+      }
+    }
+    std::sort(order_.begin(), order_.end(),
+              [](const Slot* a, const Slot* b) { return a->serial < b->serial; });
+    for (Slot* slot : order_) {
+      fn(static_cast<T*>(slot));
+    }
+  }
+
+  // Elements acquired and not yet released.
+  size_t live() const { return live_; }
 
  private:
-  std::vector<std::vector<T>> chunks_;
-  size_t size_ = 0;
+  static constexpr uint64_t kReleased = UINT64_MAX;
+
+  // The element itself is the slot's base, so an element pointer converts to its slot with a
+  // static_cast, and the serial sits beside the element without a lookup.
+  struct Slot : T {
+    template <typename... Args>
+    explicit Slot(Args&&... args) : T(std::forward<Args>(args)...) {}
+
+    uint64_t serial = kReleased;
+    Slot* next_free = nullptr;  // free-list link while released
+  };
+
+  std::vector<std::vector<Slot>> chunks_;
+  size_t slots_ = 0;  // slots ever constructed, across every chunk
+  size_t live_ = 0;
+  uint64_t next_serial_ = 0;
+  Slot* free_head_ = nullptr;
+  std::vector<Slot*> order_;  // ForEachLive scratch
 };
 
 }  // namespace distserve

@@ -101,6 +101,8 @@ class DecodeInstance {
   void Fail();
   void Recover();
   bool alive() const { return alive_; }
+  // Bumped by every Fail(); the TransferDone of a pull carries the epoch it was issued in.
+  uint64_t epoch() const { return epoch_; }
 
   // Withdraws one request this instance currently owns (its prefill died, or its ingress link
   // exhausted retries and the serving layer re-routes it). Releases any KV reservation; the

@@ -1,15 +1,19 @@
 // Mutable runtime state of an in-flight request, shared by every engine component.
 //
-// The serving layer owns RequestState objects (stable addresses for the whole run); instances
-// and links receive raw pointers, which is safe because the simulation is single-threaded and
-// the owner outlives the run. Timestamps are stamped into `record` as the request crosses each
-// lifecycle boundary.
+// The serving layer owns RequestState objects; instances and links receive raw pointers, which
+// is safe because the simulation is single-threaded. Lifetime rule: a pointer is valid from
+// the serving system's Submit until the request's outcome (completed, lost, cancelled or timed
+// out). At the outcome the serving layer hands the state's slot to its next request, so no
+// component may keep the pointer past it; an event that can fire later holds the slot's serial
+// next to the pointer (common/chunked_store.h) and does nothing once it no longer matches.
+// Timestamps are stamped into `record` as the request crosses each lifecycle boundary.
 #ifndef DISTSERVE_ENGINE_REQUEST_STATE_H_
 #define DISTSERVE_ENGINE_REQUEST_STATE_H_
 
+#include <cstdint>
+
 #include "common/ring_queue.h"
 #include "metrics/collector.h"
-#include "simcore/event_queue.h"
 #include "workload/request.h"
 
 namespace distserve::engine {
@@ -37,17 +41,22 @@ struct RequestState {
   RequestPhase phase = RequestPhase::kPending;
 
   // Fault bookkeeping. `attempt` increments on every fault-driven re-route; callbacks issued
-  // for an earlier attempt compare it and become no-ops. `transfer_seq` does the same at
-  // transfer-retry granularity (a retry of the same attempt invalidates the previous pull's
-  // completion and watchdog).
+  // for an earlier attempt compare it and become no-ops. `transfer_seq` names the KV pull in
+  // flight: a retry of the same attempt invalidates the previous pull's completion and
+  // watchdog. The serving layer numbers pulls across the whole run, so a pull closure of a
+  // slot's earlier occupant never matches the current one.
   int attempt = 0;
-  int transfer_seq = 0;
+  uint32_t transfer_seq = 0;
   int transfer_tries = 0;   // consecutive failed pulls this attempt
   int prefill_restarts = 0; // times prefill restarted from scratch (instance died mid-prefill)
   int kv_reprefills = 0;    // re-prefills forced by losing already-computed KV
-  // The serving layer's watchdog on the KV pull in flight (transfer_seq's); the pull's
-  // completion cancels it.
-  simcore::EventHandle kv_pull_watchdog;
+  // The watchdog of the KV pull in flight: the time it fires and the event sequence number
+  // reserved for it when the pull started. The serving layer schedules it only once it can
+  // fire (the link dies before the pull lands). `kv_watchdog_reserved`: not scheduled yet;
+  // it matters only while the pull is in flight (kTransferring).
+  double kv_watchdog_at = 0.0;
+  uint64_t kv_watchdog_seq = 0;
+  bool kv_watchdog_reserved = false;
   bool parked = false;      // waiting in the controller's parked list for a recovery
 
   // Scenario bookkeeping. `cancel_pending` is set when a cancel/timeout fires while the

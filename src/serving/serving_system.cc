@@ -182,6 +182,7 @@ void ServingSystem::OnDecodeDone(engine::RequestState* request) {
   if (on_request_done_) {
     on_request_done_(*request);
   }
+  states_.Release(request);
 }
 
 bool ServingSystem::Serviceable() const {
@@ -202,22 +203,20 @@ void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
                                 engine::DecodeInstance::TransferDone done) {
   Link* link = links_[link_idx].get();
   const int attempt = request->attempt;
-  const int seq = ++request->transfer_seq;
+  const uint32_t seq = request->transfer_seq = ++pull_seq_;
   const int64_t bytes =
       static_cast<int64_t>(request->request.input_len) * kv_bytes_per_prompt_token_;
   // A dead link drops the pull silently (and counts it); only the watchdog notices.
-  link->Transfer(bytes, [this, request, attempt, seq, done] {
+  const double lands_at = link->Transfer(bytes, [this, request, attempt, seq, done] {
     if (request->attempt != attempt || request->transfer_seq != seq) {
-      return;  // re-routed or retried while the pull was in flight
+      return;  // re-routed, retried, or finished (slot reused) while the pull was in flight
     }
-    // (attempt, seq) still current, so the stored watchdog is this pull's own.
-    request->kv_pull_watchdog.Cancel();
     // Pull complete: the prefill side may now release its copy.
     prefills_[static_cast<size_t>(request->prefill_instance)]->ReleaseKv(request);
     done();
   });
-  // Watchdog. On a live link it is armed past the pull's worst-case completion, so it only
-  // fires when the link dies mid-flight; on a dead link it doubles as the retry backoff.
+  // Watchdog. On a live link it is set past a bound on the pull's completion, so it normally
+  // fires only when the link dies mid-flight; on a dead link it doubles as the retry backoff.
   double fire_at;
   if (link->alive()) {
     const double service = static_cast<double>(bytes) / link->bandwidth();
@@ -231,8 +230,26 @@ void ServingSystem::StartKvPull(size_t link_idx, engine::RequestState* request,
     fire_at = sim_->now() + config_.fault_options.transfer_backoff *
                                std::pow(2.0, static_cast<double>(request->transfer_tries));
   }
-  request->kv_pull_watchdog = sim_->ScheduleAt(
-      fire_at, [this, link_idx, request, attempt, seq, done] {
+  // It is scheduled only once it can fire, under a sequence number reserved here, so it ties
+  // against other events as if scheduled here: at once when it fires before the pull lands (a
+  // dead link never lands it), otherwise when the link dies with the pull in flight
+  // (ApplyFault). A pull that lands first never schedules it, so nothing has to cancel it.
+  request->kv_watchdog_at = fire_at;
+  request->kv_watchdog_seq = sim_->ReserveSeqs(1);
+  request->kv_watchdog_reserved = true;
+  if (fire_at < lands_at) {
+    ArmKvWatchdog(link_idx, request, done);
+  }
+}
+
+void ServingSystem::ArmKvWatchdog(size_t link_idx, engine::RequestState* request,
+                                  engine::DecodeInstance::TransferDone done) {
+  request->kv_watchdog_reserved = false;
+  const int attempt = request->attempt;
+  const uint32_t seq = request->transfer_seq;
+  sim_->ScheduleReserved(
+      request->kv_watchdog_at, request->kv_watchdog_seq,
+      [this, link_idx, request, attempt, seq, done] {
         if (request->attempt != attempt || request->transfer_seq != seq) {
           return;
         }
@@ -326,9 +343,16 @@ void ServingSystem::ApplyFault(const FaultEvent& event) {
         if (links_[index]->alive()) {
           ++fault_stats().link_failures;
           link_down_since_[index] = now;
-          // No scan needed: in-flight pulls are squashed by the link's epoch and every pull
-          // carries a watchdog that retries or routes around.
+          // In-flight pulls are squashed by the link's epoch; each current one gets its
+          // watchdog, which retries or routes around.
           links_[index]->Fail();
+          engine::DecodeInstance* decode = decodes_[index].get();
+          states_.ForEachLive([this, index, decode](engine::RequestState* r) {
+            if (r->phase == engine::RequestPhase::kTransferring &&
+                r->decode_instance == decode->id() && r->kv_watchdog_reserved) {
+              ArmKvWatchdog(index, r, {decode, r, decode->epoch()});
+            }
+          });
         }
       } else if (!links_[index]->alive()) {
         ++fault_stats().link_recoveries;
@@ -347,17 +371,17 @@ void ServingSystem::ApplyFault(const FaultEvent& event) {
 
 void ServingSystem::OnPrefillFailure(int index) {
   prefills_[static_cast<size_t>(index)]->Fail();
-  for (size_t i = 0; i < states_.size(); ++i) {
-    engine::RequestState* r = &states_[i];
+  // Submit order: the re-routes scheduled below tie in the order they are scheduled.
+  states_.ForEachLive([this, index](engine::RequestState* r) {
     if (r->prefill_instance != index) {
-      continue;
+      return;
     }
     if (r->cancel_pending) {
       // The abandoning request's executing batch died with the instance; its KV pool is
       // gone wholesale, so the deferred teardown completes with nothing left to release.
       r->cancel_pending = false;
       FinishAbandon(r, r->abandon_timed_out);
-      continue;
+      return;
     }
     switch (r->phase) {
       case engine::RequestPhase::kPrefillQueued:
@@ -394,17 +418,17 @@ void ServingSystem::OnPrefillFailure(int index) {
         }
         break;
       default:
-        break;  // kDecoding and beyond: the prefill copy was already released
+        break;  // kPending (re-routed already) or kDecoding (prefill copy released)
     }
-  }
+  });
 }
 
 void ServingSystem::OnDecodeFailure(int index) {
   decodes_[static_cast<size_t>(index)]->Fail();
-  for (size_t i = 0; i < states_.size(); ++i) {
-    engine::RequestState* r = &states_[i];
+  // Submit order, as in OnPrefillFailure.
+  states_.ForEachLive([this, index](engine::RequestState* r) {
     if (r->decode_instance != index) {
-      continue;
+      return;
     }
     switch (r->phase) {
       case engine::RequestPhase::kDecodePending:
@@ -441,17 +465,20 @@ void ServingSystem::OnDecodeFailure(int index) {
       default:
         break;
     }
-  }
+  });
 }
 
 void ServingSystem::ScheduleReroute(engine::RequestState* request) {
+  const uint64_t serial = states_.serial(request);
   const int attempt = request->attempt;
-  sim_->ScheduleAfter(config_.fault_options.redispatch_delay, [this, request, attempt] {
-    if (request->attempt != attempt || request->parked) {
-      return;  // a newer fault re-routed (or parked) it first
-    }
-    RouteAfterFault(request);
-  });
+  sim_->ScheduleAfter(config_.fault_options.redispatch_delay,
+                      [this, request, serial, attempt] {
+                        if (states_.serial(request) != serial || request->attempt != attempt ||
+                            request->parked) {
+                          return;  // finished, re-routed or parked by a newer event first
+                        }
+                        RouteAfterFault(request);
+                      });
 }
 
 void ServingSystem::RouteAfterFault(engine::RequestState* request) {
@@ -502,19 +529,29 @@ void ServingSystem::FailFast(engine::RequestState* request) {
   if (on_request_done_ && !finishing_) {
     on_request_done_(*request);
   }
+  states_.Release(request);
 }
 
 // --- Scenario machinery (client abandonment + multi-tenant preemption) -------------------
 
 void ServingSystem::ScheduleAbandonment(engine::RequestState* request) {
+  // Either event may fire after the request's outcome, when its slot may hold a later
+  // request; the serial tells them apart.
   const workload::Request& req = request->request;
+  const uint64_t serial = states_.serial(request);
   if (req.cancel_at > 0.0) {
-    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/false); });
+    sim_->ScheduleAt(std::max(req.cancel_at, sim_->now()), [this, request, serial] {
+      if (states_.serial(request) == serial) {
+        CancelRequest(request, /*timed_out=*/false);
+      }
+    });
   }
   if (req.deadline > 0.0) {
-    sim_->ScheduleAt(std::max(req.deadline, sim_->now()),
-                     [this, request] { CancelRequest(request, /*timed_out=*/true); });
+    sim_->ScheduleAt(std::max(req.deadline, sim_->now()), [this, request, serial] {
+      if (states_.serial(request) == serial) {
+        CancelRequest(request, /*timed_out=*/true);
+      }
+    });
   }
 }
 
@@ -533,18 +570,10 @@ void ServingSystem::FinishAbandon(engine::RequestState* request, bool timed_out)
   if (on_request_done_ && !finishing_) {
     on_request_done_(*request);
   }
+  states_.Release(request);
 }
 
 void ServingSystem::CancelRequest(engine::RequestState* request, bool timed_out) {
-  switch (request->phase) {
-    case engine::RequestPhase::kDone:
-    case engine::RequestPhase::kLost:
-    case engine::RequestPhase::kCancelled:
-    case engine::RequestPhase::kTimedOut:
-      return;  // already terminal (e.g. completed before the deadline fired)
-    default:
-      break;
-  }
   if (request->cancel_pending) {
     return;  // an earlier cancel/timeout is already tearing it down
   }
@@ -582,7 +611,7 @@ void ServingSystem::CancelRequest(engine::RequestState* request, bool timed_out)
     case engine::RequestPhase::kDecodePending:
     case engine::RequestPhase::kTransferring: {
       // The prefill side still holds the KV copy; the attempt bump squashes an in-flight
-      // pull completion and its watchdog (the FailFast release discipline).
+      // pull completion and any armed watchdog (the FailFast release discipline).
       ++request->attempt;
       if (request->decode_instance >= 0) {
         decodes_[static_cast<size_t>(request->decode_instance)]->Abort(request);
@@ -626,16 +655,19 @@ void ServingSystem::BeginStream(size_t expected_requests) {
   DS_TRACE(config_.recorder, NewRun());
   collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
-  states_.clear();
+  // Every request of the previous stream reached its outcome (FinishStream checks it), so
+  // all of its slots are free for this one.
+  DS_CHECK_EQ(states_.live(), 0u);
   parked_.clear();
   completed_ = 0;
+  submitted_ = 0;
 }
 
-engine::RequestState* ServingSystem::Submit(const workload::Request& request) {
-  engine::RequestState* state = states_.emplace_back(request);
+void ServingSystem::Submit(const workload::Request& request) {
+  engine::RequestState* state = states_.Acquire(request);
+  ++submitted_;
   ScheduleAbandonment(state);
   DispatchArrival(state);
-  return state;
 }
 
 void ServingSystem::ScheduleFaults() {
@@ -685,22 +717,19 @@ metrics::Collector ServingSystem::FinishStream(double end_time) {
       *since = end;
     }
   }
-  if (completed_ + static_cast<int64_t>(collector_.NeverCompletedCount()) !=
-      static_cast<int64_t>(states_.size())) {
+  if (completed_ + static_cast<int64_t>(collector_.NeverCompletedCount()) != submitted_) {
     std::array<int, 11> by_phase{};
-    for (size_t i = 0; i < states_.size(); ++i) {
-      by_phase[static_cast<size_t>(states_[i].phase)]++;
-    }
+    states_.ForEachLive(
+        [&by_phase](engine::RequestState* r) { by_phase[static_cast<size_t>(r->phase)]++; });
     DS_CHECK(false) << "requests lost in flight: the simulation deadlocked (completed="
                     << completed_ << " lost=" << collector_.lost_count()
                     << " cancelled=" << collector_.cancelled_count()
-                    << " timed_out=" << collector_.timed_out_count() << " of "
-                    << states_.size() << "; phases: pending=" << by_phase[0]
+                    << " timed_out=" << collector_.timed_out_count() << " of " << submitted_
+                    << "; phases of the " << states_.live()
+                    << " still in flight: pending=" << by_phase[0]
                     << " prefill_queued=" << by_phase[1] << " prefilling=" << by_phase[2]
                     << " decode_pending=" << by_phase[3] << " transferring=" << by_phase[4]
-                    << " decoding=" << by_phase[5] << " done=" << by_phase[6]
-                    << " lost=" << by_phase[7] << " cancelled=" << by_phase[8]
-                    << " timed_out=" << by_phase[9] << ")";
+                    << " decoding=" << by_phase[5] << ")";
   }
   return std::move(collector_);
 }

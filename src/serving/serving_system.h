@@ -12,9 +12,15 @@
 // healthy instance, requests whose computed KV was lost (on the dead prefill before the pull,
 // or on the dead decode after it) are re-prefilled (the paper's KV-loss cost), and requests
 // whose prefill KV copy survived are merely re-dispatched. Dead transfer links drop bytes
-// silently; every pull is paired with a watchdog timeout and retried with exponential backoff,
+// silently; every pull has a watchdog timeout and is retried with exponential backoff,
 // re-routing to another decode instance on exhaustion and failing fast only when no healthy
 // route exists. Requests with no live target are parked and re-routed on recovery.
+//
+// Request state is O(in-flight): each request's RequestState occupies a slot of a
+// ChunkedStore from Submit until its outcome (completed, lost, cancelled or timed out), and
+// the slot then goes to a later request. Engine pointers are valid for exactly that span;
+// events that can outlive it (cancel and deadline events, fault re-routes, KV pull
+// completions and watchdogs) check the slot's serial or the run-wide pull number first.
 //
 // This engine-level runtime is the "real system" of our Table-2 reproduction; the fast
 // placement simulator (src/placement/simulate.h) is a coarser, independent implementation.
@@ -114,15 +120,16 @@ class ServingSystem {
   // request before ScheduleFaults would, so a caller that schedules its arrivals that way
   // gets bit-identical results.
 
-  // Resets per-stream state (collector, request states, parked list) and starts a new trace
-  // recorder run. Call before scheduling any arrivals of a new stream.
+  // Resets per-stream state (collector, counters, parked list) and starts a new trace
+  // recorder run. Call before scheduling any arrivals of a new stream, after the previous
+  // stream's FinishStream.
   void BeginStream(size_t expected_requests);
 
   // Admits one request at the simulator's current time (call from within an event). The
   // request's recorded arrival stays request.arrival_time — admission later than that models
-  // controller dispatch latency and is charged to TTFT. Returns the state owned by this
-  // system (stable address until the next BeginStream).
-  engine::RequestState* Submit(const workload::Request& request);
+  // controller dispatch latency and is charged to TTFT. The request's state lives in this
+  // system until the request's outcome.
+  void Submit(const workload::Request& request);
 
   // Schedules the config's fault plan as simulator events. Run() does this itself; streaming
   // callers do it once, after BeginStream.
@@ -133,9 +140,10 @@ class ServingSystem {
   // shard-count independent), verifies nothing was silently dropped, and yields the records.
   metrics::Collector FinishStream(double end_time);
 
-  // Fired when a request leaves the system — completed (phase kDone) or lost (kLost) — from
-  // within the simulation. Not fired for the FinishStream fail-fast sweep: the stream is
-  // already over. Fleet routers use this to post completion notifications across shards.
+  // Fired when a request leaves the system — completed (phase kDone), lost (kLost), cancelled
+  // or timed out — from within the simulation. Not fired for the FinishStream fail-fast sweep:
+  // the stream is already over. Fleet routers use this to post completion notifications
+  // across shards. The state is released right after the call: do not keep a reference.
   void set_on_request_done(std::function<void(const engine::RequestState&)> fn) {
     on_request_done_ = std::move(fn);
   }
@@ -187,6 +195,9 @@ class ServingSystem {
   void OnDecodeFailure(int index);
   void StartKvPull(size_t link_idx, engine::RequestState* request,
                    engine::DecodeInstance::TransferDone done);
+  // Schedules the watchdog StartKvPull reserved for the request's pull in flight.
+  void ArmKvWatchdog(size_t link_idx, engine::RequestState* request,
+                     engine::DecodeInstance::TransferDone done);
   void OnKvPullTimeout(size_t link_idx, engine::RequestState* request,
                        engine::DecodeInstance::TransferDone done);
   // Re-routes one stranded request per its phase (kPending -> prefill, kDecodePending ->
@@ -204,7 +215,7 @@ class ServingSystem {
   std::vector<std::unique_ptr<engine::PrefillInstance>> prefills_;
   std::vector<std::unique_ptr<engine::DecodeInstance>> decodes_;
   std::vector<std::unique_ptr<Link>> links_;  // one ingress link per decode instance
-  ChunkedStore<engine::RequestState> states_;  // stable addresses; reused across streams
+  ChunkedStore<engine::RequestState> states_;  // one slot per request in flight
   metrics::Collector collector_;
   std::function<void(const FaultEvent&)> fault_callback_;
   std::function<void(const engine::RequestState&)> on_request_done_;
@@ -221,6 +232,10 @@ class ServingSystem {
   int64_t kv_bytes_per_prompt_token_ = 0;
   int64_t prefill_token_target_ = 0;
   int64_t completed_ = 0;
+  int64_t submitted_ = 0;  // this stream's Submit calls
+  // Numbers every KV pull of the system's life (RequestState::transfer_seq); wraps after
+  // 2^32 pulls, far beyond the lifetime of any pull closure.
+  uint32_t pull_seq_ = 0;
 };
 
 }  // namespace distserve::serving

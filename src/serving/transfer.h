@@ -10,6 +10,7 @@
 #define DISTSERVE_SERVING_TRANSFER_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -36,27 +37,31 @@ class Link {
     trace_pid_ = pid;
   }
 
-  // Enqueues a transfer; `done` (any callable) fires at completion time. Issuing on a dead
-  // link drops the transfer silently (the bytes vanish; callers detect via their own watchdog
-  // timeout), as does a Fail() while the transfer is in flight. `done` moves straight into
-  // the completion event, so a callable of up to 48 bytes costs no heap allocation.
+  // Enqueues a transfer; `done` (any callable) fires at completion time, which is returned.
+  // Issuing on a dead link drops the transfer silently (the bytes vanish; callers detect via
+  // their own watchdog timeout) and returns +infinity; a Fail() while the transfer is in
+  // flight drops it too. `done` moves straight into the completion event, so a callable of up
+  // to 48 bytes costs no heap allocation.
   template <typename Done>
-  void Transfer(int64_t bytes, Done&& done) {
+  double Transfer(int64_t bytes, Done&& done) {
     if (!StartService(bytes)) {
-      return;
+      return std::numeric_limits<double>::infinity();
     }
-    sim_->ScheduleAt(busy_until_ + latency_,
+    const double completes_at = busy_until_ + latency_;
+    sim_->ScheduleAt(completes_at,
                      [this, epoch = epoch_, done = std::forward<Done>(done)]() mutable {
                        if (epoch != epoch_) {
                          return;  // the link died while this transfer was in flight
                        }
                        done();
                      });
+    return completes_at;
   }
 
   // Fault injection (serving::FaultPlan): a dead link moves no bytes and never completes a
   // transfer. Fail() aborts in-flight transfers without notification — modelling a dark NIC,
-  // not a polite connection reset — so the serving layer pairs every pull with a timeout.
+  // not a polite connection reset — so the serving layer times pulls out with a watchdog, which
+  // it arms for every pull in flight when the link fails.
   // Idempotent; Recover() resets the pipe to empty.
   void Fail();
   void Recover();

@@ -45,6 +45,7 @@ void EventQueue::CancelNode(uint32_t node, uint32_t generation) {
   if (node < nodes_.size() && nodes_[node].generation == generation) {
     ReleaseNode(node);
     ++dead_count_;  // entry is still stored in the heap; tally it for compaction
+    ++cancelled_;
   }
 }
 

@@ -93,6 +93,9 @@ class EventQueue {
   // Entries currently stored, counting cancelled-but-uncollected ones (upper bound on live).
   size_t size() const { return heap_.size(); }
 
+  // Events cancelled before they fired, over the queue's lifetime.
+  uint64_t cancelled() const { return cancelled_; }
+
   // Time of the earliest live event; +infinity when empty.
   SimTime NextTime() const;
 
@@ -157,6 +160,7 @@ class EventQueue {
   uint32_t free_head_ = kNilNode;
   uint64_t next_seq_ = 0;
   mutable size_t dead_count_ = 0;  // cancelled entries still stored in heap_
+  uint64_t cancelled_ = 0;
 };
 
 }  // namespace distserve::simcore

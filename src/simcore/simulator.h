@@ -26,6 +26,9 @@ class Simulator {
 
   SimTime now() const { return now_; }
   int64_t events_processed() const { return events_processed_; }
+  // Events cancelled before they fired. Every scheduled event either fires or is cancelled,
+  // so once the queue drains this is how many more events were scheduled than fired.
+  int64_t events_cancelled() const { return static_cast<int64_t>(queue_.cancelled()); }
 
   // Timestamp of the last event actually fired (0.0 before any event fires). Unlike now(),
   // which a finite Run horizon or RunBefore window pins to the bound, this tracks real work —
@@ -45,6 +48,18 @@ class Simulator {
   EventHandle ScheduleAfter(SimTime delay, EventCallback&& fn) {
     DS_DCHECK(delay >= 0.0);
     return queue_.Schedule(now_ + delay, std::move(fn));
+  }
+
+  // Reserves `n` consecutive event sequence numbers and returns the first
+  // (EventQueue::ReserveSeqs). An event scheduled later under one of them with
+  // ScheduleReserved ties against every other event as if it had been scheduled at reservation
+  // time, so a component can decide later whether an event is needed at all.
+  uint64_t ReserveSeqs(uint64_t n) { return queue_.ReserveSeqs(n); }
+
+  // Schedules `fn` at `when` (must be >= now()) under a sequence number from ReserveSeqs.
+  EventHandle ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn) {
+    DS_DCHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
+    return queue_.ScheduleReserved(when, seq, std::move(fn));
   }
 
   // Streams `n` timed arrivals (a workload trace) into the queue one at a time: only the next

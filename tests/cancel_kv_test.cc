@@ -4,6 +4,7 @@
 // every KV pool must drain to zero with completions + abandonments summing to the trace.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -15,6 +16,8 @@
 #include "workload/dataset.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
+
+#include "scenario_trace.h"
 
 namespace distserve {
 namespace {
@@ -214,6 +217,42 @@ TEST(CancelKvConservationTest, DeadlineInsideDecodeOutageLeavesParkedList) {
     EXPECT_EQ(d->kv().used_blocks(), 0);
     EXPECT_EQ(d->resident_requests(), 0);
   }
+}
+
+// A is cancelled in the middle of its KV pull, and B takes A's slot before the cancelled
+// pull's completion fires (the FIFO link still carries A's bytes, so B's own pull lands after
+// it). The stale completion must not release B's prefill KV or start B's decode.
+TEST(CancelKvConservationTest, CancelMidPullThenSlotReuseIgnoresTheStalePull) {
+  // A's 2048-token prompt prefills in ~0.7 s, and its pull takes ~0.54 s on the cross-node
+  // link, so A is transferring at 1.0 s; B's short prompt prefills before the link frees.
+  workload::Trace trace = {test_util::MakeRequest(0, 0.0, 2048, 8),
+                           test_util::MakeRequest(1, 1.05, 64, 8)};
+  trace[0].cancel_at = 1.0;
+  serving::ServingConfig config;
+  config.model = model::ModelSpec::Opt13B();
+  config.cluster = cluster::ClusterSpec::PaperTestbed();
+  config.plan.prefill_par = {1, 1};
+  config.plan.decode_par = {1, 1};
+  config.plan.num_prefill = 1;
+  config.plan.num_decode = 1;
+  config.plan.intra_node_transfers = false;
+  serving::ServingSystem system(config);
+  std::map<workload::RequestId, const engine::RequestState*> slot;
+  system.set_on_request_done(
+      [&slot](const engine::RequestState& r) { slot[r.request.id] = &r; });
+  const metrics::Collector results = system.Run(trace);
+
+  EXPECT_EQ(slot.at(1), slot.at(0)) << "B must reuse A's slot";
+  EXPECT_EQ(results.count(), 1u);
+  EXPECT_EQ(results.cancelled_count(), 1u);
+  ASSERT_EQ(results.cancelled_records().size(), 1u);
+  EXPECT_EQ(results.cancelled_records()[0].id, 0);
+  EXPECT_GT(results.cancelled_records()[0].transfer_start, 0.0);  // cancelled mid-pull
+  EXPECT_EQ(system.ingress_links()[0]->transfers(), 2);
+  test_util::ExpectOneOutcomePerRequest(results, trace.size());
+  EXPECT_EQ(system.prefill_instances()[0]->kv().used_blocks(), 0);
+  EXPECT_EQ(system.decode_instances()[0]->kv().used_blocks(), 0);
+  EXPECT_EQ(system.decode_instances()[0]->resident_requests(), 0);
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
-// A shared test trace for the streamed-arrival bit-identity tests (serving, vLLM, fleet).
+// Shared test helpers for the serving systems: a trace for the streamed-arrival bit-identity
+// tests (serving, vLLM, fleet), hand-built requests, and an outcome check.
 #ifndef DISTSERVE_TESTS_SCENARIO_TRACE_H_
 #define DISTSERVE_TESTS_SCENARIO_TRACE_H_
 
-#include <cstdint>
+#include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+
+#include "metrics/collector.h"
 #include "workload/dataset.h"
 #include "workload/generator.h"
 #include "workload/scenario.h"
@@ -41,6 +46,30 @@ inline workload::Trace ScenarioTraceWithTies(int n, double rate, uint64_t seed) 
     trace[i].cancel_at = trace[i + 3].arrival_time;
   }
   return trace;
+}
+
+// One hand-built request; ids follow the trace index.
+inline workload::Request MakeRequest(workload::RequestId id, double arrival, int input_len,
+                                     int output_len) {
+  workload::Request req;
+  req.id = id;
+  req.arrival_time = arrival;
+  req.input_len = input_len;
+  req.output_len = output_len;
+  return req;
+}
+
+// Every request of the trace ended in exactly one outcome: completed, lost, cancelled or
+// timed out, with no id in two outcome lists.
+inline void ExpectOneOutcomePerRequest(const metrics::Collector& results, size_t trace_size) {
+  std::set<workload::RequestId> ids;
+  for (const auto* records : {&results.records(), &results.lost_records(),
+                              &results.cancelled_records(), &results.timed_out_records()}) {
+    for (const metrics::RequestRecord& r : *records) {
+      EXPECT_TRUE(ids.insert(r.id).second) << "request " << r.id << " has two outcomes";
+    }
+  }
+  EXPECT_EQ(ids.size(), trace_size);
 }
 
 }  // namespace distserve::test_util

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 
 #include "scenario_trace.h"
@@ -180,6 +181,153 @@ TEST(ServingSystemStreamTest, RunIsBitIdenticalToUpFrontArrivals) {
   // Every axis fired, or the comparison is vacuous.
   EXPECT_GT(streamed.cancelled_count(), 0u);
   EXPECT_EQ(streamed.count() + streamed.NeverCompletedCount(), trace.size());
+}
+
+// --- Request-state slots are recycled at each request's outcome ---
+
+using test_util::ExpectOneOutcomePerRequest;
+using test_util::MakeRequest;
+
+// Runs `trace` and records the address of each request's state at its outcome, so a test can
+// check that a later request really took an earlier one's slot.
+struct SlotRun {
+  metrics::Collector results;
+  std::map<workload::RequestId, const engine::RequestState*> slot;
+};
+
+SlotRun RunRecordingSlots(ServingSystem& system, const workload::Trace& trace) {
+  SlotRun run;
+  system.set_on_request_done(
+      [&run](const engine::RequestState& r) { run.slot[r.request.id] = &r; });
+  run.results = system.Run(trace);
+  return run;
+}
+
+void ExpectKvDrained(const ServingSystem& system) {
+  for (const auto& p : system.prefill_instances()) {
+    if (p->alive()) {
+      EXPECT_EQ(p->kv().used_blocks(), 0) << "prefill-" << p->id();
+    }
+  }
+  for (const auto& d : system.decode_instances()) {
+    if (d->alive()) {
+      EXPECT_EQ(d->kv().used_blocks(), 0) << "decode-" << d->id();
+      EXPECT_EQ(d->resident_requests(), 0) << "decode-" << d->id();
+    }
+  }
+}
+
+// A's deadline fires long after A completed, while B — in A's slot — is still decoding. The
+// stale deadline must not time B out.
+TEST(ServingSystemSlotReuseTest, StaleDeadlineSparesTheSlotsNextRequest) {
+  workload::Trace trace = {MakeRequest(0, 0.0, 64, 4), MakeRequest(1, 0.5, 64, 400)};
+  trace[0].deadline = 2.0;
+  ServingSystem system(BasicConfig());
+  const SlotRun run = RunRecordingSlots(system, trace);
+  EXPECT_EQ(run.slot.at(1), run.slot.at(0)) << "B must reuse A's slot";
+  EXPECT_EQ(run.results.count(), 2u);
+  EXPECT_EQ(run.results.timed_out_count(), 0u);
+  ASSERT_EQ(run.results.records().size(), 2u);
+  EXPECT_GT(run.results.records()[1].completion, trace[0].deadline);  // B outlived it
+  ExpectOneOutcomePerRequest(run.results, trace.size());
+  ExpectKvDrained(system);
+}
+
+// A is cancelled while decode-0's death has a re-route of A pending. B takes A's slot and
+// loses its own prefill to prefill-0's death, so B's re-route carries the same attempt number
+// A's did. A's stale re-route must not dispatch B a second time.
+TEST(ServingSystemSlotReuseTest, CancelledRerouteSparesTheSlotsNextRequest) {
+  workload::Trace trace = {MakeRequest(0, 0.0, 64, 500), MakeRequest(1, 1.06, 2048, 8)};
+  trace[0].cancel_at = 1.05;
+  ServingConfig config = BasicConfig(/*num_prefill=*/2, /*num_decode=*/2);
+  config.faults.events = {{1.0, FaultDomain::kDecode, FaultAction::kFail, 0},
+                          {1.1, FaultDomain::kPrefill, FaultAction::kFail, 0}};
+  ServingSystem system(config);
+  const SlotRun run = RunRecordingSlots(system, trace);
+  EXPECT_EQ(run.slot.at(1), run.slot.at(0)) << "B must reuse A's slot";
+  EXPECT_EQ(run.results.count(), 1u);
+  EXPECT_EQ(run.results.cancelled_count(), 1u);
+  EXPECT_EQ(run.results.fault_stats().kv_reprefills, 1);     // A lost its decode KV
+  EXPECT_EQ(run.results.fault_stats().prefill_restarts, 1);  // B lost its prefill
+  ExpectOneOutcomePerRequest(run.results, trace.size());
+  ExpectKvDrained(system);
+}
+
+// A fault scan re-routes the stranded requests in Submit order, not slot order. X completes
+// at prefill and frees the first slot while A (second slot) prefills; B, submitted after A,
+// takes X's slot. When prefill-0 dies, A's and B's re-routes fire at the same instant and the
+// one scheduled first reaches the surviving instance's queue first: A, whose 2048-token prompt
+// then runs alone before B's.
+TEST(ServingSystemSlotReuseTest, FaultScanReroutesInSubmitOrder) {
+  const workload::Trace trace = {MakeRequest(0, 0.0, 64, 1), MakeRequest(1, 0.01, 2048, 4),
+                                 MakeRequest(2, 0.2, 2048, 4)};
+  ServingConfig config = BasicConfig(/*num_prefill=*/2, /*num_decode=*/1);
+  // prefill-1 is down while the three arrive, so all of them land on prefill-0.
+  config.faults.events = {{0.0, FaultDomain::kPrefill, FaultAction::kFail, 1},
+                          {0.3, FaultDomain::kPrefill, FaultAction::kRecover, 1},
+                          {0.35, FaultDomain::kPrefill, FaultAction::kFail, 0}};
+  ServingSystem system(config);
+  const SlotRun run = RunRecordingSlots(system, trace);
+  EXPECT_EQ(run.slot.at(2), run.slot.at(0)) << "B must reuse X's slot";
+  ASSERT_EQ(run.results.count(), 3u);
+  EXPECT_EQ(run.results.fault_stats().prefill_restarts, 2);
+  const metrics::RequestRecord* a = nullptr;
+  const metrics::RequestRecord* b = nullptr;
+  for (const metrics::RequestRecord& r : run.results.records()) {
+    if (r.id == 1) {
+      a = &r;
+    } else if (r.id == 2) {
+      b = &r;
+    }
+  }
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_LE(a->first_token, b->prefill_start);
+  ExpectOneOutcomePerRequest(run.results, trace.size());
+  ExpectKvDrained(system);
+}
+
+// The ingress link dies with several KV pulls in flight and recovers before any watchdog
+// fires: each pull in flight is retried exactly once, and nothing else is.
+TEST(ServingSystemSlotReuseTest, LinkDeathRetriesEachPullInFlightOnce) {
+  // Four 2048-token prompts prefill side by side on four instances (~0.7 s) and then queue
+  // on the one cross-node ingress link (~0.54 s per pull), so at 1.0 s all four pulls are in
+  // flight.
+  workload::Trace trace;
+  for (int i = 0; i < 4; ++i) {
+    trace.push_back(MakeRequest(i, 0.01 * i, 2048, 8));
+  }
+  constexpr double kFailAt = 1.0;
+  ServingConfig config = BasicConfig(/*num_prefill=*/4, /*num_decode=*/1, /*intra_node=*/false);
+  config.faults.events = {{kFailAt, FaultDomain::kLink, FaultAction::kFail, 0},
+                          {kFailAt + 0.05, FaultDomain::kLink, FaultAction::kRecover, 0}};
+  ServingSystem system(config);
+  const metrics::Collector results = system.Run(trace);
+  ASSERT_EQ(results.count(), trace.size());
+  int64_t in_flight = 0;
+  for (const metrics::RequestRecord& r : results.records()) {
+    in_flight += r.transfer_start < kFailAt && r.transfer_end > kFailAt ? 1 : 0;
+  }
+  EXPECT_EQ(in_flight, 4);
+  EXPECT_EQ(results.fault_stats().transfer_retries, in_flight);
+  EXPECT_EQ(results.fault_stats().decode_redispatches, 0);
+  EXPECT_EQ(system.ingress_links()[0]->transfers_dropped(), 0);
+  ExpectOneOutcomePerRequest(results, trace.size());
+  ExpectKvDrained(system);
+}
+
+// With one request in flight at a time nothing is ever rescheduled (no decode run is cut), so
+// a fault-free run fires every event it schedules: the KV pull's watchdog is never scheduled.
+TEST(ServingSystemTest, FaultFreeRunSchedulesOnlyEventsThatFire) {
+  workload::Trace trace;
+  for (int i = 0; i < 20; ++i) {
+    trace.push_back(MakeRequest(i, 2.0 * i, 256, 16));
+  }
+  ServingSystem system(BasicConfig(/*num_prefill=*/2, /*num_decode=*/2));
+  const metrics::Collector results = system.Run(trace);
+  ASSERT_EQ(results.count(), trace.size());
+  EXPECT_GT(system.simulator().events_processed(), 0);
+  EXPECT_EQ(system.simulator().events_cancelled(), 0);
 }
 
 TEST(ServingSystemDeathTest, DecreasingArrivalTimeAborts) {

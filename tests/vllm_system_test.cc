@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 
 #include "scenario_trace.h"
@@ -107,6 +108,39 @@ TEST(VllmSystemStreamTest, ChunkedRunIsBitIdenticalToUpFrontArrivals) {
   config.engine_options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
   config.engine_options.chunk_budget = 512;
   ExpectRunMatchesUpFront(config, test_util::ScenarioTraceWithTies(400, 8.0, 11));
+}
+
+// A's cancel and deadline both fire long after A completed, while B — in A's slot — is
+// still decoding. Neither may touch B.
+void ExpectStaleAbandonmentSparesTheSlotsNextRequest(const VllmConfig& config) {
+  workload::Trace trace = {test_util::MakeRequest(0, 0.0, 64, 4),
+                           test_util::MakeRequest(1, 0.5, 64, 400)};
+  trace[0].cancel_at = 1.5;
+  trace[0].deadline = 2.0;
+  VllmSystem system(config);
+  std::map<workload::RequestId, const engine::RequestState*> slot;
+  system.set_on_request_done(
+      [&slot](const engine::RequestState& r) { slot[r.request.id] = &r; });
+  const metrics::Collector results = system.Run(trace);
+  EXPECT_EQ(slot.at(1), slot.at(0)) << "B must reuse A's slot";
+  EXPECT_EQ(results.count(), 2u);
+  EXPECT_EQ(results.cancelled_count(), 0u);
+  EXPECT_EQ(results.timed_out_count(), 0u);
+  ASSERT_EQ(results.records().size(), 2u);
+  EXPECT_GT(results.records()[1].completion, trace[0].deadline);  // B outlived both
+  test_util::ExpectOneOutcomePerRequest(results, trace.size());
+  EXPECT_EQ(system.instances()[0]->kv().used_blocks(), 0);
+}
+
+TEST(VllmSystemSlotReuseTest, StaleAbandonmentSparesTheSlotsNextRequest) {
+  ExpectStaleAbandonmentSparesTheSlotsNextRequest(BasicConfig());
+}
+
+TEST(VllmSystemSlotReuseTest, ChunkedStaleAbandonmentSparesTheSlotsNextRequest) {
+  VllmConfig config = BasicConfig();
+  config.engine_options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
+  config.engine_options.chunk_budget = 512;
+  ExpectStaleAbandonmentSparesTheSlotsNextRequest(config);
 }
 
 TEST(VllmSystemDeathTest, DecreasingArrivalTimeAborts) {
