@@ -97,6 +97,51 @@ void BM_LatticeBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_LatticeBatched)->Arg(64)->Arg(1024);
 
+// Pricing one decode run (a fixed batch, its context growing by `batch` tokens per step) with
+// a DecodeStepPricer, as the engines and the fast sim do, or with one EvaluateBatch call over
+// a reused lattice, the general batched path. Both produce the same step times bit for bit
+// (latency_model_test); runs in the serving benches average about two steps, so the per-run
+// fixed cost dominates. Informational: no perf gate reads these.
+constexpr int64_t kRunCtxPerRequest = 300;
+
+void BM_DecodeRunPricer(benchmark::State& state) {
+  const LatencyModel lm(ModelSpec::Opt13B(), {2, 1}, cluster::GpuSpec::A100_80GB());
+  const int steps = static_cast<int>(state.range(0));
+  std::vector<double> times(static_cast<size_t>(steps));
+  int64_t batch = 1;
+  for (auto _ : state) {
+    batch = batch % 128 + 1;
+    const DecodeStepPricer pricer = lm.DecodePricer(batch);
+    for (int i = 0; i < steps; ++i) {
+      times[static_cast<size_t>(i)] = pricer.FullTime(batch * kRunCtxPerRequest + i * batch);
+    }
+    benchmark::DoNotOptimize(times.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * steps);
+}
+BENCHMARK(BM_DecodeRunPricer)->Arg(2)->Arg(5)->Arg(32);
+
+void BM_DecodeRunLattice(benchmark::State& state) {
+  const LatencyModel lm(ModelSpec::Opt13B(), {2, 1}, cluster::GpuSpec::A100_80GB());
+  const int steps = static_cast<int>(state.range(0));
+  std::vector<double> times(static_cast<size_t>(steps));
+  BatchWorkloadLattice lattice;
+  int64_t batch = 1;
+  for (auto _ : state) {
+    batch = batch % 128 + 1;
+    lattice.Clear();
+    for (int i = 0; i < steps; ++i) {
+      lattice.PushBack(BatchWorkload::Decode(batch, batch * kRunCtxPerRequest + i * batch));
+    }
+    lm.EvaluateBatch(lattice, {}, times);
+    benchmark::DoNotOptimize(times.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * steps);
+}
+BENCHMARK(BM_DecodeRunLattice)->Arg(2)->Arg(5)->Arg(32);
+
 void BM_CoefficientFit(benchmark::State& state) {
   const LatencyModel truth(ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());
   Rng rng(1);

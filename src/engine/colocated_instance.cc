@@ -337,7 +337,7 @@ void ColocatedInstance::MaybeStep() {
     const int steps =
         static_cast<int>(std::min<int64_t>(decoding_.StepsToNextFinish(), kDecodeStepChunk));
     run_.StartDecode(latency_model_, now, static_cast<int64_t>(decoding_.size()),
-                     decoding_.ctx_tokens(), steps, options_.cpu_overhead_per_step, &lattice_);
+                     decoding_.ctx_tokens(), steps, options_.cpu_overhead_per_step);
   } else {
     return;  // Idle; the next Enqueue re-arms the loop.
   }

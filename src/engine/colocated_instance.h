@@ -177,8 +177,7 @@ class ColocatedInstance {
   std::vector<RequestState*> prefilled_now_;
   StepRun run_;
   bool run_decodes_ = false;  // the run in flight advances the decodes
-  // Scratch for pricing runs and ordering step-end callbacks, reused across runs.
-  model::BatchWorkloadLattice lattice_;
+  // Scratch for ordering step-end callbacks, reused across runs.
   std::vector<DecodeBatch::Member> finished_;
   // True once any enqueued request carried priority != 0; gates the admission scan so
   // single-tenant runs keep the plain FCFS front() path.

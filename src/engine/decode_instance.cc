@@ -405,7 +405,7 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   const int steps =
       static_cast<int>(std::min<int64_t>(lane.batch.StepsToNextFinish(), kDecodeStepChunk));
   lane.run.StartDecode(latency_model_, now, static_cast<int64_t>(lane.batch.size()),
-                       lane.batch.ctx_tokens(), steps, /*overhead=*/0.0, &lattice_);
+                       lane.batch.ctx_tokens(), steps, /*overhead=*/0.0);
   CommitStart(lane_idx);
   if (recorder_ != nullptr) {
     // Residents first, then the joiners in join order: the order their queue spans close.

@@ -193,8 +193,7 @@ class DecodeInstance {
   // single-tenant runs keep the plain FCFS front() path.
   bool priorities_active_ = false;
 
-  // Scratch for pricing runs and ordering completions, reused across runs.
-  model::BatchWorkloadLattice lattice_;
+  // Scratch for ordering completions, reused across runs.
   std::vector<DecodeBatch::Member> finished_;
 
   // Committed counters: through the last committed step start (tokens: step end).

@@ -3,10 +3,11 @@
 //
 // Between membership changes a decode batch is fixed and its context sum grows by exactly
 // `batch` tokens per step, so the next steps' workloads are known when the run starts. A run
-// prices them up front (chunk-wise, through LatencyModel::EvaluateBatch, which is bit-identical
-// to FullTime), accumulates each step's end time in step order — the same additions the
-// per-step event chain made — and the engine schedules one DES event at the run's last
-// boundary instead of one per step. Steps that carry prefill work are runs of length 1.
+// prices them up front with the batch's LatencyModel::DecodePricer (the batch-dependent terms
+// once, then one KV-read term per step; bit-identical to FullTime), accumulates each step's
+// end time in step order — the same additions the per-step event chain made — and the engine
+// schedules one DES event at the run's last boundary instead of one per step. Steps that
+// carry prefill work are runs of length 1.
 //
 // The engine commits a step's start (busy time, step count, per-member trace transitions)
 // lazily: when it next handles an event, it commits every start at or before that event's
@@ -19,7 +20,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/logging.h"
@@ -29,9 +29,9 @@
 
 namespace distserve::engine {
 
-// Longest run priced at once. Bounds the pricing wasted when a join cuts a run short, while
-// amortizing the batched evaluation over long uninterrupted runs (placement/fast_sim.cc
-// prices its decode runs in chunks of the same size).
+// Longest run, in steps. Sizes the StepRun arrays and caps a run's length, so an
+// uninterrupted stretch of decoding costs one DES event per kDecodeStepChunk steps: the event
+// counts the benches print (fig_fleet's among them) depend on this value.
 inline constexpr int kDecodeStepChunk = 32;
 
 // A decode batch in the fast sim's representation: a step counter, the members in a min-heap
@@ -133,20 +133,16 @@ class StepRun {
   // sum to `ctx_tokens` before the first step. Step i costs
   // FullTime(Decode(batch, ctx_tokens + i * batch)) + overhead.
   void StartDecode(const model::LatencyModel& lm, double start, int64_t batch,
-                   int64_t ctx_tokens, int steps, double overhead,
-                   model::BatchWorkloadLattice* lattice) {
+                   int64_t ctx_tokens, int steps, double overhead) {
     DS_DCHECK(steps > 0 && steps <= kDecodeStepChunk);
-    lattice->Clear();
-    for (int i = 0; i < steps; ++i) {
-      lattice->PushBack(
-          model::BatchWorkload::Decode(batch, ctx_tokens + static_cast<int64_t>(i) * batch));
-    }
-    lm.EvaluateBatch(*lattice, {}, std::span<double>(times_.data(), static_cast<size_t>(steps)));
+    const model::DecodeStepPricer pricer = lm.DecodePricer(batch);
     double now = start;
     for (int i = 0; i < steps; ++i) {
-      times_[static_cast<size_t>(i)] += overhead;
-      now += times_[static_cast<size_t>(i)];
-      ends_[static_cast<size_t>(i)] = now;
+      const size_t s = static_cast<size_t>(i);
+      times_[s] = pricer.FullTime(ctx_tokens + static_cast<int64_t>(i) * batch);
+      times_[s] += overhead;
+      now += times_[s];
+      ends_[s] = now;
     }
     Begin(start, steps);
   }

@@ -89,7 +89,7 @@ LatencyCoefficients LatencyCoefficients::FromGpu(const cluster::GpuSpec& gpu) {
 
 LatencyModel::LatencyModel(const ModelSpec& spec, const ParallelismConfig& par,
                            const LatencyCoefficients& coeffs)
-    : view_(spec, par), coeffs_(coeffs) {}
+    : view_(spec, par), coeffs_(coeffs), terms_(MakeStepTerms(view_, coeffs_)) {}
 
 LatencyModel::LatencyModel(const ModelSpec& spec, const ParallelismConfig& par,
                            const cluster::GpuSpec& gpu)
@@ -170,6 +170,35 @@ double LatencyModel::FullTime(const BatchWorkload& batch) const {
   return time;
 }
 
+StepTerms LatencyModel::MakeStepTerms(const ShardedModelView& view,
+                                      const LatencyCoefficients& coeffs) {
+  const ModelSpec& spec = view.spec();
+  StepTerms k;
+  k.h = spec.hidden_size;
+  k.dtype = spec.dtype_bytes;
+  k.tp = view.par().tp;
+  const double m = spec.ffn_size;
+  k.gemm_weight = 4.0 * k.h * k.h + 2.0 * k.h * m;
+  k.weight_read_time = coeffs.c4 * (k.gemm_weight * k.dtype / k.tp);
+  k.h3 = 3.0 * k.h;
+  k.h2 = 2.0 * k.h;
+  k.block = static_cast<double>(coeffs.attention_block_size);
+  k.ring_factor = 2.0 * (k.tp - 1.0) / k.tp;
+  k.cbt = coeffs.collective_byte_time;
+  k.clat = coeffs.collective_latency;
+  k.layers = static_cast<double>(view.layers_per_stage());
+  k.c1 = coeffs.c1;
+  k.c2 = coeffs.c2;
+  k.c3 = coeffs.c3;
+  k.c5 = coeffs.c5;
+  const int pp = view.par().pp;
+  k.pp_d = static_cast<double>(pp);
+  k.pp_m1 = static_cast<double>(pp - 1);
+  k.has_tp = view.par().tp > 1;
+  k.has_pp_tail = pp > 1;
+  return k;
+}
+
 void LatencyModel::EvaluateBatch(const BatchWorkloadLattice& points,
                                  std::span<double> stage_times,
                                  std::span<double> full_times) const {
@@ -180,31 +209,8 @@ void LatencyModel::EvaluateBatch(const BatchWorkloadLattice& points,
     return;
   }
 
-  // Batch-independent subexpressions, written with the same grouping LayerTime()/StageTime()/
-  // FullTime() produce under left-to-right evaluation so hoisting them is bit-preserving.
-  const ModelSpec& spec = view_.spec();
-  const double h = spec.hidden_size;
-  const double m = spec.ffn_size;
-  const double tp = view_.par().tp;
-  const double dtype = spec.dtype_bytes;
-  const double gemm_weight = 4.0 * h * h + 2.0 * h * m;
-  const double weight_read_time = coeffs_.c4 * (gemm_weight * dtype / tp);
-  const double h3 = 3.0 * h;
-  const double h2 = 2.0 * h;
-  const double block = static_cast<double>(coeffs_.attention_block_size);
-  const bool has_tp = view_.par().tp > 1;
-  const double ring_factor = 2.0 * (tp - 1.0) / tp;
-  const double cbt = coeffs_.collective_byte_time;
-  const double clat = coeffs_.collective_latency;
-  const double layers = static_cast<double>(view_.layers_per_stage());
-  const double c1 = coeffs_.c1;
-  const double c2 = coeffs_.c2;
-  const double c3 = coeffs_.c3;
-  const double c5 = coeffs_.c5;
-  const int pp = view_.par().pp;
-  const double pp_d = static_cast<double>(pp);
-  const double pp_m1 = static_cast<double>(pp - 1);
-
+  // A local copy: the output spans cannot alias it, so the loop vectorizes.
+  const StepTerms k = terms_;
   const double* t_new = points.total_new_tokens_d().data();
   const double* sq = points.prefill_sq_tokens().data();
   const double* ctx = points.decode_context_tokens_d().data();
@@ -213,23 +219,10 @@ void LatencyModel::EvaluateBatch(const BatchWorkloadLattice& points,
 
   for (size_t i = 0; i < n; ++i) {
     const double t = t_new[i];
-    const double gemm_time = std::max(c1 * (2.0 * t * gemm_weight / tp), weight_read_time);
-    // Zero sq/ctx contribute an exact 0.0 here, matching the scalar code's skipped branches.
-    const double prefill_attn_time =
-        std::max(c2 * (h3 * sq[i] / block * dtype / tp), c1 * (h2 * sq[i] / tp));
-    const double decode_attn_time = c5 * (h3 * ctx[i] * dtype / tp);
-    double collective_time = 0.0;
-    if (has_tp) {  // loop-invariant branch
-      const double bytes = t * h * dtype;
-      collective_time = 2.0 * (ring_factor * bytes * cbt + clat);
-    }
-    const double layer = gemm_time + prefill_attn_time + decode_attn_time + collective_time;
-    const double stage = layers * layer + c3;
-    double full = pp_d * stage;
-    if (pp > 1) {  // loop-invariant branch
-      const double bytes = t * h * dtype;
-      full += pp_m1 * (bytes * cbt + clat);
-    }
+    const double layer =
+        k.Gemm(t) + k.PrefillAttn(sq[i]) + k.DecodeAttn(ctx[i]) + k.Collective(t);
+    const double stage = k.Stage(layer);
+    const double full = k.Full(stage, k.PpTail(t));
     // Empty batches short-circuit to 0.0 in the scalar API; a branchless select keeps the
     // loop vectorizable.
     if (stage_out != nullptr) {
@@ -271,6 +264,7 @@ void LatencyModel::ScaleCollectiveCost(double scale) {
   DS_CHECK_GE(scale, 0.0);
   coeffs_.collective_byte_time *= scale;
   coeffs_.collective_latency *= scale;
+  terms_ = MakeStepTerms(view_, coeffs_);
 }
 
 }  // namespace distserve::model

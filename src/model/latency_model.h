@@ -22,6 +22,7 @@
 #ifndef DISTSERVE_MODEL_LATENCY_MODEL_H_
 #define DISTSERVE_MODEL_LATENCY_MODEL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -103,6 +104,80 @@ struct LatencyCoefficients {
   static LatencyCoefficients FromGpu(const cluster::GpuSpec& gpu);
 };
 
+// LatencyModel's step formula with every batch-independent subexpression hoisted, written
+// with the grouping LayerTime()/StageTime()/FullTime() produce under left-to-right evaluation:
+// hoisting a closed subexpression cannot change the FP result, so each term is bit-identical
+// to the scalar code's. EvaluateBatch prices lattices with it and DecodeStepPricer prices
+// decode runs; the model rebuilds it whenever its coefficients change.
+struct StepTerms {
+  double h = 0.0;
+  double dtype = 0.0;
+  double tp = 0.0;
+  double gemm_weight = 0.0;       // 4h^2 + 2hm
+  double weight_read_time = 0.0;  // the memory side of the GEMM roofline
+  double h3 = 0.0;
+  double h2 = 0.0;
+  double block = 0.0;
+  double ring_factor = 0.0;
+  double cbt = 0.0;  // collective seconds per byte
+  double clat = 0.0;
+  double layers = 0.0;
+  double c1 = 0.0;
+  double c2 = 0.0;
+  double c3 = 0.0;
+  double c5 = 0.0;
+  double pp_d = 0.0;
+  double pp_m1 = 0.0;
+  bool has_tp = false;
+  bool has_pp_tail = false;
+
+  double Gemm(double t) const {
+    return std::max(c1 * (2.0 * t * gemm_weight / tp), weight_read_time);
+  }
+  // Zero sq/ctx contribute an exact 0.0 here, matching the scalar code's skipped branches.
+  double PrefillAttn(double sq) const {
+    return std::max(c2 * (h3 * sq / block * dtype / tp), c1 * (h2 * sq / tp));
+  }
+  double DecodeAttn(double ctx) const { return c5 * (h3 * ctx * dtype / tp); }
+  // Tensor-parallel all-reduce: 2 collectives per layer over t*h activations.
+  double Collective(double t) const {
+    return has_tp ? 2.0 * (ring_factor * (t * h * dtype) * cbt + clat) : 0.0;
+  }
+  // Inter-stage activation sends; added only when has_pp_tail.
+  double PpTail(double t) const { return pp_m1 * (t * h * dtype * cbt + clat); }
+  double Stage(double layer) const { return layers * layer + c3; }
+  double Full(double stage, double pp_tail) const {
+    double full = pp_d * stage;
+    if (has_pp_tail) {
+      full += pp_tail;
+    }
+    return full;
+  }
+};
+
+// Prices the decode steps of one fixed batch size: LatencyModel::DecodePricer(batch) computes
+// every batch-dependent term once (GEMM roofline, the zero prefill-attention term, the TP
+// collective, the pp send tail), so a step costs only its context-dependent KV-read term and
+// the layer/stage/full sums. A value type; it keeps no reference to the model.
+class DecodeStepPricer {
+ public:
+  // FullTime(BatchWorkload::Decode(batch, context_tokens)), bit for bit: the layer sum keeps
+  // EvaluateBatch's left-to-right grouping, (gemm + prefill_attn) + decode_attn + collective.
+  double FullTime(int64_t context_tokens) const {
+    const double layer =
+        head_ + terms_.DecodeAttn(static_cast<double>(context_tokens)) + collective_;
+    return terms_.Full(terms_.Stage(layer), pp_tail_);
+  }
+
+ private:
+  friend class LatencyModel;
+
+  StepTerms terms_;
+  double head_ = 0.0;  // gemm + prefill attention (exactly 0.0 for a decode batch)
+  double collective_ = 0.0;
+  double pp_tail_ = 0.0;
+};
+
 class LatencyModel {
  public:
   LatencyModel(const ModelSpec& spec, const ParallelismConfig& par,
@@ -136,6 +211,10 @@ class LatencyModel {
   void EvaluateBatch(const BatchWorkloadLattice& points, std::span<double> stage_times,
                      std::span<double> full_times) const;
 
+  // The step pricer of a decode batch of `batch` (> 0) requests, for runs of steps whose
+  // membership holds: its FullTime(ctx) == FullTime(BatchWorkload::Decode(batch, ctx)).
+  DecodeStepPricer DecodePricer(int64_t batch) const;
+
   // Shorthands used throughout the engine.
   double PrefillFullTime(std::span<const int> input_lens) const;
   double DecodeStepFullTime(int64_t batch, int64_t context_tokens) const;
@@ -153,9 +232,23 @@ class LatencyModel {
   void ScaleCollectiveCost(double scale);
 
  private:
+  static StepTerms MakeStepTerms(const ShardedModelView& view, const LatencyCoefficients& coeffs);
+
   ShardedModelView view_;
   LatencyCoefficients coeffs_;
+  StepTerms terms_;  // MakeStepTerms(view_, coeffs_)
 };
+
+// Inline so a run's pricer lives in registers: only the terms FullTime reads are loaded.
+inline DecodeStepPricer LatencyModel::DecodePricer(int64_t batch) const {
+  const double t = static_cast<double>(batch);
+  DecodeStepPricer pricer;
+  pricer.terms_ = terms_;
+  pricer.head_ = terms_.Gemm(t) + terms_.PrefillAttn(0.0);
+  pricer.collective_ = terms_.Collective(t);
+  pricer.pp_tail_ = terms_.PpTail(t);
+  return pricer;
+}
 
 }  // namespace distserve::model
 

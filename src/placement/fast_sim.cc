@@ -100,11 +100,6 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
   return finish;
 }
 
-// Steps priced per batched lattice call in the run-batched decode loop. Bounds the evaluation
-// wasted when an admission cuts a run short, while amortizing the call overhead for long
-// uninterrupted runs (mean output lengths are hundreds of tokens).
-constexpr int kDecodeStepChunk = 32;
-
 // Heap order (std::push_heap/pop_heap) that keeps the member with the earliest `finish` step
 // on top.
 constexpr auto kFinishesLater = [](const auto& a, const auto& b) { return a.finish > b.finish; };
@@ -153,10 +148,6 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
   int64_t used_tokens = 0;
   int64_t ctx_sum = 0;  // invariant: sum of member contexts (exact: integer adds)
 
-  // Scratch for the batched step pricing, reused across runs.
-  model::BatchWorkloadLattice lattice;
-  std::vector<double> step_times;
-
   while (next < order.size() || !heap.empty()) {
     if (heap.empty()) {
       now = std::max(now, ready_times[order[next]]);
@@ -182,38 +173,27 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     const int64_t lane_batch = (batch + pp - 1) / pp;
 
     // Run-batched stepping. Between membership changes the batch is fixed and the context
-    // sum grows by exactly `batch` per step, so the next `run` step workloads form a known
-    // lattice: price them chunk-wise through one batched call each instead of `run` scalar
-    // calls. Equivalence with a per-step scalar loop (tiered_search_test keeps one as the
-    // reference): the step times are bit-identical (EvaluateBatch mirrors FullTime), `now`
-    // accumulates them in the same order, and the loop stops stepping exactly where the
-    // scalar loop's admission check would fire — membership can only change at a
-    // completion (the earliest finish step, at the heap's top) or when `now` reaches the
-    // next admissible request's ready time (nothing else in the admission condition moves
-    // during a run).
+    // sum grows by exactly `batch` per step, so one DecodeStepPricer prices the whole run:
+    // the batch-dependent terms once, then one KV-read term per step. Equivalence with a
+    // per-step scalar loop (tiered_search_test keeps one as the reference): the step times
+    // are bit-identical (the pricer mirrors FullTime), `now` accumulates them in the same
+    // order, and the loop stops stepping exactly where the scalar loop's admission check
+    // would fire — membership can only change at a completion (the earliest finish step, at
+    // the heap's top) or when `now` reaches the next admissible request's ready time
+    // (nothing else in the admission condition moves during a run).
     const int run = static_cast<int>(heap.front().finish - gstep);
     const bool admit_pending =
         next < order.size() && static_cast<int>(heap.size()) < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
     const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
+    const model::DecodeStepPricer pricer = lm.DecodePricer(lane_batch);
     int stepped = 0;
-    bool cut = false;
-    while (stepped < run && !cut) {
-      const int chunk = std::min(run - stepped, kDecodeStepChunk);
-      lattice.Clear();
-      for (int s = 0; s < chunk; ++s) {
-        const int64_t lane_ctx = (ctx_sum + static_cast<int64_t>(stepped + s) * batch) / pp;
-        lattice.PushBack(BatchWorkload::Decode(lane_batch, std::max<int64_t>(lane_ctx, 1)));
-      }
-      step_times.resize(static_cast<size_t>(chunk));
-      lm.EvaluateBatch(lattice, {}, step_times);
-      for (int s = 0; s < chunk; ++s) {
-        now += step_times[static_cast<size_t>(s)];
-        ++stepped;
-        if (admit_pending && next_ready <= now) {
-          cut = true;  // the scalar loop would admit before the next step; back to the head
-          break;
-        }
+    while (stepped < run) {
+      const int64_t lane_ctx = (ctx_sum + static_cast<int64_t>(stepped) * batch) / pp;
+      now += pricer.FullTime(std::max<int64_t>(lane_ctx, 1));
+      ++stepped;
+      if (admit_pending && next_ready <= now) {
+        break;  // the scalar loop would admit before the next step; back to the head
       }
     }
     // Apply the whole run at once. Completions can only happen when the run ran to its

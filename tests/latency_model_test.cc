@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "cluster/gpu_spec.h"
+#include "common/rng.h"
+#include "model/calibration.h"
 
 namespace distserve::model {
 
@@ -181,6 +183,44 @@ TEST_F(LatencyModelTest, CoefficientsFromGpuScaleWithHardware) {
   const double pratio = slow_lm.PrefillFullTime(std::vector<int>{512}) /
                         fast_lm.PrefillFullTime(std::vector<int>{512});
   EXPECT_LT(pratio, 1.35);
+}
+
+// The engine and the fast sim price decode runs with DecodePricer; its steps must equal the
+// scalar FullTime bit for bit, on every coefficient set a model can carry.
+TEST_F(LatencyModelTest, DecodePricerBitIdenticalToFullTime) {
+  for (const GpuSpec& gpu : {GpuSpec::A100_80GB(), GpuSpec::L4_24GB(), GpuSpec::H100_80GB()}) {
+    for (const ModelSpec& spec :
+         {ModelSpec::Opt13B(), ModelSpec::Opt66B(), ModelSpec::Opt175B()}) {
+      // A calibrated set: coefficients fitted to a noisy profile, not derived from the GPU.
+      const LatencyModel truth(spec, {1, 1}, gpu);
+      Rng rng(11);
+      const auto calibrated = FitCoefficients(spec, {1, 1}, GenerateProfile(truth, rng, 0.05),
+                                              truth.coeffs());
+      ASSERT_TRUE(calibrated.has_value()) << gpu.name << " " << spec.name;
+      for (int tp : {1, 2, 4, 8}) {
+        for (int pp : {1, 2, 4}) {
+          std::vector<LatencyModel> models;
+          models.emplace_back(spec, ParallelismConfig{tp, pp}, gpu);
+          models.emplace_back(spec, ParallelismConfig{tp, pp}, gpu);
+          models.back().ScaleCollectiveCost(0.0);
+          models.emplace_back(spec, ParallelismConfig{tp, pp}, gpu);
+          models.back().ScaleCollectiveCost(3.0);
+          models.emplace_back(spec, ParallelismConfig{tp, pp}, *calibrated);
+          for (size_t variant = 0; variant < models.size(); ++variant) {
+            const LatencyModel& lm = models[variant];
+            for (int64_t batch : {1, 7, 64, 512}) {
+              const DecodeStepPricer pricer = lm.DecodePricer(batch);
+              for (int64_t ctx : {int64_t{1}, batch, int64_t{1000000}, int64_t{1} << 40}) {
+                EXPECT_EQ(pricer.FullTime(ctx), lm.FullTime(BatchWorkload::Decode(batch, ctx)))
+                    << gpu.name << " " << spec.name << " tp=" << tp << " pp=" << pp
+                    << " variant=" << variant << " batch=" << batch << " ctx=" << ctx;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 struct ModelCase {
