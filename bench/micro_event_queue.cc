@@ -84,6 +84,26 @@ void BM_CancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelChurn);
 
+// The engines' run cut (informational, not gated): a run's event is scheduled at the end of a
+// multi-step run, then moved back in place to the end of the step in flight when the run's
+// membership changes, while `range(0)` other runs' events stand in the queue.
+void BM_RescheduleEarlier(benchmark::State& state) {
+  const int64_t standing = state.range(0);
+  simcore::Simulator sim;
+  for (int64_t i = 0; i < standing; ++i) {
+    sim.ScheduleAt(1e9 + static_cast<double>(i), [] {});
+  }
+  double t = 0.0;
+  for (auto _ : state) {
+    t += 1e-3;
+    const simcore::EventHandle run = sim.ScheduleAt(t + 8e-3, [] {});
+    sim.Reschedule(run, t);
+    benchmark::DoNotOptimize(sim.Run(t));  // fires the cut run, none of the standing ones
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RescheduleEarlier)->Arg(0)->Arg(64);
+
 void BM_DecodeInstanceSteps(benchmark::State& state) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());

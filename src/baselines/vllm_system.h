@@ -98,6 +98,7 @@ class VllmSystem {
     return instances_;
   }
   int total_gpus() const { return config_.par.num_gpus() * config_.num_instances; }
+  const simcore::Simulator& simulator() const { return *sim_; }
 
  private:
   // Scenario machinery: schedules the request's cancel_at / deadline events (no-ops when

@@ -72,13 +72,9 @@ void ColocatedInstance::CommitStart() {
 
 void ColocatedInstance::CutRun() {
   if (run_.CutAfterCommitted()) {
-    run_.event.Cancel();
-    ScheduleRunEnd();
+    const bool moved = sim_->Reschedule(run_.event, run_.end());
+    DS_CHECK(moved) << "colocated " << id_ << ": run without an event";
   }
-}
-
-void ColocatedInstance::ScheduleRunEnd() {
-  run_.event = sim_->ScheduleAt(run_.end(), [this] { RunEnd(); });
 }
 
 int64_t ColocatedInstance::steps_executed() const {
@@ -343,7 +339,7 @@ void ColocatedInstance::MaybeStep() {
   }
   run_decodes_ = decodes_advance;
   CommitStart();
-  ScheduleRunEnd();
+  run_.event = sim_->ScheduleAt(run_.end(), [this] { RunEnd(); });
 }
 
 void ColocatedInstance::RunEnd() {

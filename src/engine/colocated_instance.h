@@ -144,7 +144,6 @@ class ColocatedInstance {
   void CommitStart();
   // Moves the run's event to the end of the step in flight (the queues changed mid-run).
   void CutRun();
-  void ScheduleRunEnd();
   // Adds one prompt's chunk (or whole remaining prompt) to `workload`; stamps prefill_start
   // on the first computed token and opens the prefill_exec span.
   void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);

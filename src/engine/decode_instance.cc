@@ -374,14 +374,9 @@ void DecodeInstance::CutEarliestRun() {
 void DecodeInstance::CutRun(size_t lane_idx) {
   StepRun& run = lanes_[lane_idx].run;
   if (run.in_flight() && run.CutAfterCommitted()) {
-    run.event.Cancel();
-    ScheduleRunEnd(lane_idx);
+    const bool moved = sim_->Reschedule(run.event, run.end());
+    DS_CHECK(moved) << "decode " << id_ << " lane " << lane_idx << ": run without an event";
   }
-}
-
-void DecodeInstance::ScheduleRunEnd(size_t lane_idx) {
-  lanes_[lane_idx].run.event =
-      sim_->ScheduleAt(lanes_[lane_idx].run.end(), [this, lane_idx] { LaneRunEnd(lane_idx); });
 }
 
 void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
@@ -419,7 +414,7 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   }
   lane.joining.erase(lane.joining.begin(),
                      lane.joining.begin() + static_cast<std::ptrdiff_t>(admit));
-  ScheduleRunEnd(lane_idx);
+  lane.run.event = sim_->ScheduleAt(lane.run.end(), [this, lane_idx] { LaneRunEnd(lane_idx); });
 }
 
 void DecodeInstance::LaneRunEnd(size_t lane_idx) {

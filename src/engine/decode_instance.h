@@ -168,7 +168,6 @@ class DecodeInstance {
   // candidates changed without an admission pass, and the per-step schedule makes one at
   // every step end.
   void CutEarliestRun();
-  void ScheduleRunEnd(size_t lane_idx);
 
   simcore::Simulator* sim_;
   model::LatencyModel latency_model_;

@@ -194,7 +194,7 @@ class StepRun {
     return true;
   }
 
-  // The pending event at end(); cancelled and rescheduled on a cut.
+  // The pending event at end(); re-timed in place (Simulator::Reschedule) on a cut.
   simcore::EventHandle event;
 
  private:

@@ -1,6 +1,5 @@
 #include "simcore/event_queue.h"
 
-#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -19,38 +18,28 @@ bool EventHandle::pending() const {
   return queue_ != nullptr && queue_->HandlePending(node_, generation_);
 }
 
-uint32_t EventQueue::AcquireNode(EventCallback&& fn) {
-  uint32_t index;
+uint32_t EventQueue::AcquireNode() {
   if (free_head_ != kNilNode) {
-    index = free_head_;
-    free_head_ = nodes_[index].next_free;
-    nodes_[index].next_free = kNilNode;
-  } else {
-    index = static_cast<uint32_t>(nodes_.size());
-    nodes_.emplace_back();  // slab growth: the only allocation outside steady state
+    const uint32_t node = free_head_;
+    free_head_ = slots_[node].link;
+    return node;
   }
-  nodes_[index].fn = std::move(fn);
-  return index;
-}
-
-void EventQueue::ReleaseNode(uint32_t index) {
-  Node& node = nodes_[index];
-  node.fn.reset();  // free boxed callbacks promptly; inline ones just run their dtor
-  ++node.generation;
-  node.next_free = free_head_;
-  free_head_ = index;
+  // Slab growth: the only allocations outside steady state.
+  const auto node = static_cast<uint32_t>(slots_.size());
+  if ((node & (kChunk - 1)) == 0) {
+    chunks_.push_back(std::make_unique<EventCallback[]>(kChunk));
+  }
+  slots_.push_back(Slot{kNilNode, 0});
+  return node;
 }
 
 void EventQueue::CancelNode(uint32_t node, uint32_t generation) {
-  if (node < nodes_.size() && nodes_[node].generation == generation) {
-    ReleaseNode(node);
-    ++dead_count_;  // entry is still stored in the heap; tally it for compaction
+  if (slots_[node].generation == generation) {
+    ++slots_[node].generation;
+    Callback(node).reset();  // free boxed callbacks promptly; inline ones just run their dtor
+    ++dead_count_;  // the entry is still stored; its node is freed when the entry leaves
     ++cancelled_;
   }
-}
-
-EventHandle EventQueue::Schedule(SimTime when, EventCallback&& fn) {
-  return Push(when, next_seq_++, std::move(fn));
 }
 
 EventHandle EventQueue::ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn) {
@@ -60,59 +49,94 @@ EventHandle EventQueue::ScheduleReserved(SimTime when, uint64_t seq, EventCallba
 
 EventHandle EventQueue::Push(SimTime when, uint64_t seq, EventCallback&& fn) {
   DS_DCHECK(when >= 0.0);
-  const uint32_t node = AcquireNode(std::move(fn));
-  const uint32_t generation = nodes_[node].generation;
-  heap_.push_back(Entry{when, seq, node, generation});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-  MaybeCompact();
+  const uint32_t node = AcquireNode();
+  Callback(node) = std::move(fn);
+  const uint32_t generation = slots_[node].generation;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{when, seq, node, generation});
+  if (dead_count_ * 2 > heap_.size()) {
+    Compact();
+  }
   return EventHandle(this, node, generation);
 }
 
-void EventQueue::DropDead() const {
-  if (dead_count_ == 0) {
-    return;  // common case: skip the liveness load on the heap top entirely
+bool EventQueue::Reschedule(const EventHandle& handle, SimTime when) {
+  DS_DCHECK(when >= 0.0);
+  if (handle.queue_ != this || !HandlePending(handle.node_, handle.generation_)) {
+    return false;
   }
-  while (!heap_.empty() && !EntryLive(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+  const uint32_t pos = slots_[handle.node_].link;
+  Entry e = heap_[pos];
+  const bool earlier = when < e.time;
+  e.time = when;
+  e.seq = next_seq_++;
+  // An earlier time lowers the key and a later or equal one raises it (the fresh sequence
+  // number is above every stored one), so one direction suffices.
+  if (earlier) {
+    SiftUp(pos, e);
+  } else {
+    SiftDown(pos, e);
+  }
+  return true;
+}
+
+void EventQueue::SiftUp(size_t hole, Entry e) {
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!Before(e, heap_[parent])) {
+      break;
+    }
+    Place(hole, heap_[parent]);
+    hole = parent;
+  }
+  Place(hole, e);
+}
+
+void EventQueue::SiftDown(size_t hole, Entry e) {
+  const size_t n = heap_.size();
+  for (size_t child; (child = 2 * hole + 1) < n; hole = child) {
+    if (child + 1 < n && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], e)) {
+      break;
+    }
+    Place(hole, heap_[child]);
+  }
+  Place(hole, e);
+}
+
+void EventQueue::DropDead() {
+  while (dead_count_ != 0 && !Live(heap_.front())) {
+    const uint32_t node = heap_.front().node;
+    RemoveTop();
+    FreeNode(node);
     --dead_count_;
   }
 }
 
-void EventQueue::MaybeCompact() {
-  if (dead_count_ * 2 <= heap_.size()) {
-    return;
+void EventQueue::Compact() {
+  size_t kept = 0;
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    const Entry e = heap_[i];
+    if (Live(e)) {
+      Place(kept++, e);
+    } else {
+      FreeNode(e.node);
+    }
   }
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const Entry& e) { return !EntryLive(e); }),
-              heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.resize(kept);
+  for (size_t i = kept / 2; i-- > 0;) {  // bottom-up heapify
+    SiftDown(i, heap_[i]);
+  }
   dead_count_ = 0;
 }
 
-bool EventQueue::empty() const {
-  DropDead();
-  return heap_.empty();
-}
-
-SimTime EventQueue::NextTime() const {
-  DropDead();
-  if (heap_.empty()) {
-    return std::numeric_limits<SimTime>::infinity();
+SimTime EventQueue::NextTime() {
+  if (dead_count_ != 0) {
+    DropDead();
   }
-  return heap_.front().time;
-}
-
-EventQueue::Fired EventQueue::Pop() {
-  MaybeCompact();
-  DropDead();
-  DS_CHECK(!heap_.empty()) << "Pop on empty event queue";
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  Fired fired{entry.time, std::move(nodes_[entry.node].fn)};
-  ReleaseNode(entry.node);  // bumps the generation so handles report !pending()
-  return fired;
+  return heap_.empty() ? std::numeric_limits<SimTime>::infinity() : heap_.front().time;
 }
 
 }  // namespace distserve::simcore

@@ -1,17 +1,12 @@
 #include "simcore/simulator.h"
 
-#include "common/logging.h"
+#include <cmath>
 
 namespace distserve::simcore {
 
 int64_t Simulator::Run(SimTime until) {
   int64_t processed = 0;
-  while (!queue_.empty() && queue_.NextTime() <= until) {
-    EventQueue::Fired fired = queue_.Pop();
-    DS_DCHECK(fired.time >= now_);
-    now_ = fired.time;
-    last_event_time_ = fired.time;
-    fired.fn();
+  while (FireNext(until)) {
     ++processed;
     ++events_processed_;
   }
@@ -24,13 +19,10 @@ int64_t Simulator::Run(SimTime until) {
 }
 
 int64_t Simulator::RunBefore(SimTime bound) {
+  // "Strictly before bound" is "at or before the largest double below it".
+  const SimTime until = std::nextafter(bound, -std::numeric_limits<SimTime>::infinity());
   int64_t processed = 0;
-  while (!queue_.empty() && queue_.NextTime() < bound) {
-    EventQueue::Fired fired = queue_.Pop();
-    DS_DCHECK(fired.time >= now_);
-    now_ = fired.time;
-    last_event_time_ = fired.time;
-    fired.fn();
+  while (FireNext(until)) {
     ++processed;
     ++events_processed_;
   }

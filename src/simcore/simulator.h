@@ -50,6 +50,14 @@ class Simulator {
     return queue_.Schedule(now_ + delay, std::move(fn));
   }
 
+  // Moves a pending event to `when` (must be >= now()) in place: same callback, same handle,
+  // and the tie position a fresh ScheduleAt(when, ...) would get (EventQueue::Reschedule).
+  // Returns false, changing nothing, when the handle is not pending.
+  bool Reschedule(const EventHandle& handle, SimTime when) {
+    DS_DCHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
+    return queue_.Reschedule(handle, when);
+  }
+
   // Reserves `n` consecutive event sequence numbers and returns the first
   // (EventQueue::ReserveSeqs). An event scheduled later under one of them with
   // ScheduleReserved ties against every other event as if it had been scheduled at reservation
@@ -89,7 +97,7 @@ class Simulator {
 
   // Time of the earliest pending event; +infinity when idle. The sharded simulator computes
   // each lookahead window's start as the minimum across shards.
-  SimTime NextTime() const { return queue_.NextTime(); }
+  SimTime NextTime() { return queue_.NextTime(); }
 
   // Entries stored in the event queue (EventQueue::size).
   size_t queue_size() const { return queue_.size(); }
@@ -118,6 +126,15 @@ class Simulator {
       fire(index);
     }
   };
+
+  // Fires the next event at or before `until`, advancing the clock to it first.
+  bool FireNext(SimTime until) {
+    return queue_.FireNext(until, [this](SimTime when) {
+      DS_DCHECK(when >= now_);
+      now_ = when;
+      last_event_time_ = when;
+    });
+  }
 
   EventQueue queue_;
   SimTime now_ = 0.0;

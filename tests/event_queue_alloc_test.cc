@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "simcore/event_queue.h"
 #include "simcore/simulator.h"
@@ -53,7 +54,7 @@ TEST(EventQueueAllocTest, SteadyStateScheduleFireAllocatesNothing) {
     queue.Schedule(static_cast<SimTime>(i), [&fired] { ++fired; });
   }
   while (!queue.empty()) {
-    queue.Pop().fn();
+    queue.FireNext();
   }
   ASSERT_EQ(fired, 64);
 
@@ -61,8 +62,7 @@ TEST(EventQueueAllocTest, SteadyStateScheduleFireAllocatesNothing) {
   AllocationScope scope;
   for (int i = 0; i < kEvents; ++i) {
     queue.Schedule(static_cast<SimTime>(i), [&fired] { ++fired; });
-    auto event = queue.Pop();
-    event.fn();
+    queue.FireNext();
   }
   EXPECT_EQ(scope.count(), 0u) << "steady-state events must reuse slab nodes";
   EXPECT_EQ(fired, 64 + kEvents);
@@ -98,6 +98,40 @@ TEST(EventQueueAllocTest, SteadyStateCancelChurnAllocatesNothing) {
   }
   EXPECT_EQ(scope.count(), 0u) << "cancel churn must not touch the heap allocator";
   EXPECT_TRUE(queue.empty()) << "every scheduled event was cancelled";
+}
+
+TEST(EventQueueAllocTest, SteadyStateRescheduleChurnAllocatesNothing) {
+  // The engines' run-cut pattern: a run event is scheduled at the end of a long run, cut back
+  // to an earlier step boundary (sometimes twice) and fired, while other runs stand in the
+  // queue. Re-timing moves the entry in place: no node, no heap entry, no cancellation.
+  EventQueue queue;
+  std::vector<EventHandle> standing;
+  standing.reserve(64);
+  for (int i = 0; i < 64; ++i) {
+    standing.push_back(queue.Schedule(1e9 + i, [] {}));
+  }
+  int fired = 0;
+  const auto cycle = [&](int i) {
+    const SimTime t = static_cast<SimTime>(i);
+    EventHandle run = queue.Schedule(t + 8.0, [&fired] { ++fired; });
+    queue.Reschedule(run, t + 4.0);
+    if (i % 2 == 0) {
+      queue.Reschedule(run, t + 1.0);
+    }
+    queue.Reschedule(standing[static_cast<size_t>(i) % standing.size()], 1e9 + 64 + i);
+    queue.FireNext();
+  };
+  cycle(0);  // warm-up: the slab and heap reach their steady-state footprint
+
+  constexpr int kEvents = 10000;
+  AllocationScope scope;
+  for (int i = 1; i <= kEvents; ++i) {
+    cycle(i);
+  }
+  EXPECT_EQ(scope.count(), 0u) << "re-timing must not touch the heap allocator";
+  EXPECT_EQ(fired, 1 + kEvents);
+  EXPECT_EQ(queue.cancelled(), 0u);
+  EXPECT_EQ(queue.size(), standing.size()) << "no dead entry left behind";
 }
 
 TEST(EventQueueAllocTest, SimulatorRunLoopIsAllocationFreePerEvent) {

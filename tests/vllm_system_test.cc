@@ -73,6 +73,29 @@ TEST(VllmSystemTest, InterferenceShowsInTpotUnderLoad) {
   EXPECT_GT(loaded.TpotPercentile(90), 2.0 * idle.TpotPercentile(90));
 }
 
+// Every arrival that lands mid-run cuts the run, and a cut re-times the run's event in place,
+// so a fault-free run fires every event it schedules (ServingSystemTest's check, on the
+// colocated engine). Cutting by Cancel + ScheduleAt cancelled 186 events on this trace (164
+// chunked).
+void ExpectFaultFreeRunCancelsNothing(const VllmConfig& config) {
+  VllmSystem system(config);
+  const metrics::Collector results = system.Run(MakeTrace(6.0, 400, 3));
+  ASSERT_EQ(results.count(), 400u);
+  EXPECT_GT(system.simulator().events_processed(), 0);
+  EXPECT_EQ(system.simulator().events_cancelled(), 0);
+}
+
+TEST(VllmSystemTest, FaultFreeRunCancelsNothing) {
+  ExpectFaultFreeRunCancelsNothing(BasicConfig());
+}
+
+TEST(VllmSystemTest, ChunkedFaultFreeRunCancelsNothing) {
+  VllmConfig config = BasicConfig();
+  config.engine_options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
+  config.engine_options.chunk_budget = 512;
+  ExpectFaultFreeRunCancelsNothing(config);
+}
+
 // --- Run() streams its arrivals; the results match the up-front schedule bit for bit ---
 
 // The streaming interface driven with one ScheduleAt per request up front: the arrival
