@@ -130,6 +130,8 @@ metrics::Collector VllmSystem::FinishStream(double /*end_time*/) {
 }
 
 metrics::Collector VllmSystem::Run(const workload::Trace& trace) {
+  DS_CHECK(!ran_) << "a VllmSystem runs once: build a new system for each Run";
+  ran_ = true;
   BeginStream(trace.size());
   sim_->StreamArrivals(
       trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },

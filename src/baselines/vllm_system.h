@@ -63,7 +63,8 @@ class VllmSystem {
   ~VllmSystem();
 
   // Replays the trace to completion. Arrival times must not decrease (a trace that does
-  // aborts, naming the offending index).
+  // aborts, naming the offending index). A system runs once: a second Run aborts, since the
+  // clock would carry over from the first run. Build a new system for each trace.
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
@@ -115,6 +116,7 @@ class VllmSystem {
   std::function<void(const engine::RequestState&)> on_request_done_;
   int64_t completed_ = 0;
   int64_t submitted_ = 0;  // this stream's Submit calls
+  bool ran_ = false;       // Run was called (a system runs once)
 };
 
 // Per-instance goodput of a colocated configuration under joint TTFT+TPOT SLOs, using the

@@ -56,6 +56,10 @@ void DecodeInstance::CommitThrough(double now) {
 
 void DecodeInstance::CommitStart(size_t lane_idx) {
   Lane& lane = lanes_[lane_idx];
+  if (lane.run.AtFold()) {
+    CommitFold(lane_idx);
+    return;
+  }
   const int i = lane.run.CommitStart();
   if (i > 0) {  // step i starts where step i - 1 ends
     tokens_generated_ += lane.batch.EndStep();
@@ -101,9 +105,19 @@ int64_t DecodeInstance::tokens_generated() const {
   const double now = sim_->now();
   int64_t tokens = tokens_generated_;
   for (const Lane& lane : lanes_) {
-    if (lane.run.in_flight()) {
-      tokens += static_cast<int64_t>(lane.run.StartedBy(now) - lane.run.committed()) *
-                static_cast<int64_t>(lane.batch.size());
+    if (!lane.run.in_flight()) {
+      continue;
+    }
+    // Each started, uncommitted step i ended step i - 1, which the batch ran; steps after a
+    // pending fold's boundary ran with its joiners too.
+    const int started = lane.run.StartedBy(now);
+    tokens += static_cast<int64_t>(started - lane.run.committed()) *
+              static_cast<int64_t>(lane.batch.size());
+    if (lane.run.fold_pending()) {
+      const int after_fold = started - lane.run.fold_step() - 1;
+      if (after_fold > 0) {
+        tokens += static_cast<int64_t>(after_fold) * static_cast<int64_t>(JoinersAdmitted(lane));
+      }
     }
   }
   return tokens;
@@ -204,6 +218,7 @@ bool DecodeInstance::PreemptLowestBelow(int floor) {
     CutRun(victim_lane);
   } else {
     lane.joining.erase(lane.joining.begin() + static_cast<std::ptrdiff_t>(victim_pos));
+    UnfoldRun(victim_lane);
   }
   ++victim->preemptions;
   ++preemptions_;
@@ -270,7 +285,9 @@ void DecodeInstance::Abort(RequestState* request) {
   --resident_count_;
   for (size_t l = 0; l < lanes_.size(); ++l) {
     Lane& lane = lanes_[l];
-    std::erase(lane.joining, request);
+    if (std::erase(lane.joining, request) != 0) {
+      UnfoldRun(l);
+    }
     for (size_t k = 0; k < lane.batch.size(); ++k) {
       if (lane.batch[k].request == request) {
         lane.batch.Remove(k);
@@ -346,14 +363,97 @@ void DecodeInstance::OnTransferDone(RequestState* request) {
   }
   Lane& lane = lanes_[best];
   lane.joining.push_back(request);
+  const bool tenant_blocked = priorities_active_ && !pending_.empty();
   if (!lane.run.in_flight()) {
     LaneMaybeStep(best);
   } else if (static_cast<int>(lane.batch.size()) < per_lane_cap()) {
-    CutRun(best);  // the joiner merges at the end of the step in flight
+    // The joiner merges at the end of the step in flight: inside the run, unless a blocked
+    // tenant may preempt it there, which takes the admission pass a run end makes.
+    if (tenant_blocked) {
+      CutRun(best);
+    } else {
+      FoldJoiners(best);
+    }
   }
-  if (priorities_active_ && !pending_.empty()) {
+  if (tenant_blocked) {
     CutEarliestRun();  // a blocked tenant may preempt the joiner at the next step end
   }
+}
+
+size_t DecodeInstance::JoinersAdmitted(const Lane& lane) const {
+  const size_t cap = static_cast<size_t>(per_lane_cap());
+  return lane.batch.size() < cap ? std::min(lane.joining.size(), cap - lane.batch.size()) : 0;
+}
+
+void DecodeInstance::FoldJoiners(size_t lane_idx) {
+  Lane& lane = lanes_[lane_idx];
+  StepRun& run = lane.run;
+  if (run.committed() == run.len()) {
+    return;  // the run ends with the step in flight; its event admits the joiners
+  }
+  // The batch as LaneMaybeStep would form it at the boundary: the step in flight adds one
+  // token per member, then the joiners up to the cap join.
+  const size_t admit = JoinersAdmitted(lane);
+  int64_t ctx_tokens = lane.batch.ctx_tokens() + static_cast<int64_t>(lane.batch.size());
+  int64_t steps = std::min<int64_t>(lane.batch.StepsToNextFinish() - 1, kDecodeStepChunk);
+  for (size_t k = 0; k < admit; ++k) {
+    ctx_tokens += lane.joining[k]->context_len();
+    steps = std::min<int64_t>(steps, lane.joining[k]->remaining_decode_steps());
+  }
+  const bool refold = run.fold_pending();
+  run.FoldDecode(latency_model_, static_cast<int64_t>(lane.batch.size() + admit), ctx_tokens,
+                 static_cast<int>(steps), /*overhead=*/0.0);
+  MoveRunEvent(lane_idx, /*keep_seq=*/refold);
+}
+
+void DecodeInstance::UnfoldRun(size_t lane_idx) {
+  if (lanes_[lane_idx].run.fold_pending()) {
+    CutRun(lane_idx);
+  }
+}
+
+void DecodeInstance::CommitFold(size_t lane_idx) {
+  // What a cut run's end event and LaneMaybeStep did at this boundary: end the step before
+  // it, close that run's span, then start the next run with the joiners. No member finishes
+  // here (the fold's run did not end at this boundary), and the admission pass such an event
+  // made is a no-op: a fold needs no blocked tenant, and no memory was freed since the last
+  // pass.
+  Lane& lane = lanes_[lane_idx];
+  tokens_generated_ += lane.batch.EndStep();
+  DS_DCHECK(lane.batch.StepsToNextFinish() > 0);
+  TraceRun(lane_idx, lane.run.fold_step());
+  lane.run.DropBeforeFold();
+  const int64_t first_joiner = lane.batch.next_seq();
+  const size_t admit = MergeJoiners(lane_idx, lane.run.start_of(0));
+  StartMergedRun(lane_idx, admit, first_joiner);
+}
+
+size_t DecodeInstance::MergeJoiners(size_t lane_idx, double at) {
+  Lane& lane = lanes_[lane_idx];
+  const size_t admit = JoinersAdmitted(lane);
+  for (size_t k = 0; k < admit; ++k) {
+    lane.joining[k]->record.decode_start = at;
+    lane.batch.Join(lane.joining[k]);
+  }
+  return admit;
+}
+
+void DecodeInstance::StartMergedRun(size_t lane_idx, size_t admit, int64_t first_joiner) {
+  Lane& lane = lanes_[lane_idx];
+  CommitStart(lane_idx);
+  if (recorder_ != nullptr) {
+    // Residents first, then the joiners in join order: the order their queue spans close.
+    const double at = lane.run.start_of(0);
+    TraceMembers(lane_idx, at, first_joiner);
+    for (size_t k = 0; k < admit; ++k) {
+      RequestState* r = lane.joining[k];
+      recorder_->Transition(r->request.id, at, trace::SpanKind::kDecodeStep,
+                            trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
+                            r->decode_steps_done);
+    }
+  }
+  lane.joining.erase(lane.joining.begin(),
+                     lane.joining.begin() + static_cast<std::ptrdiff_t>(admit));
 }
 
 void DecodeInstance::CutEarliestRun() {
@@ -373,10 +473,20 @@ void DecodeInstance::CutEarliestRun() {
 
 void DecodeInstance::CutRun(size_t lane_idx) {
   StepRun& run = lanes_[lane_idx].run;
-  if (run.in_flight() && run.CutAfterCommitted()) {
-    const bool moved = sim_->Reschedule(run.event, run.end());
-    DS_CHECK(moved) << "decode " << id_ << " lane " << lane_idx << ": run without an event";
+  if (!run.in_flight()) {
+    return;
   }
+  const bool unfold = run.fold_pending();
+  if (run.CutAfterCommitted()) {
+    MoveRunEvent(lane_idx, /*keep_seq=*/unfold);
+  }
+}
+
+void DecodeInstance::MoveRunEvent(size_t lane_idx, bool keep_seq) {
+  StepRun& run = lanes_[lane_idx].run;
+  const bool moved =
+      keep_seq ? sim_->Retime(run.event, run.end()) : sim_->Reschedule(run.event, run.end());
+  DS_CHECK(moved) << "decode " << id_ << " lane " << lane_idx << ": run without an event";
 }
 
 void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
@@ -386,14 +496,8 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
   }
   // Merge joiners up to the lane cap; they start decoding with this run.
   const double now = sim_->now();
-  const size_t cap = static_cast<size_t>(per_lane_cap());
-  const size_t admit =
-      lane.batch.size() < cap ? std::min(lane.joining.size(), cap - lane.batch.size()) : 0;
   const int64_t first_joiner = lane.batch.next_seq();
-  for (size_t k = 0; k < admit; ++k) {
-    lane.joining[k]->record.decode_start = now;
-    lane.batch.Join(lane.joining[k]);
-  }
+  const size_t admit = MergeJoiners(lane_idx, now);
   if (lane.batch.empty()) {
     return;
   }
@@ -401,19 +505,7 @@ void DecodeInstance::LaneMaybeStep(size_t lane_idx) {
       static_cast<int>(std::min<int64_t>(lane.batch.StepsToNextFinish(), kDecodeStepChunk));
   lane.run.StartDecode(latency_model_, now, static_cast<int64_t>(lane.batch.size()),
                        lane.batch.ctx_tokens(), steps, /*overhead=*/0.0);
-  CommitStart(lane_idx);
-  if (recorder_ != nullptr) {
-    // Residents first, then the joiners in join order: the order their queue spans close.
-    TraceMembers(lane_idx, now, first_joiner);
-    for (size_t k = 0; k < admit; ++k) {
-      RequestState* r = lane.joining[k];
-      recorder_->Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
-                            trace::DecodePid(id_), static_cast<int32_t>(lane_idx),
-                            r->decode_steps_done);
-    }
-  }
-  lane.joining.erase(lane.joining.begin(),
-                     lane.joining.begin() + static_cast<std::ptrdiff_t>(admit));
+  StartMergedRun(lane_idx, admit, first_joiner);
   lane.run.event = sim_->ScheduleAt(lane.run.end(), [this, lane_idx] { LaneRunEnd(lane_idx); });
 }
 

@@ -20,10 +20,14 @@
 // member's progress is the lane's step minus its join step, written into
 // RequestState::decode_steps_done only when read (completion, Abort, preemption, Fail). The
 // lane fires one DES event per membership-stable run, at its earliest completion or after
-// kDecodeStepChunk steps; a join, Abort or preemption cuts the run at the end of the step in
-// flight. The per-step engine also re-ran admission at every step end, so a change to its
-// inputs between run events (the blocked head of the queue aborted, or a join that a blocked
-// tenant may preempt) cuts whichever run's step ends first. Step times, busy time and step counts are accumulated step by step in the order the
+// kDecodeStepChunk steps; an Abort or preemption cuts the run at the end of the step in
+// flight. A join below the lane cap folds into the run there instead (StepRun::FoldDecode),
+// unless a tenant waits blocked, who may preempt the joiner at that boundary; then it cuts.
+// Until the fold's boundary commits, the joiners stay in the lane's joining list, and any
+// change to them unfolds the run back to a cut. The per-step engine also re-ran admission at
+// every step end, so a change to its inputs between run events (the blocked head of the
+// queue aborted, or a join that a blocked tenant may preempt) cuts whichever run's step ends
+// first. Step times, busy time and step counts are accumulated step by step in the order the
 // per-step engine used, so every sim time and counter is bit-identical to stepping one event
 // per token (tests/engine_run_stepping_test.cc keeps that engine as its reference).
 #ifndef DISTSERVE_ENGINE_DECODE_INSTANCE_H_
@@ -141,6 +145,22 @@ class DecodeInstance {
 
   void TryAdmit();
   void OnTransferDone(RequestState* request);
+  // Joiners that merge into the lane at its next run boundary: up to the lane cap.
+  size_t JoinersAdmitted(const Lane& lane) const;
+  // Folds the lane's joiners into its run at the end of the step in flight: the run keeps
+  // its steps through that one and continues with the merged batch (StepRun::FoldDecode).
+  void FoldJoiners(size_t lane_idx);
+  // Cuts a run with a pending fold back to the fold's boundary, where its event then admits
+  // the joiners as a cut run's does (the lane's joiners changed before they merged).
+  void UnfoldRun(size_t lane_idx);
+  // Commits a fold's boundary: ends the step before it, traces the run up to it, and starts
+  // the merged batch's run there.
+  void CommitFold(size_t lane_idx);
+  // Joins up to the lane cap of joiners into the batch at `at`; returns how many.
+  size_t MergeJoiners(size_t lane_idx, double at);
+  // Commits step 0 of a run the first `admit` joiners just merged into, traces each member's
+  // first step (members from `first_joiner` on are the joiners), and drops the joiners.
+  void StartMergedRun(size_t lane_idx, size_t admit, int64_t first_joiner);
   // Merges joiners up to the lane cap and starts the lane's next run (no-op mid-run).
   void LaneMaybeStep(size_t lane_idx);
   // The run's event: ends its last step, completes the members that finished on it, then
@@ -164,6 +184,10 @@ class DecodeInstance {
   void TraceRun(size_t lane_idx, int steps);
   // Moves the lane's event to the end of the step in flight (membership changed mid-run).
   void CutRun(size_t lane_idx);
+  // Moves the lane's run event to the run's end. A cut or a first fold gives it a fresh
+  // sequence number, the one a cut always took; a re-fold or an unfold (`keep_seq`) keeps
+  // the one the first fold took, so an unfolded run ends exactly as the cut it replaced.
+  void MoveRunEvent(size_t lane_idx, bool keep_seq);
   // Cuts the run whose step in flight ends first: the admission queue or the preemption
   // candidates changed without an admission pass, and the per-step schedule makes one at
   // every step end.

@@ -19,7 +19,7 @@ PrefillInstance::PrefillInstance(simcore::Simulator* sim, model::LatencyModel la
   DS_CHECK_GT(options_.batch_policy.max_batch_size, 0);
 }
 
-void PrefillInstance::Enqueue(RequestState* request) {
+void PrefillInstance::Enqueue(RequestState* request, bool last_in_event) {
   DS_CHECK(request != nullptr);
   DS_CHECK(alive_) << "enqueue on failed prefill instance " << id_;
   DS_CHECK(kv_.BlocksForTokens(request->request.input_len) <= kv_.total_blocks())
@@ -31,7 +31,7 @@ void PrefillInstance::Enqueue(RequestState* request) {
                                  trace::SpanKind::kPrefillQueue, trace::PrefillPid(id_), 0));
   queue_.push_back(request);
   queued_tokens_ += request->request.input_len;
-  MaybeScheduleLaunch();
+  MaybeScheduleLaunch(last_in_event);
 }
 
 void PrefillInstance::ReleaseKv(RequestState* request) {
@@ -69,7 +69,9 @@ void PrefillInstance::Fail() {
   queue_.clear();
   queued_tokens_ = 0;
   inflight_tokens_ = 0;
+  inflight_batches_ = 0;
   launch_scheduled_ = false;
+  launch_at_completion_ = false;
   stalled_on_memory_ = false;
   stage0_free_at_ = 0.0;
   prev_entry_ = 0.0;
@@ -85,15 +87,44 @@ void PrefillInstance::Recover() {
   alive_ = true;
 }
 
-void PrefillInstance::MaybeScheduleLaunch() {
+void PrefillInstance::MaybeScheduleLaunch(bool may_launch_inline) {
   if (launch_scheduled_ || stalled_on_memory_ || queue_.empty()) {
     return;
   }
+  const double now = sim_->now();
+  const double when = std::max(now, stage0_free_at_);
+  if (may_launch_inline && launch_in_place_ && when == now && sim_->running() &&
+      sim_->NextTime() > now) {
+    // A launch event at now would be the next to fire: nothing else is pending at now, and
+    // the caller's event does nothing after this call.
+    OnLaunchEvent();
+    return;
+  }
   launch_scheduled_ = true;
-  const double when = std::max(sim_->now(), stage0_free_at_);
+  if (launch_in_place_ && inflight_batches_ > 0 && latency_model_.par().pp == 1) {
+    // Stage 0 frees when the batch in flight completes, so the launch would be an event at
+    // that completion's time. Reserve its sequence number instead; the completion launches
+    // under it (LaunchAtReservedSeq).
+    launch_seq_ = sim_->ReserveSeqs(1);
+    launch_at_completion_ = true;
+    return;
+  }
   sim_->ScheduleAt(when, [this, epoch = epoch_] {
     if (epoch != epoch_) {
       return;  // scheduled before a failure
+    }
+    OnLaunchEvent();
+  });
+}
+
+void PrefillInstance::LaunchAtReservedSeq() {
+  if (sim_->NextTime() > sim_->now()) {
+    OnLaunchEvent();  // the reserved event would fire next: launch in place
+    return;
+  }
+  sim_->ScheduleReserved(sim_->now(), launch_seq_, [this, epoch = epoch_] {
+    if (epoch != epoch_) {
+      return;
     }
     OnLaunchEvent();
   });
@@ -185,6 +216,7 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
   DS_TRACE(recorder_, InstanceSpan(trace::PrefillPid(id_), 0, trace::SpanKind::kPrefillExec,
                                    entry, entry + stage_time, batches_launched_));
   inflight_tokens_ += batch_tokens;
+  ++inflight_batches_;
   prev_entry_ = entry;
   prev_stage_time_ = stage_time;
   stage0_free_at_ = entry + stage_time;
@@ -198,6 +230,7 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
       return;  // the instance died while this batch was in flight
     }
     inflight_tokens_ -= batch_tokens;
+    --inflight_batches_;
     for (RequestState* r : batch) {
       r->record.first_token = sim_->now();
       if (on_complete_) {
@@ -205,6 +238,10 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
       }
     }
     spare_batches_.push_back(std::move(batch));  // its capacity serves a later batch
+    if (launch_at_completion_) {
+      launch_at_completion_ = false;
+      LaunchAtReservedSeq();
+    }
   });
 
   // The next batch may enter once stage 0 frees.

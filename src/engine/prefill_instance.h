@@ -13,6 +13,16 @@
 //
 // Completion of a batch stamps first_token on every member and fires the on_complete callback
 // (the serving layer then dispatches to a decode instance and schedules the pull).
+//
+// Launches cost no event of their own where none could be observed. An idle instance whose
+// Enqueue ends the caller's event (last_in_event, inside Simulator::Run) launches at once
+// when nothing else is pending at now: a zero-delay launch event would have fired next. With
+// pp = 1, stage 0 frees exactly when the batch in flight completes, so a launch armed while
+// it runs reserves the sequence number its event would have taken (Simulator::ReserveSeqs)
+// and the completion runs it: in place when nothing else is pending at now, otherwise as an
+// event under that number. Every other launch (enqueues outside Run or several in one
+// callback, a stalled launcher unblocked by ReleaseKv, pp > 1 cadence and bubble waits) stays
+// an event, so each launch fires in the same (time, sequence) order as a launch event would.
 #ifndef DISTSERVE_ENGINE_PREFILL_INSTANCE_H_
 #define DISTSERVE_ENGINE_PREFILL_INSTANCE_H_
 
@@ -50,8 +60,19 @@ class PrefillInstance {
   // Optional span recorder (trace/recorder.h); null leaves the hot path untouched.
   void set_recorder(trace::Recorder* recorder) { recorder_ = recorder; }
 
+  // Whether launches may run inside the events that cause them (the default; see the header
+  // comment). An instance whose simulator also runs other systems' events turns it off:
+  // whether an event is pending at now then depends on those events, and so would the
+  // number of events fired, which a fleet keeps independent of how its groups share
+  // simulators. Launch order and every sim value are the same either way.
+  void set_launch_in_place(bool enabled) { launch_in_place_ = enabled; }
+
   // Adds a request to the FCFS queue. The prompt must fit the KV pool outright.
-  void Enqueue(RequestState* request);
+  // `last_in_event` promises that the calling event callback does nothing after this call;
+  // an idle instance may then launch the batch at once instead of scheduling a zero-delay
+  // launch event, when no other event is pending at now (see the header comment). Leave it
+  // false outside Simulator::Run and when one callback enqueues several requests.
+  void Enqueue(RequestState* request, bool last_in_event = false);
 
   // Releases the request's KV (called when the decode side finished pulling, or directly for
   // single-token outputs that never decode). Unblocks a stalled launcher. No-op after Fail()
@@ -88,7 +109,13 @@ class PrefillInstance {
   double bubble_seconds() const { return bubble_seconds_; } // waits inserted for bubbles
 
  private:
-  void MaybeScheduleLaunch();
+  // Arms the next launch: at once when `may_launch_inline` and nothing could fire before it,
+  // under a reserved sequence number when it waits for the batch in flight (pp = 1), and as
+  // a launch event otherwise.
+  void MaybeScheduleLaunch(bool may_launch_inline = false);
+  // Runs the launch reserved for the batch that just completed: in place when nothing else is
+  // pending at now, else as an event under the reserved sequence number.
+  void LaunchAtReservedSeq();
   void OnLaunchEvent();
   void ExecuteBatch(std::vector<RequestState*> batch, double stage_time, double full_time);
 
@@ -104,6 +131,7 @@ class PrefillInstance {
   std::vector<std::vector<RequestState*>> spare_batches_;
   int64_t queued_tokens_ = 0;
   int64_t inflight_tokens_ = 0;
+  int inflight_batches_ = 0;
   std::function<void(RequestState*)> on_complete_;
   trace::Recorder* recorder_ = nullptr;
 
@@ -111,7 +139,12 @@ class PrefillInstance {
   bool alive_ = true;
   uint64_t epoch_ = 0;
 
+  bool launch_in_place_ = true;
+  // True while a launch is armed: scheduled, reserved, or held through a bubble wait.
   bool launch_scheduled_ = false;
+  // The armed launch waits for the batch in flight; its completion runs it under launch_seq_.
+  bool launch_at_completion_ = false;
+  uint64_t launch_seq_ = 0;
   bool stalled_on_memory_ = false;
   double stage0_free_at_ = 0.0;
   double prev_entry_ = 0.0;

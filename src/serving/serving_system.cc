@@ -54,6 +54,8 @@ ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) 
         sim_, prefill_model, prefill_kv_tokens, prefill_opts, i));
     prefills_.back()->set_on_complete(
         [this](engine::RequestState* r) { OnPrefillDone(r); });
+    // A fleet shard's simulator also runs other groups' events (and the router's).
+    prefills_.back()->set_launch_in_place(owned_sim_ != nullptr);
   }
 
   // Decode instances and their ingress links.
@@ -107,7 +109,7 @@ ServingSystem::ServingSystem(ServingConfig config) : config_(std::move(config)) 
 
 ServingSystem::~ServingSystem() = default;
 
-void ServingSystem::DispatchArrival(engine::RequestState* request) {
+void ServingSystem::DispatchArrival(engine::RequestState* request, bool last_in_event) {
   // Shortest-queue prefill dispatch (by queued tokens, which tracks work better than count),
   // over live instances only.
   engine::PrefillInstance* best = nullptr;
@@ -122,7 +124,7 @@ void ServingSystem::DispatchArrival(engine::RequestState* request) {
     Park(request);
     return;
   }
-  best->Enqueue(request);
+  best->Enqueue(request, last_in_event);
 }
 
 void ServingSystem::DispatchToDecode(engine::RequestState* request) {
@@ -667,7 +669,7 @@ void ServingSystem::Submit(const workload::Request& request) {
   engine::RequestState* state = states_.Acquire(request);
   ++submitted_;
   ScheduleAbandonment(state);
-  DispatchArrival(state);
+  DispatchArrival(state, /*last_in_event=*/true);
 }
 
 void ServingSystem::ScheduleFaults() {
@@ -678,6 +680,8 @@ void ServingSystem::ScheduleFaults() {
 }
 
 metrics::Collector ServingSystem::Run(const workload::Trace& trace) {
+  DS_CHECK(!ran_) << "a ServingSystem runs once: build a new system for each Run";
+  ran_ = true;
   BeginStream(trace.size());
   sim_->StreamArrivals(
       trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },

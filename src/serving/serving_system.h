@@ -94,6 +94,8 @@ struct ServingConfig {
   // private clock, the classic standalone mode. A fleet run passes one shard of a
   // simcore::ShardedSimulator instead, so several groups share (or split) virtual time; the
   // simulator must outlive the system, and the caller drives it (Run() is standalone-only).
+  // Prefill launches then stay events (PrefillInstance::set_launch_in_place), so the number
+  // of events fired does not depend on which systems share the simulator.
   simcore::Simulator* sim = nullptr;
 };
 
@@ -107,9 +109,12 @@ class ServingSystem {
 
   // Replays the trace to completion and returns the per-request records. With a fault plan a
   // request may fail fast (retry exhaustion with no healthy route) or end the run stranded
-  // with every instance dead; both are recorded as lost, not completed. A faulted system is
-  // single-use: permanently failed instances stay dead across runs. Arrival times must not
-  // decrease (a trace that does aborts, naming the offending index).
+  // with every instance dead; both are recorded as lost, not completed. Arrival times must
+  // not decrease (a trace that does aborts, naming the offending index).
+  //
+  // A system runs once: a second Run aborts. The clock, the links' busy-until times and the
+  // prefill instances' stage-0 free times are absolute simulated times that a second run
+  // would inherit from the first; build a new system for each trace instead.
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
@@ -125,10 +130,12 @@ class ServingSystem {
   // stream's FinishStream.
   void BeginStream(size_t expected_requests);
 
-  // Admits one request at the simulator's current time (call from within an event). The
-  // request's recorded arrival stays request.arrival_time — admission later than that models
-  // controller dispatch latency and is charged to TTFT. The request's state lives in this
-  // system until the request's outcome.
+  // Admits one request at the simulator's current time. Call it from within an event, as the
+  // last thing that event does: an idle prefill instance may start the request's batch
+  // before Submit returns (PrefillInstance::Enqueue's last_in_event). The request's recorded
+  // arrival stays request.arrival_time — admission later than that models controller
+  // dispatch latency and is charged to TTFT. The request's state lives in this system until
+  // the request's outcome.
   void Submit(const workload::Request& request);
 
   // Schedules the config's fault plan as simulator events. Run() does this itself; streaming
@@ -171,7 +178,9 @@ class ServingSystem {
   int64_t prefill_token_target() const { return prefill_token_target_; }
 
  private:
-  void DispatchArrival(engine::RequestState* request);
+  // Enqueues on the live prefill instance with the least outstanding tokens, or parks.
+  // `last_in_event` as in PrefillInstance::Enqueue.
+  void DispatchArrival(engine::RequestState* request, bool last_in_event = false);
   void DispatchToDecode(engine::RequestState* request);
   void OnPrefillDone(engine::RequestState* request);
   void OnDecodeDone(engine::RequestState* request);
@@ -220,6 +229,7 @@ class ServingSystem {
   std::function<void(const FaultEvent&)> fault_callback_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   bool finishing_ = false;  // suppresses on_request_done_ during FinishStream's sweep
+  bool ran_ = false;        // Run was called (a system runs once)
 
   // Requests with no live target, re-routed when a component recovers.
   std::deque<engine::RequestState*> parked_;

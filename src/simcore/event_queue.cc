@@ -61,18 +61,26 @@ EventHandle EventQueue::Push(SimTime when, uint64_t seq, EventCallback&& fn) {
 }
 
 bool EventQueue::Reschedule(const EventHandle& handle, SimTime when) {
+  return Move(handle, when, /*fresh_seq=*/true);
+}
+
+bool EventQueue::Retime(const EventHandle& handle, SimTime when) {
+  return Move(handle, when, /*fresh_seq=*/false);
+}
+
+bool EventQueue::Move(const EventHandle& handle, SimTime when, bool fresh_seq) {
   DS_DCHECK(when >= 0.0);
   if (handle.queue_ != this || !HandlePending(handle.node_, handle.generation_)) {
     return false;
   }
   const uint32_t pos = slots_[handle.node_].link;
-  Entry e = heap_[pos];
-  const bool earlier = when < e.time;
+  const Entry old = heap_[pos];
+  Entry e = old;
   e.time = when;
-  e.seq = next_seq_++;
-  // An earlier time lowers the key and a later or equal one raises it (the fresh sequence
-  // number is above every stored one), so one direction suffices.
-  if (earlier) {
+  if (fresh_seq) {
+    e.seq = next_seq_++;
+  }
+  if (Before(e, old)) {
     SiftUp(pos, e);
   } else {
     SiftDown(pos, e);

@@ -106,6 +106,11 @@ class EventQueue {
   // nothing when the handle is not pending here (fired, cancelled or default-constructed).
   bool Reschedule(const EventHandle& handle, SimTime when);
 
+  // Moves a pending event to `when` like Reschedule, but keeps its sequence number: it ties
+  // as if it had been scheduled at `when` where it was last scheduled or rescheduled. Returns
+  // false and changes nothing when the handle is not pending here.
+  bool Retime(const EventHandle& handle, SimTime when);
+
   // True when no live (uncancelled) event remains.
   bool empty() const { return heap_.size() == dead_count_; }
 
@@ -169,6 +174,9 @@ class EventQueue {
   void CancelNode(uint32_t node, uint32_t generation);
 
   EventHandle Push(SimTime when, uint64_t seq, EventCallback&& fn);
+  // Re-keys a pending event to `when` in place, with a fresh sequence number or its own;
+  // false when the handle is not pending here.
+  bool Move(const EventHandle& handle, SimTime when, bool fresh_seq);
   uint32_t AcquireNode();
   void FreeNode(uint32_t node) {
     slots_[node].link = free_head_;

@@ -58,6 +58,13 @@ class Simulator {
     return queue_.Reschedule(handle, when);
   }
 
+  // Moves a pending event to `when` (must be >= now()) in place, keeping its sequence number
+  // (EventQueue::Retime). Returns false, changing nothing, when the handle is not pending.
+  bool Retime(const EventHandle& handle, SimTime when) {
+    DS_DCHECK(when >= now_) << "scheduling into the past: " << when << " < " << now_;
+    return queue_.Retime(handle, when);
+  }
+
   // Reserves `n` consecutive event sequence numbers and returns the first
   // (EventQueue::ReserveSeqs). An event scheduled later under one of them with
   // ScheduleReserved ties against every other event as if it had been scheduled at reservation
@@ -96,8 +103,15 @@ class Simulator {
   bool Idle() const { return queue_.empty(); }
 
   // Time of the earliest pending event; +infinity when idle. The sharded simulator computes
-  // each lookahead window's start as the minimum across shards.
+  // each lookahead window's start as the minimum across shards. A callback that finds
+  // NextTime() > now() knows that no other event can fire at now(), so work it would have
+  // scheduled at now() can run inline without changing any observable order.
   SimTime NextTime() { return queue_.NextTime(); }
+
+  // True while Run or RunBefore is firing events, that is, inside an event callback. Outside
+  // them, work scheduled at now() waits for the caller's next Run, and may be joined by more
+  // work the caller adds before it.
+  bool running() const { return running_; }
 
   // Entries stored in the event queue (EventQueue::size).
   size_t queue_size() const { return queue_.size(); }
@@ -140,6 +154,7 @@ class Simulator {
   SimTime now_ = 0.0;
   SimTime last_event_time_ = 0.0;
   int64_t events_processed_ = 0;
+  bool running_ = false;
 };
 
 template <typename TimeOf, typename Fire>
@@ -151,7 +166,9 @@ void Simulator::StreamArrivals(size_t n, TimeOf time_of, Fire fire) {
   }
   const uint64_t base = queue_.ReserveSeqs(n);
   const SimTime first = time_of(0);
-  DS_DCHECK(first >= now_) << "scheduling into the past: " << first << " < " << now_;
+  // Checked in every build: one compare per stream, and a stream into the past means the
+  // caller reused a clock it should not have.
+  DS_CHECK(first >= now_) << "scheduling into the past: " << first << " < " << now_;
   queue_.ScheduleReserved(first, base,
                           Event{this, base, 0, n, std::move(time_of), std::move(fire)});
 }

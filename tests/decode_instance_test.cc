@@ -190,6 +190,46 @@ TEST_F(DecodeInstanceTest, ContextGrowsAcrossSteps) {
   EXPECT_GT(late_busy / late_steps, early_busy / early_steps);
 }
 
+// A request that lands mid-run folds into the running run at the end of the step in flight:
+// the run re-prices its remaining steps with the merged batch and moves its one event, so the
+// join costs no event of its own.
+TEST_F(DecodeInstanceTest, JoinFoldsIntoTheRunningRun) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(128, 50);  // 49 steps: runs of 32 and 17 alone
+  instance->Submit(a);
+  RequestState* b = NewRequest(128, 4);   // 3 steps
+  sim_.ScheduleAt(1e-6, [&] { instance->Submit(b); });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 2u);
+  EXPECT_NEAR(b->record.decode_start, MakeLm().DecodeStepFullTime(1, 129), 1e-12);
+  EXPECT_EQ(instance->steps_executed(), 49);
+  EXPECT_EQ(instance->tokens_generated(), 49 + 3);
+  // b's submit, the folded run's end (b completes), then a's last 45 steps as 32 + 13.
+  EXPECT_EQ(sim_.events_processed(), 4);
+  EXPECT_EQ(sim_.events_cancelled(), 0);
+}
+
+// A joiner aborted before its fold's boundary unfolds the run: the run ends at that boundary
+// again, as a cut run does, and the lane carries on without it.
+TEST_F(DecodeInstanceTest, AbortedJoinerUnfoldsTheRun) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(128, 50);
+  instance->Submit(a);
+  RequestState* b = NewRequest(128, 4);
+  sim_.ScheduleAt(1e-6, [&] { instance->Submit(b); });
+  sim_.ScheduleAt(2e-6, [&] { instance->Abort(b); });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 1u);
+  EXPECT_EQ(completed_[0], a);
+  EXPECT_EQ(b->decode_steps_done, 0);
+  EXPECT_EQ(instance->steps_executed(), 49);
+  EXPECT_EQ(instance->tokens_generated(), 49);
+  EXPECT_EQ(instance->kv().used_blocks(), 0);
+  // b's submit and abort, the boundary the unfold restored, then a's last 48 steps.
+  EXPECT_EQ(sim_.events_processed(), 5);
+  EXPECT_EQ(sim_.events_cancelled(), 0);
+}
+
 TEST(DecodeInstanceDeathTest, SingleTokenRequestRejected) {
   simcore::Simulator sim;
   model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1}, cluster::GpuSpec::A100_80GB());

@@ -40,8 +40,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// GCC pairs the std::free below with the operator new a caller's delete-expression matched,
+// once both are inlined, and warns of a mismatch (-Wmismatched-new-delete). The replacement
+// operator new above allocates with std::malloc, so std::free is the matching release.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace distserve::simcore {
 namespace {

@@ -251,6 +251,56 @@ TEST(EventQueueTest, RescheduleOfFiredCancelledOrDefaultHandleFails) {
   EXPECT_EQ(ran, 2);
 }
 
+// Retime moves an event and keeps its sequence number: it ties exactly as an event scheduled
+// at the new time under a number reserved where the original was scheduled.
+TEST(EventQueueTest, RetimeTiesAsTheOriginalSequenceNumber) {
+  for (const SimTime when : {0.5, 2.0, 9.0}) {
+    SCOPED_TRACE(when);
+    EventQueue retimed;
+    EventQueue reserved;
+    std::vector<int> retimed_order;
+    std::vector<int> reserved_order;
+    const std::vector<SimTime> times = {1.0, 2.0, 2.0, 3.0, 2.0};
+    EventHandle handle;
+    uint64_t seq = 0;
+    for (size_t i = 0; i < times.size(); ++i) {
+      const int id = static_cast<int>(i);
+      const EventHandle h =
+          retimed.Schedule(times[i], [&retimed_order, id] { retimed_order.push_back(id); });
+      if (i == 2) {
+        handle = h;
+        seq = reserved.ReserveSeqs(1);
+      } else {
+        reserved.Schedule(times[i], [&reserved_order, id] { reserved_order.push_back(id); });
+      }
+    }
+    retimed.Schedule(when, [&retimed_order] { retimed_order.push_back(100); });
+    reserved.Schedule(when, [&reserved_order] { reserved_order.push_back(100); });
+    EXPECT_TRUE(retimed.Retime(handle, when));
+    EXPECT_TRUE(handle.pending());
+    reserved.ScheduleReserved(when, seq, [&reserved_order] { reserved_order.push_back(2); });
+    EXPECT_EQ(retimed.cancelled(), 0u);
+    while (retimed.FireNext()) {
+    }
+    while (reserved.FireNext()) {
+    }
+    EXPECT_EQ(retimed_order, reserved_order);
+    EXPECT_EQ(retimed_order.size(), times.size() + 1);
+  }
+}
+
+TEST(EventQueueTest, RetimeOfFiredOrCancelledHandleFails) {
+  EventQueue queue;
+  EventHandle fired = queue.Schedule(1.0, [] {});
+  EventHandle cancelled = queue.Schedule(2.0, [] {});
+  ASSERT_TRUE(queue.FireNext());
+  cancelled.Cancel();
+  EXPECT_FALSE(queue.Retime(fired, 0.5));
+  EXPECT_FALSE(queue.Retime(cancelled, 0.5));
+  EXPECT_FALSE(queue.Retime(EventHandle(), 0.5));
+  EXPECT_TRUE(queue.empty());
+}
+
 TEST(EventQueueTest, RescheduleFromAnotherQueueFails) {
   EventQueue a;
   EventQueue b;
@@ -420,15 +470,19 @@ TEST(EventQueuePropertyTest, RandomOperationsMatchASetReference) {
         if (ref.handles.empty()) {
           continue;
         }
+        // Reschedule takes a fresh sequence number; Retime keeps the event's own.
+        const bool retime = roll >= 64;
         const size_t id = pick(ref.handles.size());
         const SimTime when = later();
         const size_t size = queue.size();
-        const bool moved = queue.Reschedule(ref.handles[id], when);
+        const bool moved = retime ? queue.Retime(ref.handles[id], when)
+                                  : queue.Reschedule(ref.handles[id], when);
         EXPECT_EQ(moved, static_cast<bool>(ref.live[id]));
         EXPECT_EQ(queue.size(), size);
         if (moved) {
           ref.pending.erase(ref.key[id]);
-          ref.key[id] = {when, ref.next_seq++, static_cast<int>(id)};
+          const uint64_t seq = retime ? std::get<1>(ref.key[id]) : ref.next_seq++;
+          ref.key[id] = {when, seq, static_cast<int>(id)};
           ref.pending.insert(ref.key[id]);
           EXPECT_TRUE(ref.handles[id].pending());
         }

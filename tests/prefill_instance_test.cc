@@ -184,6 +184,122 @@ TEST_F(PrefillInstanceTest, BusySecondsAccumulate) {
   EXPECT_EQ(instance->batches_launched(), 2);
 }
 
+// --- Launch paths: inline, zero-delay event, and at a completion under a reserved seq ---
+
+// An enqueue that ends its event launches an idle instance's batch at once when nothing else
+// is pending at now: no launch event fires.
+TEST_F(PrefillInstanceTest, LastEnqueueOfAnEventLaunchesInline) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(256, 1.0);
+  sim_.ScheduleAt(1.0, [&] { instance->Enqueue(a, /*last_in_event=*/true); });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 1u);
+  EXPECT_DOUBLE_EQ(a->record.prefill_start, 1.0);
+  EXPECT_EQ(sim_.events_processed(), 2);  // the arrival and the batch's completion
+}
+
+// Arrivals that share a timestamp, one event each: the first sees the second pending at now
+// and keeps the zero-delay launch event, so both still form one batch.
+TEST_F(PrefillInstanceTest, ArrivalsSharingATimestampFormOneBatch) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(200, 1.0);
+  RequestState* b = NewRequest(200, 1.0);
+  sim_.ScheduleAt(1.0, [&] { instance->Enqueue(a, /*last_in_event=*/true); });
+  sim_.ScheduleAt(1.0, [&] { instance->Enqueue(b, /*last_in_event=*/true); });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 2u);
+  EXPECT_EQ(instance->batches_launched(), 1);
+  EXPECT_DOUBLE_EQ(a->record.prefill_start, 1.0);
+  EXPECT_DOUBLE_EQ(b->record.first_token, a->record.first_token);
+}
+
+// Outside Simulator::Run nothing launches inline: requests enqueued before Run share a batch.
+TEST_F(PrefillInstanceTest, EnqueueOutsideRunStillBatches) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(200);
+  RequestState* b = NewRequest(200);
+  instance->Enqueue(a, /*last_in_event=*/true);
+  instance->Enqueue(b, /*last_in_event=*/true);
+  EXPECT_EQ(instance->batches_launched(), 0);
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 2u);
+  EXPECT_EQ(instance->batches_launched(), 1);
+  EXPECT_DOUBLE_EQ(a->record.first_token, b->record.first_token);
+}
+
+// With pp = 1 each batch's completion launches the next one in place: three serialized
+// batches fire one launch event (the first, armed before Run) and three completions.
+TEST_F(PrefillInstanceTest, CompletionLaunchesTheNextBatchInPlace) {
+  auto instance = MakeInstance();
+  for (int i = 0; i < 3; ++i) {
+    instance->Enqueue(NewRequest(600));  // each runs alone (over target)
+  }
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 3u);
+  EXPECT_EQ(instance->batches_launched(), 3);
+  EXPECT_EQ(sim_.events_processed(), 4);
+  EXPECT_EQ(sim_.events_cancelled(), 0);
+  for (size_t i = 1; i < completed_.size(); ++i) {
+    EXPECT_EQ(completed_[i]->record.prefill_start, completed_[i - 1]->record.first_token);
+  }
+}
+
+// A launch that waits for the batch in flight keeps the sequence number it reserved when it
+// was armed: an event at exactly the completion time that was scheduled before the enqueue
+// fires before the launch, and one scheduled after the enqueue fires after it.
+TEST_F(PrefillInstanceTest, ExactTieAtCompletionFiresInReservedSeqOrder) {
+  double finish = 0.0;
+  {
+    // The completion time of a lone 600-token batch entering at 0.
+    simcore::Simulator probe;
+    PrefillInstance::Options options;
+    options.batch_policy.target_tokens = 512;
+    PrefillInstance lone(&probe, MakeLm(), 1 << 20, options, 0);
+    RequestState* r = NewRequest(600);
+    lone.Enqueue(r);
+    probe.Run();
+    finish = r->record.first_token;
+  }
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(600);
+  RequestState* b = NewRequest(600);
+  RequestPhase before_launch = RequestPhase::kPending;
+  RequestPhase after_launch = RequestPhase::kPending;
+  sim_.ScheduleAt(0.0, [&] { instance->Enqueue(a, /*last_in_event=*/true); });
+  sim_.ScheduleAt(finish / 2, [&] {
+    sim_.ScheduleAt(finish, [&] { before_launch = b->phase; });
+    instance->Enqueue(b);  // a is in flight: b's launch waits for a's completion
+    sim_.ScheduleAt(finish, [&] { after_launch = b->phase; });
+  });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 2u);
+  EXPECT_EQ(a->record.first_token, finish);
+  EXPECT_EQ(b->record.prefill_start, finish);
+  EXPECT_EQ(before_launch, RequestPhase::kPrefillQueued);
+  EXPECT_EQ(after_launch, RequestPhase::kPrefilling);
+}
+
+// A failure drops the launch a completion would have run; the recovered instance launches
+// afresh.
+TEST_F(PrefillInstanceTest, FailDropsTheLaunchReservedForACompletion) {
+  auto instance = MakeInstance();
+  RequestState* a = NewRequest(600);
+  RequestState* b = NewRequest(600);
+  RequestState* c = NewRequest(600);
+  instance->Enqueue(a);
+  instance->Enqueue(b);  // waits for a's completion
+  sim_.ScheduleAt(1e-3, [&] { instance->Fail(); });
+  sim_.ScheduleAt(2e-3, [&] {
+    instance->Recover();
+    instance->Enqueue(c, /*last_in_event=*/true);
+  });
+  sim_.Run();
+  ASSERT_EQ(completed_.size(), 1u);
+  EXPECT_EQ(completed_[0], c);
+  EXPECT_DOUBLE_EQ(c->record.prefill_start, 2e-3);
+  EXPECT_EQ(instance->batches_launched(), 2);
+}
+
 TEST_F(PrefillInstanceTest, DeathOnImpossiblePrompt) {
   auto instance = MakeInstance(/*pp=*/1, /*kv_capacity=*/100);
   EXPECT_DEATH(instance->Enqueue(NewRequest(512)), "cannot ever fit");

@@ -7,6 +7,7 @@
 
 #include "scenario_trace.h"
 #include "simcore/simulator.h"
+#include "workload/dataset.h"
 #include "workload/generator.h"
 
 namespace distserve::serving {
@@ -328,6 +329,59 @@ TEST(ServingSystemTest, FaultFreeRunSchedulesOnlyEventsThatFire) {
   ASSERT_EQ(results.count(), trace.size());
   EXPECT_GT(system.simulator().events_processed(), 0);
   EXPECT_EQ(system.simulator().events_cancelled(), 0);
+}
+
+// The event diet: arrivals launch an idle prefill instance's batch in place, a completion
+// launches the next batch in place, and a KV pull landing mid-run folds its request into the
+// lane's run. serve-chatbot's 2P2D shape on ShareGPT fires ~3.8 events per request, and a
+// fault-free run still cancels nothing.
+TEST(ServingSystemTest, EventsPerRequestBudget) {
+  const auto dataset = workload::MakeDatasetByName("sharegpt");
+  workload::TraceSpec spec;
+  spec.rate = 12.8;
+  spec.num_requests = 4000;
+  spec.seed = 7;
+  const workload::Trace trace = workload::GenerateTrace(spec, *dataset);
+  ServingSystem system(BasicConfig(/*num_prefill=*/2, /*num_decode=*/2));
+  const metrics::Collector results = system.Run(trace);
+  ASSERT_EQ(results.count(), trace.size());
+  const double per_request = static_cast<double>(system.simulator().events_processed()) /
+                             static_cast<double>(trace.size());
+  EXPECT_LE(per_request, 3.9);
+  EXPECT_EQ(system.simulator().events_cancelled(), 0);
+}
+
+// Arrivals that find every prefill instance dead are parked; the recovery re-dispatches them
+// all in one callback, so they still form one batch (only the last enqueue of an event may
+// launch in place, and the recovery's are not).
+TEST(ServingSystemTest, ParkedArrivalsFlushedTogetherShareABatch) {
+  workload::Trace trace;
+  for (int i = 0; i < 4; ++i) {
+    trace.push_back(MakeRequest(i, 0.6 + 0.2 * i, 100, 4));
+  }
+  constexpr double kRecoverAt = 2.0;
+  ServingConfig config = BasicConfig();
+  config.faults.events = {{0.5, FaultDomain::kPrefill, FaultAction::kFail, 0},
+                          {kRecoverAt, FaultDomain::kPrefill, FaultAction::kRecover, 0}};
+  ServingSystem system(config);
+  const metrics::Collector results = system.Run(trace);
+  ASSERT_EQ(results.count(), trace.size());
+  EXPECT_EQ(system.prefill_instances()[0]->batches_launched(), 1);
+  for (const metrics::RequestRecord& r : results.records()) {
+    EXPECT_EQ(r.prefill_start, kRecoverAt);
+    EXPECT_EQ(r.first_token, results.records()[0].first_token);
+  }
+}
+
+// A system runs once: its clock, link and prefill times would carry over into a second run.
+TEST(ServingSystemDeathTest, SecondRunAborts) {
+  const workload::Trace trace = MakeTrace(2.0, 20);
+  auto run_twice = [&trace] {
+    ServingSystem system(BasicConfig());
+    system.Run(trace);
+    system.Run(trace);
+  };
+  EXPECT_DEATH(run_twice(), "a ServingSystem runs once");
 }
 
 TEST(ServingSystemDeathTest, DecreasingArrivalTimeAborts) {

@@ -14,6 +14,7 @@
 #include "serving/fleet.h"
 #include "simcore/sharded_simulator.h"
 #include "trace/recorder.h"
+#include "workload/dataset.h"
 #include "workload/generator.h"
 
 namespace distserve::serving {
@@ -200,6 +201,30 @@ TEST(FleetShardingTest, DisaggregatedBitIdenticalAtShards128) {
   EXPECT_EQ(r1.collector.count() + r1.collector.lost_count(), trace.size());
   ExpectFleetIdentical(r1, RunFleet(DisaggFleet(4, 2), trace));
   ExpectFleetIdentical(r1, RunFleet(DisaggFleet(4, 8), trace));
+}
+
+// fig_fleet --smoke's shape: 2P2D groups on merged ShareGPT sources. Which events are pending
+// at a given time depends on which groups share a shard, so the prefill launches a
+// standalone system runs in place stay events in a fleet: the event count, like every
+// record, must not depend on the shard count.
+TEST(FleetShardingTest, ShareGptFleetEventsIndependentOfShardCount) {
+  const auto dataset = workload::MakeDatasetByName("sharegpt");
+  workload::FleetTraceSpec spec;
+  spec.rate_per_source = 8.0;
+  spec.num_sources = 4;
+  spec.requests_per_source = 250;
+  spec.seed = 101;
+  const workload::Trace trace = workload::GenerateFleetTrace(spec, *dataset);
+  auto make = [&trace](int shards) {
+    serving::FleetConfig fc = DisaggFleet(4, shards);
+    fc.group_config.plan.num_prefill = 2;
+    fc.group_config.plan.num_decode = 2;
+    return RunFleet(std::move(fc), trace);
+  };
+  const serving::FleetResult r1 = make(1);
+  EXPECT_EQ(r1.collector.count(), trace.size());
+  ExpectFleetIdentical(r1, make(4));
+  ExpectFleetIdentical(r1, make(8));
 }
 
 TEST(FleetShardingTest, ColocatedBitIdenticalAtShards128) {

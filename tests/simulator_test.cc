@@ -186,6 +186,34 @@ TEST(SimulatorStreamTest, QueueHoldsOneArrivalPlusInFlightWork) {
   EXPECT_EQ(sim.events_processed(), static_cast<int64_t>(2 * kArrivals));
 }
 
+// Checked in every build, not only with assertions on: a stream whose first arrival lies
+// before the clock (a reused clock) aborts.
+TEST(SimulatorStreamDeathTest, StreamIntoThePastAborts) {
+  auto run = [] {
+    Simulator sim;
+    sim.ScheduleAt(5.0, [] {});
+    sim.Run();
+    sim.StreamArrivals(
+        2, [](size_t i) { return static_cast<double>(i); }, [](size_t) {});
+  };
+  EXPECT_DEATH(run(), "scheduling into the past");
+}
+
+TEST(SimulatorTest, RunningOnlyInsideRun) {
+  Simulator sim;
+  bool inside = false;
+  sim.ScheduleAt(1.0, [&] { inside = sim.running(); });
+  EXPECT_FALSE(sim.running());
+  sim.Run();
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(sim.running());
+  sim.ScheduleAt(2.0, [&] { inside = false; });
+  sim.ScheduleAt(3.0, [&] { inside = sim.running(); });
+  sim.RunBefore(4.0);
+  EXPECT_TRUE(inside);
+  EXPECT_FALSE(sim.running());
+}
+
 TEST(SimulatorStreamDeathTest, DecreasingArrivalTimeAbortsNamingTheIndex) {
   auto run = [] {
     Simulator sim;

@@ -203,6 +203,17 @@ TEST(ColocatedGoodputTest, UnfittableConfigScoresZero) {
   EXPECT_DOUBLE_EQ(SimulateColocatedGoodput(inputs, {1, 1}), 0.0);
 }
 
+// A system runs once: the clock would carry over into a second run.
+TEST(VllmSystemDeathTest, SecondRunAborts) {
+  const workload::Trace trace = MakeTrace(2.0, 20);
+  auto run_twice = [&trace] {
+    VllmSystem system(BasicConfig());
+    system.Run(trace);
+    system.Run(trace);
+  };
+  EXPECT_DEATH(run_twice(), "a VllmSystem runs once");
+}
+
 TEST(VllmSystemDeathTest, PipelineParallelRejected) {
   VllmConfig config = BasicConfig();
   config.par = {1, 2};
