@@ -66,14 +66,11 @@ VllmSystem::VllmSystem(VllmConfig config) : config_(std::move(config)) {
 VllmSystem::~VllmSystem() = default;
 
 void VllmSystem::BeginStream(size_t expected_requests) {
+  DS_CHECK(!started_) << "a VllmSystem runs once (one Run or one stream): build a new system "
+                         "for each";
+  started_ = true;
   DS_TRACE(config_.recorder, NewRun());
-  collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
-  // Every request of the previous stream reached its outcome (FinishStream checks it), so
-  // all of its slots are free for this one.
-  DS_CHECK_EQ(states_.live(), 0u);
-  completed_ = 0;
-  submitted_ = 0;
 }
 
 void VllmSystem::Submit(const workload::Request& request) {
@@ -130,8 +127,6 @@ metrics::Collector VllmSystem::FinishStream(double /*end_time*/) {
 }
 
 metrics::Collector VllmSystem::Run(const workload::Trace& trace) {
-  DS_CHECK(!ran_) << "a VllmSystem runs once: build a new system for each Run";
-  ran_ = true;
   BeginStream(trace.size());
   sim_->StreamArrivals(
       trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },

@@ -63,8 +63,9 @@ class VllmSystem {
   ~VllmSystem();
 
   // Replays the trace to completion. Arrival times must not decrease (a trace that does
-  // aborts, naming the offending index). A system runs once: a second Run aborts, since the
-  // clock would carry over from the first run. Build a new system for each trace.
+  // aborts, naming the offending index). A system runs once: a second Run, or a Run after
+  // streaming, aborts, since the clock would carry over from the first run. Build a new
+  // system for each trace.
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
@@ -72,8 +73,8 @@ class VllmSystem {
   // through Simulator::StreamArrivals (each calling Submit) + drive the simulator +
   // FinishStream, bit-identical to one ScheduleAt per request up front.
 
-  // Resets per-stream state; call before scheduling arrivals of a new stream, after the
-  // previous stream's FinishStream.
+  // Starts the stream; call before scheduling any arrivals. A system streams once, like it
+  // runs once: a second BeginStream aborts.
   void BeginStream(size_t expected_requests);
 
   // Admits one request at the simulator's current time with least-loaded dispatch across
@@ -115,8 +116,8 @@ class VllmSystem {
   metrics::Collector collector_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   int64_t completed_ = 0;
-  int64_t submitted_ = 0;  // this stream's Submit calls
-  bool ran_ = false;       // Run was called (a system runs once)
+  int64_t submitted_ = 0;
+  bool started_ = false;   // BeginStream was called (a system runs or streams once)
 };
 
 // Per-instance goodput of a colocated configuration under joint TTFT+TPOT SLOs, using the

@@ -89,6 +89,10 @@ struct Voidify {
 #define DS_CHECK_GT(a, b) DS_CHECK_OP(>, a, b)
 #define DS_CHECK_GE(a, b) DS_CHECK_OP(>=, a, b)
 
+// DCHECK is CHECK in debug builds and compiles out under NDEBUG. It guards internal
+// invariants only (step runs, the KV table, the event queue, the simulator's clock). Anything
+// a caller passes in (arguments, configs, traces) is checked with DS_CHECK instead, so bad
+// input fails loudly in every build.
 #ifdef NDEBUG
 #define DS_DCHECK(cond) \
   true ? (void)0 : ::distserve::internal::Voidify() & ::distserve::internal::NullStream()

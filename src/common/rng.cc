@@ -85,7 +85,7 @@ double Rng::NextDouble() {
 }
 
 int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  DS_DCHECK(lo <= hi);
+  DS_CHECK(lo <= hi);
   const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
   if (span == 0) {
     // Full 64-bit range.
@@ -103,7 +103,7 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
 
 double Rng::Exponential(double rate) {
-  DS_DCHECK(rate > 0.0);
+  DS_CHECK(rate > 0.0);
   double u;
   do {
     u = NextDouble();
@@ -131,8 +131,8 @@ double Rng::Normal(double mean, double stddev) {
 double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
 
 double Rng::Gamma(double shape, double scale) {
-  DS_DCHECK(shape > 0.0);
-  DS_DCHECK(scale > 0.0);
+  DS_CHECK(shape > 0.0);
+  DS_CHECK(scale > 0.0);
   if (shape < 1.0) {
     // Boost shape above 1 and correct with a power of a uniform (Marsaglia–Tsang trick).
     const double u = NextDouble();

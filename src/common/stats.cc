@@ -64,7 +64,7 @@ double PercentileTracker::Percentile(double q) const {
   if (samples_.empty()) {
     return std::numeric_limits<double>::quiet_NaN();
   }
-  DS_DCHECK(q >= 0.0 && q <= 100.0);
+  DS_CHECK(q >= 0.0 && q <= 100.0);
   EnsureSorted();
   if (samples_.size() == 1) {
     return samples_[0];

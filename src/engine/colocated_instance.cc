@@ -354,7 +354,7 @@ void ColocatedInstance::RunEnd() {
   finished_.clear();
   if (run_decodes_) {
     tokens_generated_ += decoding_.EndStep();
-    decoding_.PopFinished(&finished_);
+    decoding_.PopFinished([this](const DecodeBatch::Member& m) { finished_.push_back(m); });
   }
   finished_.insert(finished_.end(), reaping_.begin(), reaping_.end());
   reaping_.clear();

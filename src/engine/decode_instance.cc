@@ -519,7 +519,7 @@ void DecodeInstance::LaneRunEnd(size_t lane_idx) {
   // in join order.
   tokens_generated_ += lane.batch.EndStep();
   finished_.clear();
-  lane.batch.PopFinished(&finished_);
+  lane.batch.PopFinished([this](const DecodeBatch::Member& m) { finished_.push_back(m); });
   DecodeBatch::SortByJoin(&finished_);
   for (const DecodeBatch::Member& m : finished_) {
     RequestState* r = m.request;

@@ -13,7 +13,8 @@ PrefillInstance::PrefillInstance(simcore::Simulator* sim, model::LatencyModel la
       latency_model_(std::move(latency_model)),
       kv_(kv_capacity_tokens, options.kv_block_size),
       options_(options),
-      id_(id) {
+      id_(id),
+      cadence_(latency_model_.par().pp) {
   DS_CHECK(sim != nullptr);
   DS_CHECK_GT(options_.batch_policy.target_tokens, 0);
   DS_CHECK_GT(options_.batch_policy.max_batch_size, 0);
@@ -73,9 +74,7 @@ void PrefillInstance::Fail() {
   launch_scheduled_ = false;
   launch_at_completion_ = false;
   stalled_on_memory_ = false;
-  stage0_free_at_ = 0.0;
-  prev_entry_ = 0.0;
-  prev_stage_time_ = 0.0;
+  cadence_ = PipelineCadence(latency_model_.par().pp);
   kv_.Clear();
 }
 
@@ -92,7 +91,7 @@ void PrefillInstance::MaybeScheduleLaunch(bool may_launch_inline) {
     return;
   }
   const double now = sim_->now();
-  const double when = std::max(now, stage0_free_at_);
+  const double when = std::max(now, cadence_.stage0_free_at());
   if (may_launch_inline && launch_in_place_ && when == now && sim_->running() &&
       sim_->NextTime() > now) {
     // A launch event at now would be the next to fire: nothing else is pending at now, and
@@ -171,20 +170,9 @@ void PrefillInstance::OnLaunchEvent() {
   }
   const double stage_time = latency_model_.StageTime(workload);
   const double full_time = latency_model_.FullTime(workload);
-
-  // Pipeline-bubble recurrence: entry >= prev_entry + T_prev + (pp-1)*max(0, T_prev - T_this).
-  const int pp = latency_model_.par().pp;
-  double entry = sim_->now();
-  if (batches_launched_ > 0 && pp > 1 && prev_stage_time_ > stage_time) {
-    const double bubble =
-        static_cast<double>(pp - 1) * (prev_stage_time_ - stage_time);
-    const double earliest = prev_entry_ + prev_stage_time_ + bubble;
-    if (earliest > entry) {
-      bubble_seconds_ += earliest - entry;
-      entry = earliest;
-    }
-  }
+  const double entry = cadence_.Enter(sim_->now(), stage_time);
   if (entry > sim_->now()) {
+    bubble_seconds_ += entry - sim_->now();
     // Hold the launch lock through the bubble wait so a concurrent Enqueue cannot slip a
     // second batch into stage 0 before this one enters.
     launch_scheduled_ = true;
@@ -217,9 +205,6 @@ void PrefillInstance::ExecuteBatch(std::vector<RequestState*> batch, double stag
                                    entry, entry + stage_time, batches_launched_));
   inflight_tokens_ += batch_tokens;
   ++inflight_batches_;
-  prev_entry_ = entry;
-  prev_stage_time_ = stage_time;
-  stage0_free_at_ = entry + stage_time;
   busy_seconds_ += stage_time;
   ++batches_launched_;
 

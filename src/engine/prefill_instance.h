@@ -4,9 +4,8 @@
 // prefill. Requests queue FCFS; batches are formed by the L_m-aware policy (batch_former.h)
 // and flow through the pp pipeline stages. The instance models:
 //
-//   * pipeline cadence: a new batch may enter stage 0 every StageTime of the previous batch;
-//   * pipeline bubbles: when a shorter batch follows a longer one it must additionally wait
-//     (pp-1) * (T_prev - T_next), the classic bubble from non-uniform prompt lengths (§3.3);
+//   * pipeline cadence and bubbles (PipelineCadence): a batch enters stage 0 once the previous
+//     one has left it, and a shorter batch after a longer one also waits out the bubble (§3.3);
 //   * KV backpressure: computed prompts hold their KV cache on this instance until the decode
 //     side pulls it (§4.3 "combat burstiness"); when the pool is full, launching stalls, which
 //     surfaces as prefill queueing delay.
@@ -146,9 +145,7 @@ class PrefillInstance {
   bool launch_at_completion_ = false;
   uint64_t launch_seq_ = 0;
   bool stalled_on_memory_ = false;
-  double stage0_free_at_ = 0.0;
-  double prev_entry_ = 0.0;
-  double prev_stage_time_ = 0.0;
+  PipelineCadence cadence_;
 
   int64_t batches_launched_ = 0;
   double busy_seconds_ = 0.0;

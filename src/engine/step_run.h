@@ -1,5 +1,5 @@
-// The per-run representation the DES engines step with: the resident decode batch as a
-// finish-step heap (DecodeBatch), and the run of engine steps in flight (StepRun).
+// The run of engine steps in flight (StepRun) that the DES engines step their decode batches
+// (engine/batch_former.h) with.
 //
 // Between membership changes a decode batch is fixed and its context sum grows by exactly
 // `batch` tokens per step, so the next steps' workloads are known when the run starts. A run
@@ -27,10 +27,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.h"
-#include "engine/request_state.h"
+#include "engine/batch_former.h"
 #include "model/latency_model.h"
 #include "simcore/event_queue.h"
 
@@ -40,99 +39,6 @@ namespace distserve::engine {
 // uninterrupted stretch of decoding costs one DES event per kDecodeStepChunk steps: the event
 // counts the benches print (fig_fleet's among them) depend on this value.
 inline constexpr int kDecodeStepChunk = 32;
-
-// A decode batch in the fast sim's representation: a step counter, the members in a min-heap
-// keyed on the step at which each emits its last token, and the running sum of their
-// contexts. A member that joins at step j with r decode steps left finishes at j + r, and its
-// progress at step s is output_len - 1 - (finish - s), so the one counter advances every
-// member at once and no step walks the batch. RequestState::decode_steps_done is written only
-// when a member leaves (Remove, PopFinished) or the engine reads it (Progress).
-class DecodeBatch {
- public:
-  struct Member {
-    int64_t finish;  // step at which it emits its last token
-    int64_t seq;     // join order: completions and tie-breaks follow it
-    RequestState* request;
-  };
-
-  size_t size() const { return heap_.size(); }
-  bool empty() const { return heap_.empty(); }
-  const Member& operator[](size_t pos) const { return heap_[pos]; }
-  auto begin() const { return heap_.begin(); }
-  auto end() const { return heap_.end(); }
-  // Invariant: the sum of member contexts at step(). Integer adds, exact in any order.
-  int64_t ctx_tokens() const { return ctx_tokens_; }
-  // The next join's sequence number: members joined from here on compare >= it.
-  int64_t next_seq() const { return next_seq_; }
-  // Steps until the earliest member finishes (>= 1).
-  int64_t StepsToNextFinish() const { return heap_.front().finish - step_; }
-  int Progress(const Member& member) const {
-    return member.request->request.output_len - 1 - static_cast<int>(member.finish - step_);
-  }
-
-  void Join(RequestState* request) {
-    heap_.push_back(Member{step_ + request->remaining_decode_steps(), next_seq_++, request});
-    std::push_heap(heap_.begin(), heap_.end(), kFinishesLater);
-    ctx_tokens_ += request->context_len();
-  }
-
-  // Ends one step: every member gains a token. Returns the tokens generated.
-  int64_t EndStep() {
-    const int64_t batch = static_cast<int64_t>(heap_.size());
-    ctx_tokens_ += batch;
-    ++step_;
-    return batch;
-  }
-
-  // Removes the member at `pos` (mid-run: abort, cancel, preemption), writing its progress.
-  Member Remove(size_t pos) {
-    const Member member = heap_[pos];
-    member.request->decode_steps_done = Progress(member);
-    ctx_tokens_ -= member.request->context_len();
-    heap_[pos] = heap_.back();
-    heap_.pop_back();
-    std::make_heap(heap_.begin(), heap_.end(), kFinishesLater);
-    return member;
-  }
-
-  // Appends the members that emitted their last token by step() to `out` (any order).
-  void PopFinished(std::vector<Member>* out) {
-    while (!heap_.empty() && heap_.front().finish <= step_) {
-      std::pop_heap(heap_.begin(), heap_.end(), kFinishesLater);
-      Member& member = heap_.back();
-      member.request->decode_steps_done = member.request->request.output_len - 1;
-      ctx_tokens_ -= member.request->context_len();
-      out->push_back(member);
-      heap_.pop_back();
-    }
-  }
-
-  // Drops every member (the instance failed), writing each one's progress.
-  void Clear() {
-    for (const Member& member : heap_) {
-      member.request->decode_steps_done = Progress(member);
-    }
-    heap_.clear();
-    ctx_tokens_ = 0;
-  }
-
-  // Puts `members` in join order: the order the per-step engines walked their batch.
-  static void SortByJoin(std::vector<Member>* members) {
-    std::sort(members->begin(), members->end(),
-              [](const Member& a, const Member& b) { return a.seq < b.seq; });
-  }
-
- private:
-  // Heap order (std::push_heap/pop_heap) that keeps the earliest finish on top.
-  static constexpr auto kFinishesLater = [](const Member& a, const Member& b) {
-    return a.finish > b.finish;
-  };
-
-  std::vector<Member> heap_;
-  int64_t step_ = 0;
-  int64_t ctx_tokens_ = 0;
-  int64_t next_seq_ = 0;
-};
 
 class StepRun {
  public:

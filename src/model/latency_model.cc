@@ -47,7 +47,7 @@ BatchWorkload BatchWorkloadLattice::At(size_t i) const {
 BatchWorkload BatchWorkload::Prefill(std::span<const int> input_lens) {
   BatchWorkload batch;
   for (int len : input_lens) {
-    DS_DCHECK(len > 0);
+    DS_CHECK(len > 0);
     batch.prefill_tokens += len;
     batch.prefill_sq_tokens += static_cast<double>(len) * static_cast<double>(len);
   }

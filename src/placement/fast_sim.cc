@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <numeric>
 #include <span>
 
 #include "common/logging.h"
+#include "engine/batch_former.h"
 
 namespace distserve::placement {
 
@@ -14,10 +14,8 @@ using model::BatchWorkload;
 
 namespace {
 
-// A strided/indexed read-only view of a trace. The round-robin splitters used to copy each
-// instance's sub-trace (one full Request copy per request per instance, repeated for every
-// rate probe of the placement search); a view carries only an index vector and reads the
-// shared trace in place.
+// A read-only view of a trace through an index vector: a round-robin instance reads the
+// shared trace in place instead of a per-probe copy of its sub-trace.
 class TraceView {
  public:
   explicit TraceView(const workload::Trace& trace) : trace_(&trace) {}
@@ -37,72 +35,65 @@ class TraceView {
   bool identity_ = true;
 };
 
+// The fast sim's prefill queue at a launch: the view's requests from `next` on that arrived
+// by `launch`, in trace order (FormPrefillBatch's queue).
+class ArrivedBy {
+ public:
+  ArrivedBy(const TraceView& trace, size_t next, double launch)
+      : trace_(trace), next_(next), launch_(launch) {}
+  bool empty() const { return next_ == trace_.size() || trace_[next_].arrival_time > launch_; }
+  const workload::Request* front() const { return &trace_[next_]; }
+  void pop_front() { ++next_; }
+  size_t next() const { return next_; }
+
+ private:
+  const TraceView& trace_;
+  size_t next_;
+  double launch_;
+};
+
+// FormPrefillBatch's batch in the fast sim: its members are the run ArrivedBy popped, so only
+// their count is kept.
+struct BatchCount {
+  int n = 0;
+  void clear() { n = 0; }
+  size_t size() const { return static_cast<size_t>(n); }
+  bool empty() const { return n == 0; }
+  void push_back(const workload::Request*) { ++n; }
+};
+
 std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
                                            const TraceView& trace, int64_t target_tokens,
                                            int max_batch_size) {
   std::vector<double> finish(trace.size(), 0.0);
-  const int pp = lm.par().pp;
+  const engine::PrefillBatchPolicy policy{target_tokens, max_batch_size};
+  const auto no_memory_bound = [](int64_t) { return true; };
+  engine::PipelineCadence cadence(lm.par().pp);
+  BatchCount batch;
   size_t i = 0;
-  double stage0_free = 0.0;
-  double prev_entry = 0.0;
-  double prev_stage = 0.0;
-  bool first_batch = true;
   while (i < trace.size()) {
-    const double launch = std::max(trace[i].arrival_time, stage0_free);
-    // L_m-aware FCFS batch formation over requests already arrived at launch time. The
-    // workload accumulates inline, in admission order — the same summation order
-    // BatchWorkload::Prefill uses, so the FP totals are identical.
+    const double launch = std::max(trace[i].arrival_time, cadence.stage0_free_at());
+    ArrivedBy arrived(trace, i, launch);
     BatchWorkload workload;
-    int batch_count = 0;
-    size_t j = i;
-    int64_t tokens = 0;
-    while (j < trace.size() && batch_count < max_batch_size) {
-      const workload::Request& r = trace[j];
-      if (r.arrival_time > launch) {
-        break;
-      }
-      const bool is_head = batch_count == 0;
-      if (!is_head && tokens + r.input_len > target_tokens) {
-        break;
-      }
-      // Cached prefixes skip compute (the uncached suffix attends over the full prompt:
-      // sq = (L-C)*L, exactly L*L when C == 0) while the batching budget keeps counting
-      // full prompts — mirroring the engine's batch former.
-      const int64_t computed = r.input_len - r.cached_prefix_len;
-      workload.prefill_tokens += computed;
-      workload.prefill_sq_tokens +=
-          static_cast<double>(computed) * static_cast<double>(r.input_len);
-      ++batch_count;
-      tokens += r.input_len;
-      ++j;
-      if (is_head && r.input_len >= target_tokens) {
-        break;  // over-length prompts run alone
-      }
+    engine::FormPrefillBatch(arrived, policy, no_memory_bound, &batch, &workload);
+    const double entry = cadence.Enter(launch, lm.StageTime(workload));
+    const double batch_finish = entry + lm.FullTime(workload);
+    for (; i < arrived.next(); ++i) {
+      finish[i] = batch_finish;
     }
-    const double stage_time = lm.StageTime(workload);
-    const double full_time = lm.FullTime(workload);
-    double entry = launch;
-    if (!first_batch && pp > 1 && prev_stage > stage_time) {
-      entry = std::max(entry,
-                       prev_entry + prev_stage +
-                           static_cast<double>(pp - 1) * (prev_stage - stage_time));
-    }
-    const double batch_finish = entry + full_time;
-    for (size_t k = i; k < j; ++k) {
-      finish[k] = batch_finish;
-    }
-    stage0_free = entry + stage_time;
-    prev_entry = entry;
-    prev_stage = stage_time;
-    first_batch = false;
-    i = j;
   }
   return finish;
 }
 
-// Heap order (std::push_heap/pop_heap) that keeps the member with the earliest `finish` step
-// on top.
-constexpr auto kFinishesLater = [](const auto& a, const auto& b) { return a.finish > b.finish; };
+// DecodeBatch members in the fast sim: positions in a trace view, which keep no progress.
+struct ViewRefs {
+  using Ref = size_t;
+  const TraceView* trace;
+  int64_t StepsLeft(size_t k) const { return (*trace)[k].output_len - 1; }
+  int64_t FinalContext(size_t k) const { return (*trace)[k].total_len(); }
+  void Leave(size_t, int64_t) const {}
+};
+using ViewDecodeBatch = engine::BasicDecodeBatch<ViewRefs>;
 
 std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
                                     const TraceView& trace, std::span<const double> ready_times,
@@ -130,87 +121,63 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     return ready_times[a] < ready_times[b];
   });
 
-  // Members sit in a min-heap keyed on the absolute step at which they emit their last
-  // token. A member admitted at global step g with output length L finishes at step
-  // g + L - 1, and its context at step s is (input_len + 1) + (s - g), so the one counter
-  // `gstep` advances every member at once: a run costs O(log batch + completions), not a
-  // pass over the batch.
-  struct Member {
-    int64_t finish;
-    size_t idx;
-  };
-  std::vector<Member> heap;
-  heap.reserve(static_cast<size_t>(max_batch_size));
+  ViewDecodeBatch batch(ViewRefs{&trace});
+  batch.reserve(static_cast<size_t>(max_batch_size));
   const int pp = lm.par().pp;
   size_t next = 0;
   double now = 0.0;
-  int64_t gstep = 0;
   int64_t used_tokens = 0;
-  int64_t ctx_sum = 0;  // invariant: sum of member contexts (exact: integer adds)
 
-  while (next < order.size() || !heap.empty()) {
-    if (heap.empty()) {
+  while (next < order.size() || !batch.empty()) {
+    if (batch.empty()) {
       now = std::max(now, ready_times[order[next]]);
     }
     // Admit ready requests while memory and the batch cap allow.
     while (next < order.size() && ready_times[order[next]] <= now &&
-           static_cast<int>(heap.size()) < max_batch_size) {
+           static_cast<int>(batch.size()) < max_batch_size) {
       const size_t idx = order[next];
       const int64_t need = trace[idx].total_len();
       if (used_tokens + need > kv_capacity_tokens) {
         break;
       }
       used_tokens += need;
-      heap.push_back(Member{gstep + trace[idx].output_len - 1, idx});
-      std::push_heap(heap.begin(), heap.end(), kFinishesLater);
-      ctx_sum += static_cast<int64_t>(trace[idx].input_len) + 1;
+      batch.Join(idx);
       ++next;
     }
-    if (heap.empty()) {
+    if (batch.empty()) {
       continue;  // jump to the next ready time at loop head
     }
-    const int64_t batch = static_cast<int64_t>(heap.size());
-    const int64_t lane_batch = (batch + pp - 1) / pp;
+    const int64_t members = static_cast<int64_t>(batch.size());
+    const int64_t lane_batch = (members + pp - 1) / pp;
 
-    // Run-batched stepping. Between membership changes the batch is fixed and the context
-    // sum grows by exactly `batch` per step, so one DecodeStepPricer prices the whole run:
-    // the batch-dependent terms once, then one KV-read term per step. Equivalence with a
-    // per-step scalar loop (tiered_search_test keeps one as the reference): the step times
-    // are bit-identical (the pricer mirrors FullTime), `now` accumulates them in the same
-    // order, and the loop stops stepping exactly where the scalar loop's admission check
-    // would fire — membership can only change at a completion (the earliest finish step, at
-    // the heap's top) or when `now` reaches the next admissible request's ready time
+    // Run-batched stepping: between membership changes the batch is fixed, so one
+    // DecodeStepPricer prices the whole run. It is bit-identical to a per-step scalar loop
+    // (tiered_search_test keeps one as the reference): the pricer mirrors FullTime, `now`
+    // sums the steps in the same order, and the run stops where the scalar loop's admission
+    // check would fire, at a completion or once `now` reaches the next admissible ready time
     // (nothing else in the admission condition moves during a run).
-    const int run = static_cast<int>(heap.front().finish - gstep);
+    const int64_t run = batch.StepsToNextFinish();
     const bool admit_pending =
-        next < order.size() && static_cast<int>(heap.size()) < max_batch_size &&
+        next < order.size() && static_cast<int>(batch.size()) < max_batch_size &&
         used_tokens + trace[order[next]].total_len() <= kv_capacity_tokens;
     const double next_ready = admit_pending ? ready_times[order[next]] : 0.0;
     const model::DecodeStepPricer pricer = lm.DecodePricer(lane_batch);
-    int stepped = 0;
-    while (stepped < run) {
-      const int64_t lane_ctx = (ctx_sum + static_cast<int64_t>(stepped) * batch) / pp;
-      now += pricer.FullTime(std::max<int64_t>(lane_ctx, 1));
-      ++stepped;
+    for (int64_t stepped = 0; stepped < run; ++stepped) {
+      now += pricer.FullTime(std::max<int64_t>(batch.ctx_tokens() / pp, 1));
+      batch.EndStep();
       if (admit_pending && next_ready <= now) {
         break;  // the scalar loop would admit before the next step; back to the head
       }
     }
-    // Apply the whole run at once. Completions can only happen when the run ran to its
-    // completion bound (an admission cut leaves everyone with tokens to go), and they land
-    // exactly on their finish step, where a member's context has grown to its total length.
-    gstep += stepped;
-    ctx_sum += static_cast<int64_t>(stepped) * batch;
-    while (!heap.empty() && heap.front().finish <= gstep) {
-      const size_t idx = heap.front().idx;
-      std::pop_heap(heap.begin(), heap.end(), kFinishesLater);
-      heap.pop_back();
-      ctx_sum -= trace[idx].total_len();
-      // TPOT is measured from first-token readiness, so admission queueing counts toward it
-      // (matching RequestRecord::Tpot in the engine runtime).
-      tpot[idx] = (now - ready_times[idx]) / static_cast<double>(trace[idx].output_len - 1);
-      used_tokens -= trace[idx].total_len();
-    }
+    // Completions can only happen when the run ran to its completion bound (an admission cut
+    // leaves everyone with tokens to go). TPOT is measured from first-token readiness, so
+    // admission queueing counts toward it (matching RequestRecord::Tpot in the engine
+    // runtime).
+    batch.PopFinished([&](const ViewDecodeBatch::Member& m) {
+      tpot[m.request] =
+          (now - ready_times[m.request]) / static_cast<double>(trace[m.request].output_len - 1);
+      used_tokens -= trace[m.request].total_len();
+    });
   }
   return tpot;
 }
@@ -220,14 +187,6 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
 void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
                           const ColocatedFastConfig& config,
                           std::vector<FastRecord>& records) {
-  // Resident decodes in a min-heap keyed on the decode step (counted by `dstep`, which
-  // advances only on steps where decodes do) that emits their last token — the same
-  // representation as DecodeTpotsView, so a step costs O(log batch + completions).
-  struct Decoding {
-    int64_t finish;
-    size_t local_idx;
-    double first_token;
-  };
   // Chunked mode: an admitted prompt whose compute window has advanced to `done` tokens
   // (starting at the cached prefix).
   struct Prefilling {
@@ -236,20 +195,27 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
   };
   std::deque<size_t> waiting;
   std::deque<Prefilling> prefilling;  // chunked mode only
-  std::vector<Decoding> decoding;
+  // Resident decodes. The batch steps only on steps where decodes advance. A member's
+  // record holds its first-token time in `tpot` until its last token.
+  ViewDecodeBatch decoding(ViewRefs{&trace});
   decoding.reserve(static_cast<size_t>(config.max_batch_size));
   std::vector<size_t> prefilled_now;  // prompts completing this step (cleared per step)
   size_t next_arrival = 0;
   double now = 0.0;
-  int64_t dstep = 0;
   int64_t used_tokens = 0;
-  int64_t decode_ctx_sum = 0;  // invariant: sum of decode contexts (exact: integer adds)
   const bool chunked = config.chunk_budget > 0;
 
+  // Arrivals join the waiting queue, except that one whose full context can never fit this
+  // configuration is unserveable and fails both SLOs.
   auto pull_arrivals = [&] {
-    while (next_arrival < trace.size() && trace[next_arrival].arrival_time <= now) {
-      waiting.push_back(next_arrival);
-      ++next_arrival;
+    for (; next_arrival < trace.size() && trace[next_arrival].arrival_time <= now;
+         ++next_arrival) {
+      if (trace[next_arrival].total_len() > config.kv_capacity_tokens) {
+        const double never = std::numeric_limits<double>::infinity();
+        records[trace.global(next_arrival)] = FastRecord{never, never};
+      } else {
+        waiting.push_back(next_arrival);
+      }
     }
   };
 
@@ -276,12 +242,6 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
              static_cast<int>(decoding.size() + prefilling.size()) < config.max_batch_size) {
         const size_t idx = waiting.front();
         const int64_t need = trace[idx].total_len();
-        if (need > config.kv_capacity_tokens) {
-          records[trace.global(idx)].ttft = std::numeric_limits<double>::infinity();
-          records[trace.global(idx)].tpot = std::numeric_limits<double>::infinity();
-          waiting.pop_front();
-          continue;
-        }
         if (used_tokens + need > config.kv_capacity_tokens) {
           break;
         }
@@ -317,13 +277,6 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
                  config.max_batch_size) {
         const size_t idx = waiting.front();
         const int64_t need = trace[idx].total_len();
-        if (need > config.kv_capacity_tokens) {
-          // Unserveable on this configuration: count as failing both SLOs and drop it.
-          records[trace.global(idx)].ttft = std::numeric_limits<double>::infinity();
-          records[trace.global(idx)].tpot = std::numeric_limits<double>::infinity();
-          waiting.pop_front();
-          continue;
-        }
         if (used_tokens + need > config.kv_capacity_tokens) {
           break;
         }
@@ -348,7 +301,7 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
     }
     if (decodes_advance) {
       workload.decode_requests = static_cast<int64_t>(decoding.size());
-      workload.decode_context_tokens = decode_ctx_sum;
+      workload.decode_context_tokens = decoding.ctx_tokens();
     }
 
     if (workload.empty()) {
@@ -364,17 +317,12 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
     // Decode advancement (skipped on prefill-only steps): every resident context grows by
     // one, and the members whose finish step this is depart with their full context.
     if (decodes_advance) {
-      ++dstep;
-      decode_ctx_sum += static_cast<int64_t>(decoding.size());
-      while (!decoding.empty() && decoding.front().finish <= dstep) {
-        const Decoding done = decoding.front();
-        std::pop_heap(decoding.begin(), decoding.end(), kFinishesLater);
-        decoding.pop_back();
-        decode_ctx_sum -= trace[done.local_idx].total_len();
-        records[trace.global(done.local_idx)].tpot =
-            (now - done.first_token) / static_cast<double>(trace[done.local_idx].output_len - 1);
-        used_tokens -= trace[done.local_idx].total_len();
-      }
+      decoding.EndStep();
+      decoding.PopFinished([&](const ViewDecodeBatch::Member& m) {
+        FastRecord& record = records[trace.global(m.request)];
+        record.tpot = (now - record.tpot) / static_cast<double>(trace[m.request].output_len - 1);
+        used_tokens -= trace[m.request].total_len();
+      });
     }
 
     // Prompts finished this step.
@@ -383,9 +331,8 @@ void SimulateColocatedOne(const model::LatencyModel& lm, const TraceView& trace,
       if (trace[idx].output_len <= 1) {
         used_tokens -= trace[idx].total_len();
       } else {
-        decoding.push_back(Decoding{dstep + trace[idx].output_len - 1, idx, now});
-        std::push_heap(decoding.begin(), decoding.end(), kFinishesLater);
-        decode_ctx_sum += static_cast<int64_t>(trace[idx].input_len) + 1;
+        records[trace.global(idx)].tpot = now;  // its first-token time, until it finishes
+        decoding.Join(idx);
       }
     }
   }

@@ -1,16 +1,19 @@
 // The fast placement simulator (§4.1 "Simulator building").
 //
-// Algorithm 1/2 evaluate hundreds of candidate configurations, each via a goodput binary
-// search — too many trials for the full DES engine. This module is a second, independent
-// implementation of the serving physics as plain loops over a trace: no event queue, no KV
-// transfer, no per-block memory accounting (token-granular reservations instead). It plays the
-// role of the paper's simulator; the engine-level DES plays the role of their real system, and
-// bench_tab2_simulator_accuracy compares the two exactly as the paper's Table 2 does.
-//
-// Approximations (versus the engine): round-robin dispatch instead of shortest-queue /
-// least-loaded, zero transfer time, token-granular memory. The paper reports <2% attainment
-// error for its simulator; ours lands in the same range because both implementations share the
-// Appendix-A latency model, which dominates.
+// Algorithms 1/2 evaluate hundreds of candidate configurations, each via a goodput binary
+// search: too many trials for the engine-level DES. This module is an event-free driver of the
+// engines' own schedule kernels (engine/batch_former.h: FormPrefillBatch, PipelineCadence,
+// DecodeBatch), stepped in plain loops over a trace. It plays the role of the paper's
+// simulator and the DES that of their real system: bench_tab2_simulator_accuracy compares the
+// two as the paper's Table 2 does, and fast_sim_engine_diff_test checks that single instances
+// agree exactly where none of these deliberate differences applies:
+//   - round-robin routing instead of shortest-queue / least-loaded dispatch;
+//   - no KV transfers, faults, cancels or priorities, and prefill never stalls on KV;
+//   - token-granular KV instead of blocks: on ShareGPT lengths vLLM results diverge from the
+//     DES once KV binds (from 5 req/s on one OPT-13B replica), on block-aligned traces not;
+//   - vLLM mode admits and selects prompts in one pass (the engine admits, then selects);
+//   - decode with pp > 1 steps one merged batch (ceil(B/pp) members, ctx/pp tokens) where the
+//     DES runs pp lanes.
 #ifndef DISTSERVE_PLACEMENT_FAST_SIM_H_
 #define DISTSERVE_PLACEMENT_FAST_SIM_H_
 

@@ -197,6 +197,8 @@ FleetResult FleetSystem::Run(const workload::Trace& trace) {
 }
 
 void FleetSystem::BeginGroups(size_t trace_size) {
+  DS_CHECK(!started_) << "a FleetSystem runs once: build a new fleet for each Run";
+  started_ = true;
   const size_t per_group = trace_size / groups_.size() + 1;
   for (auto& group : groups_) {
     group->BeginStream(per_group);

@@ -85,8 +85,8 @@ class FleetSystem {
   FleetSystem& operator=(const FleetSystem&) = delete;
   ~FleetSystem();
 
-  // Routes and runs the trace to completion. Like ServingSystem::Run, a faulted fleet is
-  // single-use. Arrival times are the router's receive times; each request's TTFT includes
+  // Routes and runs the trace to completion. Like a ServingSystem, a fleet runs once: a
+  // second Run aborts. Arrival times are the router's receive times; each request's TTFT includes
   // the dispatch hop it then takes.
   FleetResult Run(const workload::Trace& trace);
 
@@ -121,6 +121,7 @@ class FleetSystem {
   std::vector<int> group_shard_;
   std::vector<int> group_sender_;
   int router_sender_ = -1;
+  bool started_ = false;  // BeginGroups was called (a fleet runs once)
 
   // Router state (shard 0 only): in-flight request count and last known serviceability per
   // group, plus arrivals parked when no group is serviceable.

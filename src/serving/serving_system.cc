@@ -654,15 +654,11 @@ void ServingSystem::OnDecodePreempt(engine::RequestState* request) {
 }
 
 void ServingSystem::BeginStream(size_t expected_requests) {
+  DS_CHECK(!started_) << "a ServingSystem runs once (one Run or one stream): build a new "
+                         "system for each";
+  started_ = true;
   DS_TRACE(config_.recorder, NewRun());
-  collector_ = metrics::Collector();
   collector_.Reserve(expected_requests);
-  // Every request of the previous stream reached its outcome (FinishStream checks it), so
-  // all of its slots are free for this one.
-  DS_CHECK_EQ(states_.live(), 0u);
-  parked_.clear();
-  completed_ = 0;
-  submitted_ = 0;
 }
 
 void ServingSystem::Submit(const workload::Request& request) {
@@ -680,8 +676,6 @@ void ServingSystem::ScheduleFaults() {
 }
 
 metrics::Collector ServingSystem::Run(const workload::Trace& trace) {
-  DS_CHECK(!ran_) << "a ServingSystem runs once: build a new system for each Run";
-  ran_ = true;
   BeginStream(trace.size());
   sim_->StreamArrivals(
       trace.size(), [&trace](size_t i) { return trace[i].arrival_time; },
@@ -702,23 +696,11 @@ metrics::Collector ServingSystem::FinishStream(double end_time) {
   parked_.clear();
   finishing_ = false;
   // Close downtime intervals still open at the end of the run.
-  const double end = end_time;
-  for (auto& since : prefill_down_since_) {
-    if (since.has_value()) {
-      fault_stats().downtime_seconds += end - *since;
-      *since = end;  // a later Run() accrues only its own share
-    }
-  }
-  for (auto& since : decode_down_since_) {
-    if (since.has_value()) {
-      fault_stats().downtime_seconds += end - *since;
-      *since = end;
-    }
-  }
-  for (auto& since : link_down_since_) {
-    if (since.has_value()) {
-      fault_stats().downtime_seconds += end - *since;
-      *since = end;
+  for (const auto* down_since : {&prefill_down_since_, &decode_down_since_, &link_down_since_}) {
+    for (const std::optional<double>& since : *down_since) {
+      if (since.has_value()) {
+        fault_stats().downtime_seconds += end_time - *since;
+      }
     }
   }
   if (completed_ + static_cast<int64_t>(collector_.NeverCompletedCount()) != submitted_) {

@@ -23,7 +23,7 @@
 // completions and watchdogs) check the slot's serial or the run-wide pull number first.
 //
 // This engine-level runtime is the "real system" of our Table-2 reproduction; the fast
-// placement simulator (src/placement/simulate.h) is a coarser, independent implementation.
+// placement simulator (placement/fast_sim.h) drives the same engine kernels without events.
 #ifndef DISTSERVE_SERVING_SERVING_SYSTEM_H_
 #define DISTSERVE_SERVING_SERVING_SYSTEM_H_
 
@@ -112,9 +112,10 @@ class ServingSystem {
   // with every instance dead; both are recorded as lost, not completed. Arrival times must
   // not decrease (a trace that does aborts, naming the offending index).
   //
-  // A system runs once: a second Run aborts. The clock, the links' busy-until times and the
-  // prefill instances' stage-0 free times are absolute simulated times that a second run
-  // would inherit from the first; build a new system for each trace instead.
+  // A system runs once: a second Run, or a Run after streaming, aborts. The clock, the links'
+  // busy-until times and the prefill instances' stage-0 free times are absolute simulated
+  // times that a second run would inherit from the first; build a new system for each trace
+  // instead.
   metrics::Collector Run(const workload::Trace& trace);
 
   // --- Streaming interface (fleet runs over an external simulator; serving/fleet.h) ---
@@ -125,9 +126,8 @@ class ServingSystem {
   // request before ScheduleFaults would, so a caller that schedules its arrivals that way
   // gets bit-identical results.
 
-  // Resets per-stream state (collector, counters, parked list) and starts a new trace
-  // recorder run. Call before scheduling any arrivals of a new stream, after the previous
-  // stream's FinishStream.
+  // Starts the stream and a new trace recorder run. Call before scheduling any arrivals. A
+  // system streams once, like it runs once: a second BeginStream aborts.
   void BeginStream(size_t expected_requests);
 
   // Admits one request at the simulator's current time. Call it from within an event, as the
@@ -229,7 +229,7 @@ class ServingSystem {
   std::function<void(const FaultEvent&)> fault_callback_;
   std::function<void(const engine::RequestState&)> on_request_done_;
   bool finishing_ = false;  // suppresses on_request_done_ during FinishStream's sweep
-  bool ran_ = false;        // Run was called (a system runs once)
+  bool started_ = false;    // BeginStream was called (a system runs or streams once)
 
   // Requests with no live target, re-routed when a component recovers.
   std::deque<engine::RequestState*> parked_;

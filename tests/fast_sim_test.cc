@@ -179,6 +179,29 @@ TEST(FastColocatedTest, AllRequestsServed) {
   }
 }
 
+// A request that can never fit the KV pool fails both SLOs, also when it arrives last, with
+// nothing else left to run.
+TEST(FastColocatedTest, UnservableLastRequestFailsBothSlos) {
+  workload::Trace trace(2);
+  trace[0].id = 0;
+  trace[0].input_len = 64;
+  trace[0].output_len = 4;
+  trace[1].id = 1;
+  trace[1].arrival_time = 5.0;
+  trace[1].input_len = 4000;
+  trace[1].output_len = 4;
+  for (int64_t chunk_budget : {0, 256}) {
+    ColocatedFastConfig config;
+    config.kv_capacity_tokens = 1000;
+    config.chunk_budget = chunk_budget;
+    const std::vector<FastRecord> records = SimulateColocated(Lm13B(), trace, config);
+    EXPECT_GT(records[0].ttft, 0.0);
+    EXPECT_LT(records[0].ttft, 1.0);
+    EXPECT_TRUE(std::isinf(records[1].ttft));
+    EXPECT_TRUE(std::isinf(records[1].tpot));
+  }
+}
+
 TEST(FastColocatedTest, MoreInstancesImproveTtft) {
   const model::LatencyModel lm = Lm13B();
   ColocatedFastConfig one;

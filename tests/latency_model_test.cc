@@ -270,5 +270,11 @@ INSTANTIATE_TEST_SUITE_P(OptFamily, AllModelsLatencyTest,
                            return name;
                          });
 
+// Prompt lengths are caller input: a non-positive one aborts in every build.
+TEST(BatchWorkloadDeathTest, NonPositivePromptLengthAborts) {
+  const std::vector<int> lens{128, 0};
+  EXPECT_DEATH(BatchWorkload::Prefill(lens), "len > 0");
+}
+
 }  // namespace
 }  // namespace distserve::model

@@ -219,5 +219,27 @@ TEST(RngTest, SplitMix64KnownSequenceIsStable) {
   EXPECT_NE(first, second);
 }
 
+// Distribution parameters are caller input: a bad one aborts in every build, not only in
+// debug builds.
+TEST(RngDeathTest, UniformIntEmptyRangeAborts) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.UniformInt(5, 4), "lo <= hi");
+}
+
+TEST(RngDeathTest, ExponentialNonPositiveRateAborts) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Exponential(0.0), "rate > 0");
+}
+
+TEST(RngDeathTest, GammaNonPositiveShapeAborts) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Gamma(0.0, 1.0), "shape > 0");
+}
+
+TEST(RngDeathTest, GammaNonPositiveScaleAborts) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.Gamma(1.0, -1.0), "scale > 0");
+}
+
 }  // namespace
 }  // namespace distserve

@@ -384,6 +384,20 @@ TEST(ServingSystemDeathTest, SecondRunAborts) {
   EXPECT_DEATH(run_twice(), "a ServingSystem runs once");
 }
 
+// Streaming shares Run's guard: a system streams once.
+TEST(ServingSystemDeathTest, SecondBeginStreamAborts) {
+  auto stream_twice = [] {
+    simcore::Simulator sim;
+    ServingConfig config = BasicConfig();
+    config.sim = &sim;
+    ServingSystem system(std::move(config));
+    system.BeginStream(1);
+    system.FinishStream(sim.now());
+    system.BeginStream(1);
+  };
+  EXPECT_DEATH(stream_twice(), "a ServingSystem runs once");
+}
+
 TEST(ServingSystemDeathTest, DecreasingArrivalTimeAborts) {
   workload::Trace trace = MakeTrace(2.0, 50);
   trace[17].arrival_time = trace[16].arrival_time - 0.25;

@@ -289,6 +289,17 @@ TEST(FleetShardingTest, RouterParksWhenNoGroupServiceable) {
   EXPECT_EQ(r.collector.count() + r.collector.lost_count(), trace.size());
 }
 
+// A fleet runs once, like the systems it is built from.
+TEST(FleetShardingDeathTest, SecondRunAborts) {
+  const workload::Trace trace = FleetTrace(20, 5.0);
+  auto run_twice = [&trace] {
+    serving::FleetSystem fleet(DisaggFleet(2, 1));
+    fleet.Run(trace);
+    fleet.Run(trace);
+  };
+  EXPECT_DEATH(run_twice(), "a FleetSystem runs once");
+}
+
 // --- Run() streams the trace into the router's shard; results match the up-front schedule ---
 
 TEST(FleetStreamTest, RunIsBitIdenticalToUpFrontArrivalsAtShards12) {

@@ -163,5 +163,12 @@ TEST(HistogramTest, RenderContainsCounts) {
   EXPECT_NE(render.find("#"), std::string::npos);
 }
 
+// The percentile is caller input: one outside [0, 100] aborts in every build.
+TEST(PercentileTrackerDeathTest, PercentileOutOfRangeAborts) {
+  PercentileTracker tracker;
+  tracker.Add(1.0);
+  EXPECT_DEATH(tracker.Percentile(101.0), "q >= 0.0 && q <= 100.0");
+}
+
 }  // namespace
 }  // namespace distserve

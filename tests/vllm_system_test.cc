@@ -214,6 +214,20 @@ TEST(VllmSystemDeathTest, SecondRunAborts) {
   EXPECT_DEATH(run_twice(), "a VllmSystem runs once");
 }
 
+// Streaming shares Run's guard: a system streams once.
+TEST(VllmSystemDeathTest, SecondBeginStreamAborts) {
+  auto stream_twice = [] {
+    simcore::Simulator sim;
+    VllmConfig config = BasicConfig();
+    config.sim = &sim;
+    VllmSystem system(std::move(config));
+    system.BeginStream(1);
+    system.FinishStream(sim.now());
+    system.BeginStream(1);
+  };
+  EXPECT_DEATH(stream_twice(), "a VllmSystem runs once");
+}
+
 TEST(VllmSystemDeathTest, PipelineParallelRejected) {
   VllmConfig config = BasicConfig();
   config.par = {1, 2};
