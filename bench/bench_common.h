@@ -288,10 +288,15 @@ class WallTimer {
 // to AddRaw are embedded verbatim (numbers, booleans, or nested JSON).
 class BenchJson {
  public:
-  explicit BenchJson(std::string bench_name) { AddString("bench", std::move(bench_name)); }
+  explicit BenchJson(const std::string& bench_name) { AddString("bench", bench_name); }
 
-  void AddString(const std::string& key, std::string value) {
-    fields_.emplace_back(key, "\"" + std::move(value) + "\"");
+  void AddString(const std::string& key, const std::string& value) {
+    // Built by append, not `"\"" + value + "\""`: GCC 12 inlines that concatenation into a
+    // memcpy it then flags with a false -Wrestrict.
+    std::string quoted;
+    quoted.reserve(value.size() + 2);
+    quoted.append(1, '"').append(value).append(1, '"');
+    fields_.emplace_back(key, std::move(quoted));
   }
   // Human-scale rendering ("%.6g") for timings and rates read by people. NOT round-trip
   // exact: a value persisted for later bitwise reuse must go through AddDoubleExact.

@@ -80,8 +80,9 @@ void VllmSystem::Submit(const workload::Request& request) {
   engine::ColocatedInstance* best = instances_.front().get();
   int64_t best_load = std::numeric_limits<int64_t>::max();
   for (const auto& inst : instances_) {
-    if (inst->load() < best_load) {
-      best_load = inst->load();
+    const int64_t load = inst->load();
+    if (load < best_load) {
+      best_load = load;
       best = inst.get();
     }
   }

@@ -105,10 +105,6 @@ KvBlockManager::KvBlockManager(int64_t capacity_tokens, int block_size)
   total_blocks_ = capacity_tokens / block_size;
 }
 
-int64_t KvBlockManager::BlocksForTokens(int64_t tokens) const {
-  return (tokens + block_size_ - 1) / block_size_;
-}
-
 bool KvBlockManager::CanReserve(int64_t tokens) const {
   return BlocksForTokens(tokens) <= free_blocks();
 }

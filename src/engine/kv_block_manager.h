@@ -78,7 +78,9 @@ class KvBlockManager {
   int block_size() const { return block_size_; }
 
   // Blocks needed to hold `tokens` token slots.
-  int64_t BlocksForTokens(int64_t tokens) const;
+  int64_t BlocksForTokens(int64_t tokens) const {
+    return (tokens + block_size_ - 1) / block_size_;
+  }
 
   // Whether a fresh reservation of `tokens` slots would succeed right now.
   bool CanReserve(int64_t tokens) const;

@@ -8,8 +8,10 @@
 // decode progress, and the recorder's request spans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/gpu_spec.h"
@@ -19,6 +21,7 @@
 #include "per_step_engines.h"
 #include "scenario_trace.h"
 #include "trace/recorder.h"
+#include "workload/dataset.h"
 
 namespace distserve::engine {
 namespace {
@@ -384,6 +387,338 @@ TEST(EngineRunSteppingTest, ChunkedColocatedMatchesPerStep) {
   options.chunk_budget = 512;
   ExpectColocatedMatches(options, 1 << 20);
   ExpectColocatedMatches(options, 16000);
+}
+
+// --- Colocated replicas behind least-loaded routing ---------------------------------------
+
+// Inputs beyond the trace for a set of colocated replicas. Arrivals route to the replica with
+// the least load() (the first on ties), as baselines::VllmSystem routes them, so a load view
+// that misreads a fold boundary that has passed but is not committed changes the routing.
+struct ReplicaCase {
+  ColocatedInstance::Options options;
+  int64_t kv_capacity = 1 << 20;
+  int replicas = 3;
+  // Arrival times that are scheduled by an event at the paired post time instead of up front:
+  // at an exact tie with a step end they fire after it, as an arrival scheduled after the
+  // step started does.
+  std::vector<std::pair<double, double>> late_arrivals;  // {post time, arrival time}
+  double probe_every = 0.0137;
+  int probes = 5000;  // 68.5 s: the whole of the routed traces below
+  bool instance_spans = false;
+};
+
+struct ReplicaOutcome {
+  Outcome outcome;  // probes read every replica in turn; spans are sorted by request
+  int64_t engine_events = 0;  // events fired by the replicas, not by the harness
+  std::vector<trace::Span> instance_spans;
+};
+
+template <typename Instance>
+ReplicaOutcome RunReplicas(const ReplicaCase& c, const workload::Trace& trace) {
+  simcore::Simulator sim;
+  trace::Recorder::Options recorder_options;
+  recorder_options.instance_spans = c.instance_spans;
+  trace::Recorder recorder(recorder_options);
+  recorder.NewRun();
+  typename Instance::Options options;
+  options.mode = static_cast<decltype(options.mode)>(c.options.mode);
+  options.max_batch_size = c.options.max_batch_size;
+  options.max_prefill_tokens_per_step = c.options.max_prefill_tokens_per_step;
+  options.chunk_budget = c.options.chunk_budget;
+  options.kv_block_size = c.options.kv_block_size;
+  options.cpu_overhead_per_step = c.options.cpu_overhead_per_step;
+  ReplicaOutcome result;
+  Outcome& out = result.outcome;
+  std::vector<std::unique_ptr<Instance>> replicas;
+  for (int i = 0; i < c.replicas; ++i) {
+    replicas.push_back(std::make_unique<Instance>(&sim, Lm(1), c.kv_capacity, options, i));
+    Instance& instance = *replicas.back();
+    instance.set_recorder(&recorder);
+    instance.set_on_complete([&](RequestState* r) { out.records.Record(r->record); });
+    instance.set_on_cancelled([&](RequestState* r) {
+      if (r->phase == RequestPhase::kTimedOut) {
+        out.records.RecordTimedOut(r->record);
+      } else {
+        out.records.RecordCancelled(r->record);
+      }
+    });
+  }
+  int64_t harness_events = 0;
+  auto route = [&](RequestState* r) {
+    Instance* best = nullptr;
+    for (const auto& instance : replicas) {
+      if (best == nullptr || instance->load() < best->load()) {
+        best = instance.get();
+      }
+    }
+    best->Enqueue(r);
+  };
+  auto cancel = [&](RequestState* r, bool timed_out) {
+    switch (r->phase) {
+      case RequestPhase::kDone:
+      case RequestPhase::kCancelled:
+      case RequestPhase::kTimedOut:
+        return;
+      default:
+        break;
+    }
+    r->phase = timed_out ? RequestPhase::kTimedOut : RequestPhase::kCancelled;
+    replicas[static_cast<size_t>(r->prefill_instance)]->Cancel(r);
+  };
+  std::vector<std::unique_ptr<RequestState>> states;
+  for (const workload::Request& req : trace) {
+    states.push_back(std::make_unique<RequestState>(req));
+    RequestState* r = states.back().get();
+    double post = 0.0;
+    for (const auto& [post_at, arrival] : c.late_arrivals) {
+      if (arrival == req.arrival_time) {
+        post = post_at;
+      }
+    }
+    if (post > 0.0) {
+      sim.ScheduleAt(post, [&sim, &route, r] {
+        sim.ScheduleAt(r->request.arrival_time, [&route, r] { route(r); });
+      });
+      harness_events += 2;
+    } else {
+      sim.ScheduleAt(req.arrival_time, [&route, r] { route(r); });
+      ++harness_events;
+    }
+    if (req.cancel_at > 0.0) {
+      sim.ScheduleAt(req.cancel_at, [&cancel, r] { cancel(r, false); });
+      ++harness_events;
+    }
+    if (req.deadline > 0.0) {
+      sim.ScheduleAt(req.deadline, [&cancel, r] { cancel(r, true); });
+      ++harness_events;
+    }
+  }
+  auto probe = [&] {
+    for (const auto& instance : replicas) {
+      out.probes.push_back(Read(*instance));
+    }
+  };
+  for (int k = 1; k <= c.probes; ++k) {
+    sim.ScheduleAt(c.probe_every * k, probe);
+    ++harness_events;
+  }
+  sim.Run();
+  probe();
+  int64_t cancellations = 0;
+  for (const auto& instance : replicas) {
+    cancellations += instance->cancellations();
+  }
+  EXPECT_EQ(cancellations, static_cast<int64_t>(out.records.cancelled_count() +
+                                                out.records.timed_out_count()));
+  for (const auto& state : states) {
+    out.progress.push_back(state->decode_steps_done);
+  }
+  // Replicas commit lazily, so spans of different requests close in another order across
+  // replicas; each request's own spans keep theirs.
+  out.spans = RequestSpans(recorder);
+  std::stable_sort(out.spans.begin(), out.spans.end(),
+                   [](const trace::Span& a, const trace::Span& b) { return a.request < b.request; });
+  for (const trace::Span& span : recorder.spans()) {
+    if (span.request < 0) {
+      result.instance_spans.push_back(span);
+    }
+  }
+  out.events = sim.events_processed() - harness_events;
+  result.engine_events = out.events;
+  return result;
+}
+
+// Runs the replicas and the per-step reference on `trace`; returns the replicas' outcome.
+ReplicaOutcome ExpectReplicasMatch(const ReplicaCase& c, const workload::Trace& trace) {
+  ReplicaOutcome run = RunReplicas<ColocatedInstance>(c, trace);
+  const ReplicaOutcome reference = RunReplicas<per_step::ColocatedInstance>(c, trace);
+  EXPECT_GT(run.outcome.records.count(), 0u);
+  ExpectSameOutcome(run.outcome, reference.outcome);
+  return run;
+}
+
+// The completed request `id`'s record.
+metrics::RequestRecord RecordOf(const ReplicaOutcome& run, workload::RequestId id) {
+  for (const metrics::RequestRecord& r : run.outcome.records.records()) {
+    if (r.id == id) {
+      return r;
+    }
+  }
+  ADD_FAILURE() << "request " << id << " did not complete";
+  return {};
+}
+
+// ShareGPT traffic with prefix hits, cancels, deadlines and exact arrival ties, but one tenant
+// class: tenant priorities turn folding off.
+workload::Trace SingleTenantScenarioTrace(int n, double rate, uint64_t seed) {
+  workload::Trace trace = test_util::ScenarioTraceWithTies(n, rate, seed);
+  for (workload::Request& req : trace) {
+    req.priority = 0;
+  }
+  return trace;
+}
+
+TEST(EngineRunSteppingTest, RoutedColocatedReplicasMatchPerStep) {
+  for (const auto mode : {ColocatedInstance::Options::SchedulingMode::kPrefillPriority,
+                          ColocatedInstance::Options::SchedulingMode::kChunked}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    ReplicaCase c;
+    c.options.mode = mode;
+    c.options.chunk_budget = 512;
+    c.options.cpu_overhead_per_step = 0.0015;
+    const workload::Trace trace = SingleTenantScenarioTrace(600, 9.0, 41);
+    ExpectReplicasMatch(c, trace);
+    c.kv_capacity = 14000;  // blocked heads and a binding token budget
+    c.options.max_prefill_tokens_per_step = 1024;
+    ExpectReplicasMatch(c, trace);
+    c.kv_capacity = 1 << 20;
+    c.options.max_batch_size = 6;  // a binding batch cap
+    ExpectReplicasMatch(c, trace);
+  }
+}
+
+TEST(EngineRunSteppingTest, RoutedColocatedReplicasMatchPerStepOnPlainTraffic) {
+  const auto dataset = workload::MakeDatasetByName("sharegpt");
+  workload::TraceSpec spec;
+  spec.rate = 8.0;
+  spec.num_requests = 540;
+  spec.seed = 5;
+  const workload::Trace trace = workload::GenerateTrace(spec, *dataset);
+  ReplicaCase c;
+  c.options.cpu_overhead_per_step = 0.0015;
+  ExpectReplicasMatch(c, trace);
+}
+
+// Hand-built traces on one replica, one per path of the fold rule. A is a long decode
+// (100-token prompt, 300 tokens) whose runs are in flight when the others arrive at t = 1.
+ReplicaCase OneReplica() {
+  ReplicaCase c;
+  c.replicas = 1;
+  c.probe_every = 0.00371;  // dense: probes land between fold boundaries and their commits
+  c.probes = 1500;
+  return c;
+}
+
+workload::Trace WithLongDecode(std::vector<workload::Request> others) {
+  workload::Trace trace{test_util::MakeRequest(0, 0.0, 100, 300)};
+  for (workload::Request& req : others) {
+    req.id = static_cast<workload::RequestId>(trace.size());
+    trace.push_back(req);
+  }
+  return trace;
+}
+
+TEST(EngineRunSteppingTest, ColocatedFoldsAnArrivalAndContinuesItsPrefillStep) {
+  const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40)});
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
+  // A's prefill step continues into its decode steps, and B's arrival folds B's prefill step,
+  // which continues into the merged batch: the cut engine fired 13 events here.
+  EXPECT_EQ(run.engine_events, 10);
+}
+
+TEST(EngineRunSteppingTest, ColocatedRefoldsArrivalsBeforeTheBoundary) {
+  // C ties with B, and D follows 0.1 ms later, inside the same decode step: each re-folds the
+  // boundary B's arrival folded, and all three prefill in one step.
+  const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40),
+                                                test_util::MakeRequest(0, 1.0, 150, 30),
+                                                test_util::MakeRequest(0, 1.0001, 120, 50)});
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
+  EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).prefill_start);
+  EXPECT_EQ(RecordOf(run, 3).prefill_start, RecordOf(run, 1).prefill_start);
+  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedCutsForAnArrivalDuringAPrefillStep) {
+  // B's 2,000-token prefill step runs from the end of the decode step in flight at t = 1
+  // until after C arrives: B's fold unfolds back to that step's end, where C is admitted.
+  const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 2000, 40),
+                                                test_util::MakeRequest(0, 1.1, 100, 20)});
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
+  EXPECT_GT(RecordOf(run, 1).first_token, 1.1);
+  EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).first_token);
+  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAFoldedPromptIsCancelled) {
+  // B is cancelled the instant it arrives (its cancel event follows its arrival), before the
+  // boundary its fold counted on. Only A's own prefill step continues.
+  workload::Request b = test_util::MakeRequest(0, 1.0, 200, 40);
+  b.cancel_at = 1.0;
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), WithLongDecode({b}));
+  EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
+  EXPECT_EQ(run.engine_events, 10);  // 11 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAStalledDecodeIsCancelled) {
+  // A stalls behind B's long prefill step and is cancelled inside it: the cancel unfolds B's
+  // continuation, and the prefill step's end reaps A.
+  workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 2000, 40)});
+  trace[0].cancel_at = 1.1;
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
+  EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
+  EXPECT_GT(RecordOf(run, 1).first_token, 1.1);
+  EXPECT_EQ(run.engine_events, 4);  // 6 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAPromptInItsPrefillStepIsCancelled) {
+  // B's fold commits and its prefill step runs, continued into the merged batch's decode
+  // steps; B is cancelled inside that step, so the step's end must reap it.
+  workload::Request b = test_util::MakeRequest(0, 1.0, 2000, 40);
+  b.cancel_at = 1.1;
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), WithLongDecode({b}));
+  EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
+  EXPECT_EQ(run.engine_events, 10);  // 12 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedBlockedAdmissionFoldsNothing) {
+  // B never fits beside A, and C queues behind B (FCFS) although it would fit: neither
+  // arrival touches A's runs, and both admit when A completes.
+  ReplicaCase c = OneReplica();
+  c.kv_capacity = 70 * 16;
+  const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 1000, 40),
+                                                test_util::MakeRequest(0, 1.2, 50, 10)});
+  const ReplicaOutcome run = ExpectReplicasMatch(c, trace);
+  EXPECT_EQ(RecordOf(run, 1).prefill_start, RecordOf(run, 0).completion);
+  EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 0).completion);
+  EXPECT_EQ(run.engine_events, 12);  // 15 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedSingleTokenPromptEndsItsPrefillStep) {
+  // D's prefill step (fresh) and B's (folded) each complete their prompt and free its KV, so
+  // neither continues; A's prefill step, between them, does.
+  workload::Trace trace{test_util::MakeRequest(0, 0.0, 50, 1)};
+  for (const workload::Request& req : WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 1)})) {
+    trace.push_back(req);
+    trace.back().id = static_cast<workload::RequestId>(trace.size() - 1);
+  }
+  const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
+  EXPECT_EQ(RecordOf(run, 0).completion, RecordOf(run, 0).first_token);
+  EXPECT_EQ(RecordOf(run, 2).completion, RecordOf(run, 2).first_token);
+  EXPECT_EQ(run.engine_events, 12);  // 14 when arrivals cut
+}
+
+TEST(EngineRunSteppingTest, ColocatedArrivalTiedWithAFoldBoundarySeesItPassed) {
+  // B folds its prefill step into A's run at the end of the decode step in flight at t = 1.
+  // X arrives at exactly that boundary, posted at t = 1 (after the step started): the step
+  // has ended and B's prefill step has started when X arrives, so X unfolds B's continuation
+  // and waits for the prefill step's end.
+  const workload::Trace base = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40)});
+  ReplicaCase c = OneReplica();
+  c.instance_spans = true;
+  double boundary = 0.0;
+  for (const trace::Span& span : RunReplicas<per_step::ColocatedInstance>(c, base).instance_spans) {
+    if (span.start <= 1.0 && 1.0 < span.end) {
+      boundary = span.end;
+    }
+  }
+  ASSERT_GT(boundary, 1.0);
+  workload::Trace trace = base;
+  trace.push_back(test_util::MakeRequest(2, boundary, 80, 30));
+  c.late_arrivals = {{1.0, boundary}};
+  const ReplicaOutcome run = ExpectReplicasMatch(c, trace);
+  EXPECT_EQ(RecordOf(run, 1).prefill_start, boundary);
+  EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).first_token);
+  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
 }
 
 }  // namespace
