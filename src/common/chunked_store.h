@@ -20,6 +20,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,7 +37,9 @@ class ChunkedStore {
     Slot* slot = free_head_;
     if (slot != nullptr) {
       free_head_ = slot->next_free;
-      static_cast<T&>(*slot) = T(std::forward<Args>(args)...);
+      // Rebuilt in place: no temporary element to construct and copy over the old one.
+      slot->element.~T();
+      ::new (static_cast<void*>(&slot->element)) T(std::forward<Args>(args)...);
     } else {
       const size_t chunk = slots_ / kChunk;
       if (chunk == chunks_.size()) {
@@ -46,13 +50,13 @@ class ChunkedStore {
     }
     slot->serial = next_serial_++;
     ++live_;
-    return slot;
+    return &slot->element;
   }
 
   // Ends `element`'s occupancy: its slot's serial changes and the next Acquire reuses it.
   // `element` must be live and come from this store.
   void Release(T* element) {
-    Slot* slot = static_cast<Slot*>(element);
+    Slot* slot = SlotOf(element);
     slot->serial = kReleased;
     slot->next_free = free_head_;
     free_head_ = slot;
@@ -61,7 +65,7 @@ class ChunkedStore {
 
   // The serial of the occupancy `element` belongs to (see the header comment). `element`
   // must point into a store of this type, live or released.
-  static uint64_t serial(const T* element) { return static_cast<const Slot*>(element)->serial; }
+  static uint64_t serial(const T* element) { return SlotOf(element)->serial; }
 
   // Calls fn(T*) for every live element in acquisition order. fn may release the element it
   // is given, but must not acquire or release any other.
@@ -78,7 +82,7 @@ class ChunkedStore {
     std::sort(order_.begin(), order_.end(),
               [](const Slot* a, const Slot* b) { return a->serial < b->serial; });
     for (Slot* slot : order_) {
-      fn(static_cast<T*>(slot));
+      fn(&slot->element);
     }
   }
 
@@ -88,15 +92,22 @@ class ChunkedStore {
  private:
   static constexpr uint64_t kReleased = UINT64_MAX;
 
-  // The element itself is the slot's base, so an element pointer converts to its slot with a
-  // static_cast, and the serial sits beside the element without a lookup.
-  struct Slot : T {
+  // The element is the slot's first member, so an element pointer converts to its slot (a
+  // standard-layout struct and its first member are pointer-interconvertible), and the serial
+  // sits beside the element without a lookup. A member, unlike a base, can be destroyed and
+  // rebuilt in place while the slot's own pointers keep naming it.
+  struct Slot {
     template <typename... Args>
-    explicit Slot(Args&&... args) : T(std::forward<Args>(args)...) {}
+    explicit Slot(Args&&... args) : element(std::forward<Args>(args)...) {}
 
+    T element;
     uint64_t serial = kReleased;
     Slot* next_free = nullptr;  // free-list link while released
   };
+  static_assert(std::is_standard_layout_v<Slot>, "element pointers convert to their slot");
+
+  static Slot* SlotOf(T* element) { return reinterpret_cast<Slot*>(element); }
+  static const Slot* SlotOf(const T* element) { return reinterpret_cast<const Slot*>(element); }
 
   std::vector<std::vector<Slot>> chunks_;
   size_t slots_ = 0;  // slots ever constructed, across every chunk

@@ -56,7 +56,6 @@ class RingQueue {
 
   // The element `i` places behind the front.
   T& operator[](size_t i) { return slots_[(head_ + i) & mask()]; }
-  const T& operator[](size_t i) const { return slots_[(head_ + i) & mask()]; }
 
   T& front() { return (*this)[0]; }
 

@@ -178,14 +178,6 @@ class BasicDecodeBatch {
     ++step_;
     return batch;
   }
-  // Ends `steps` steps at once (no member may finish before the last). Returns the tokens
-  // generated.
-  int64_t EndSteps(int64_t steps) {
-    const int64_t tokens = steps * static_cast<int64_t>(heap_.size());
-    ctx_tokens_ += tokens;
-    step_ += steps;
-    return tokens;
-  }
 
   // Removes the member at `pos` (mid-run: abort, cancel, preemption).
   Member Remove(size_t pos) {

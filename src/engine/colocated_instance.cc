@@ -26,21 +26,6 @@ ColocatedInstance::ColocatedInstance(simcore::Simulator* sim,
   }
 }
 
-namespace {
-
-// Adds a prefill chunk of `chunk` tokens to `workload`, whose prompt has `window_start` tokens
-// of KV before it. Chunk attention reads the whole window so far: ~ c * (p + c) token-pairs.
-// The window includes the cached prefix — its KV is read, only its compute was skipped.
-void AddChunk(int64_t window_start, int64_t chunk, model::BatchWorkload* workload) {
-  workload->prefill_tokens += chunk;
-  workload->prefill_sq_tokens =
-      workload->prefill_sq_tokens +
-      static_cast<double>(chunk) *
-          (static_cast<double>(window_start) + static_cast<double>(chunk));
-}
-
-}  // namespace
-
 void ColocatedInstance::Enqueue(RequestState* request) {
   DS_CHECK(request != nullptr);
   DS_CHECK_LE(kv_.BlocksForTokens(request->request.total_len()), kv_.total_blocks())
@@ -56,183 +41,26 @@ void ColocatedInstance::Enqueue(RequestState* request) {
                                  trace::SpanKind::kPrefillQueue, trace::ColocatedPid(id_), 0));
   waiting_.push_back(request);
   if (run_.in_flight()) {
-    FoldArrival();  // the next step boundary may admit it
+    CutRun();  // the next step boundary may admit it
   } else {
     MaybeStep();
   }
 }
 
-void ColocatedInstance::FoldArrival() {
-  if (priorities_active_ || run_.committed() - 1 == prefill_step_) {
-    // A blocked tenant may preempt at the boundary, and a prefill step's end joins its prompts
-    // before it admits: the run end's admission pass decides.
-    CutRun();
-    return;
-  }
-  if (run_.committed() == run_.len()) {
-    return;  // the run ends with the decode step in flight; its event admits
-  }
-  const StepPlan plan = PlanBoundary();
-  if (plan.admitted == 0) {
-    DS_DCHECK(!run_.fold_pending());
-    return;  // blocked: the boundary forms the same decode step again
-  }
-  if (plan.workload.prefill_tokens == 0) {
-    CutRun();  // chunked, the decodes fill the budget: an admission but no step to fold
-    return;
-  }
-  const bool refold = run_.fold_pending();
-  const auto batch = static_cast<int64_t>(decoding_.size());
-  run_.FoldStep(
-      PrefillStepTime(plan.workload, plan.decodes_advance, decoding_.ctx_tokens() + batch));
-  prefill_step_ = run_.fold_step();
-  prefill_decodes_ = plan.decodes_advance;
-  step_prompts_ = plan.prompts;
-  admission_at_ = run_.start_of(prefill_step_);
-  join_at_ = kNever;
-  fold_admitted_ = plan.admitted;
-  fold_blocks_ = plan.admitted_blocks;
-  if (plan.continues) {
-    ExtendWithJoin(plan.merged);
-  }
-  MoveRunEvent(/*keep_seq=*/refold);  // a re-fold keeps the number the first fold took
-}
-
-ColocatedInstance::StepPlan ColocatedInstance::PlanBoundary() const {
-  DS_DCHECK(!priorities_active_);
-  StepPlan plan;
-  // The boundary's queues, read without changing them: waiting prompts admit from the front
-  // against a copy of the free KV blocks, then the prefill selection reads the admitted prompts
-  // still prefilling followed by the new admissions.
-  struct Lookahead {
-    const ColocatedInstance* self;
-    StepPlan* plan;
-    size_t queued;
-    int64_t free_blocks;
-    size_t next = 0;
-    size_t end = 0;
-
-    // The admission's waiting queue (AdmitFront).
-    bool waiting_empty() const { return plan->admitted == self->waiting_.size(); }
-    int64_t Blocks() const {
-      return self->kv_.BlocksForTokens(self->waiting_[plan->admitted]->request.total_len());
-    }
-    bool Fits() const { return Blocks() <= free_blocks; }
-    void Admit() {
-      const int64_t blocks = Blocks();
-      free_blocks -= blocks;
-      plan->admitted_blocks += blocks;
-      ++plan->admitted;
-    }
-    // The prefill selection's queue (SelectPrefill).
-    bool empty() const { return next == end; }
-    const RequestState* front() const {
-      return next < queued ? self->prefilling_[next] : self->waiting_[next - queued];
-    }
-    int64_t done() const {
-      return next < queued ? front()->prefill_tokens_done : front()->request.cached_prefix_len;
-    }
-    void Take(int64_t chunk) { AddChunk(done(), chunk, &plan->workload); }
-    void pop_front() {
-      plan->merged.Add(front());
-      ++next;
-    }
-  } lookahead{this, &plan, prefilling_.size(), kv_.free_blocks()};
-  AdmitFront(&lookahead);
-  // The step in flight ends first: each member gains a token and comes a step nearer its end.
-  plan.merged = BatchShape(/*steps_ending=*/1);
-  lookahead.end = lookahead.queued + plan.admitted;
-  SelectPrefill(&lookahead);
-  plan.prompts = lookahead.next;
-  plan.decodes_advance = DecodesAdvance(plan.prompts);
-  plan.continues = ContinuesIntoDecodes(/*prompts_left=*/!lookahead.empty(), plan.merged);
-  return plan;
-}
-
-template <typename Waiting>
-void ColocatedInstance::AdmitFront(Waiting* waiting) const {
-  // Reservation covers the full final context (prompt + outputs); the cached prefix reserves
-  // too — KV reuse saves compute, not memory.
-  size_t resident = prefilling_.size() + decoding_.size();
-  while (!waiting->waiting_empty() && resident < static_cast<size_t>(options_.max_batch_size) &&
-         waiting->Fits()) {
-    waiting->Admit();
-    ++resident;
-  }
-}
-
-template <typename Queue>
-void ColocatedInstance::SelectPrefill(Queue* queue) const {
-  if (options_.mode == Options::SchedulingMode::kChunked) {
-    // Sarathi-style token budget: resident decodes claim one token each; prompt chunks from as
-    // many prompts as fit fill the remainder, FCFS in admission order.
-    int64_t budget = options_.chunk_budget - static_cast<int64_t>(decoding_.size());
-    while (budget > 0 && !queue->empty()) {
-      const int64_t remaining = queue->front()->request.input_len - queue->done();
-      const int64_t chunk = std::min(remaining, budget);
-      queue->Take(chunk);
-      budget -= chunk;
-      if (chunk < remaining) {
-        return;  // budget exhausted mid-prompt; the next step continues this window
-      }
-      queue->pop_front();  // its last prefill token is in the step
-    }
-    return;
-  }
-  // vLLM: whole prompts, FCFS, bounded by the per-step token budget (the head prompt always
-  // runs even if it alone exceeds the budget). Budgeted tokens are the computed ones — a
-  // cached prefix costs no step time.
-  int64_t in_step = 0;
-  for (bool head = true; !queue->empty(); head = false) {
-    const int64_t computed = queue->front()->request.input_len - queue->done();
-    if (!head && in_step + computed > options_.max_prefill_tokens_per_step) {
-      break;
-    }
-    queue->Take(computed);
-    in_step += computed;
-    queue->pop_front();
-  }
-}
-
-void ColocatedInstance::ExtendWithJoin(const DecodeBatchShape& merged) {
-  DS_DCHECK(prefill_step_ == run_.len() - 1 && !prefill_decodes_);
-  run_.ExtendDecode(latency_model_, merged.batch, merged.ctx_tokens,
-                    static_cast<int>(merged.steps), options_.cpu_overhead_per_step);
-  join_at_ = run_.end_of(prefill_step_);
-  if (!run_.fold_pending()) {
-    run_.MarkFold(prefill_step_ + 1);  // else the join follows the pending admission
-  }
-}
-
 void ColocatedInstance::CommitThrough(double now) {
   while (run_.StartDueBy(now)) {
-    if (run_.AtFold()) {
-      CommitFold();
-    } else if (recorder_ != nullptr || run_.committed() == 0) {
-      CommitStart();
-    } else {
-      // Steps started between fold boundaries: each ends the decode step before it. Their
-      // busy times add in step order, as one commit each would add them.
-      const int stop = run_.fold_pending() ? run_.fold_step() : run_.len();
-      int started = 0;
-      do {
-        busy_seconds_ += run_.time_of(run_.CommitStart());
-        ++started;
-      } while (run_.committed() < stop && run_.StartDueBy(now));
-      tokens_generated_ += decoding_.EndSteps(started);
-      steps_executed_ += started;
-    }
+    CommitStart();
   }
 }
 
 void ColocatedInstance::CommitStart() {
   const int i = run_.CommitStart();
-  if (i > 0) {  // step i starts where decode step i - 1 ends (fold boundaries end the others)
+  if (i > 0) {  // step i starts where step i - 1 ends; only decode-only runs are longer than 1
     tokens_generated_ += decoding_.EndStep();
   }
   busy_seconds_ += run_.time_of(i);
   ++steps_executed_;
-  if (recorder_ != nullptr && Advances(i)) {
+  if (recorder_ != nullptr && run_decodes_) {
     const double at = run_.start_of(i);
     for (const DecodeBatch::Member& m : decoding_) {
       // Coalesced by the recorder into one contiguous decode_step run per stretch.
@@ -242,69 +70,11 @@ void ColocatedInstance::CommitStart() {
   }
 }
 
-void ColocatedInstance::CommitFold() {
-  // What the end event of a run cut here and its MaybeStep did: end the step before the
-  // boundary, close that run's span, then form the next step at the boundary's time.
-  const int boundary = run_.fold_step();
-  const double at = run_.start_of(boundary);
-  DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
-                                   run_.start_of(0), at, boundary));
-  const bool admission = boundary == prefill_step_;
-  if (admission) {
-    // A decode step ends; nothing finishes in it, or the run would have ended there.
-    tokens_generated_ += decoding_.EndStep();
-    DS_DCHECK(decoding_.StepsToNextFinish() > 0);
-    admission_at_ = kNever;
-  } else {
-    EndPrefills(at);  // a prefill-only step ends; its prompts join the batch
-    join_at_ = kNever;
-  }
-  run_.DropBeforeFold();
-  prefill_step_ = admission ? 0 : kNoPrefillStep;
-  StartStep(at, /*folded=*/true);
-  if (admission && run_.len() > 1) {
-    run_.MarkFold(1);  // the prefill-only step continues: its end is the join
-  }
-}
-
 void ColocatedInstance::CutRun() {
-  const bool unfold = run_.fold_pending();
   if (run_.CutAfterCommitted()) {
-    if (prefill_step_ >= run_.len()) {
-      prefill_step_ = kNoPrefillStep;  // the folded step went with the cut
-    }
-    admission_at_ = kNever;
-    join_at_ = kNever;
-    // An unfolded run ends where the cut at its fold would have: keep the number it took.
-    MoveRunEvent(/*keep_seq=*/unfold);
+    const bool moved = sim_->Reschedule(run_.event, run_.end());
+    DS_CHECK(moved) << "colocated " << id_ << ": run without an event";
   }
-}
-
-void ColocatedInstance::MoveRunEvent(bool keep_seq) {
-  // A fresh number is the one a cut at this moment takes.
-  const bool moved =
-      keep_seq ? sim_->Retime(run_.event, run_.end()) : sim_->Reschedule(run_.event, run_.end());
-  DS_CHECK(moved) << "colocated " << id_ << ": run without an event";
-}
-
-int64_t ColocatedInstance::TokensAtEnd(int i) const {
-  const auto batch = static_cast<int64_t>(decoding_.size());
-  if (prefill_step_ == kNoPrefillStep || i < prefill_step_) {
-    return batch;
-  }
-  const auto prompts = static_cast<int64_t>(step_prompts_);
-  if (i == prefill_step_) {
-    return (prefill_decodes_ ? batch : 0) + prompts;
-  }
-  return batch + prompts;  // the merged batch, before its join commits
-}
-
-size_t ColocatedInstance::waiting_count() const {
-  return waiting_.size() - (sim_->now() >= admission_at_ ? fold_admitted_ : 0);
-}
-
-ColocatedInstance::KvView ColocatedInstance::kv() const {
-  return KvView(kv_, sim_->now() >= admission_at_ ? fold_blocks_ : 0);
 }
 
 int64_t ColocatedInstance::steps_executed() const {
@@ -315,15 +85,12 @@ int64_t ColocatedInstance::steps_executed() const {
 }
 
 int64_t ColocatedInstance::tokens_generated() const {
-  int64_t tokens = tokens_generated_;
-  if (run_.in_flight()) {
-    // Each started, uncommitted step ended the one before it.
-    const int started = run_.StartedBy(sim_->now());
-    for (int i = run_.committed(); i < started; ++i) {
-      tokens += TokensAtEnd(i - 1);
-    }
+  if (!run_.in_flight() || !run_decodes_) {
+    return tokens_generated_;
   }
-  return tokens;
+  return tokens_generated_ +
+         static_cast<int64_t>(run_.StartedBy(sim_->now()) - run_.committed()) *
+             static_cast<int64_t>(decoding_.size());
 }
 
 double ColocatedInstance::busy_seconds() const {
@@ -337,7 +104,11 @@ double ColocatedInstance::busy_seconds() const {
   return busy;
 }
 
+
 RequestQueue::iterator ColocatedInstance::PickWaiting() {
+  if (!priorities_active_) {
+    return waiting_.begin();  // single-tenant fast path: plain FCFS
+  }
   auto best = waiting_.begin();
   for (auto it = std::next(waiting_.begin()); it != waiting_.end(); ++it) {
     if ((*it)->request.priority > (*best)->request.priority) {
@@ -408,9 +179,6 @@ void ColocatedInstance::Cancel(RequestState* request) {
       << "Cancel without a terminal phase set for request " << request->request.id;
   const double now = sim_->now();
   CommitThrough(now);
-  if (run_.fold_pending()) {
-    CutRun();  // the per-step engine looks at the queues at the end of the step in flight
-  }
   // A queued prompt leaves at once, even mid-run: the step in flight references only
   // prefilled_now_ and decoding_. The queues changed, so the next boundary re-forms the step.
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
@@ -457,128 +225,120 @@ void ColocatedInstance::Cancel(RequestState* request) {
   request->cancel_pending = true;
 }
 
-void ColocatedInstance::AddPrefillWork(RequestState* request, int64_t chunk, double at,
+void ColocatedInstance::AddPrefillWork(RequestState* request, int64_t chunk,
                                        model::BatchWorkload* workload) {
   DS_CHECK_GT(chunk, 0);
+  const double window_start = request->prefill_tokens_done;
   if (request->prefill_tokens_done == request->request.cached_prefix_len) {
-    request->record.prefill_start = at;
+    request->record.prefill_start = sim_->now();
   }
-  DS_TRACE(recorder_, Transition(request->request.id, at, trace::SpanKind::kPrefillExec,
-                                 trace::ColocatedPid(id_), 0, steps_executed_));
-  AddChunk(request->prefill_tokens_done, chunk, workload);
+  DS_TRACE(recorder_, Transition(request->request.id, sim_->now(),
+                                 trace::SpanKind::kPrefillExec, trace::ColocatedPid(id_), 0,
+                                 steps_executed_));
   request->prefill_tokens_done += static_cast<int>(chunk);
+  workload->prefill_tokens += chunk;
+  // Chunk attention reads the whole window so far: ~ c * (p + c) token-pairs. The window
+  // includes the cached prefix — its KV is read, only its compute was skipped.
+  workload->prefill_sq_tokens =
+      workload->prefill_sq_tokens +
+      static_cast<double>(chunk) * (window_start + static_cast<double>(chunk));
 }
 
-void ColocatedInstance::Admit() {
-  // Move waiting requests into the prefilling set while KV memory and the batch cap allow:
-  // FCFS (AdmitFront), or highest tenant priority first, where a blocked higher-priority
-  // prompt may evict the lowest-priority resident decode (strictly below it) to make room.
-  if (!priorities_active_) {
-    struct Waiting {
-      ColocatedInstance* self;
-      bool waiting_empty() const { return self->waiting_.empty(); }
-      bool Fits() const {
-        return self->kv_.CanReserve(self->waiting_.front()->request.total_len());
-      }
-      void Admit() { self->AdmitWaiting(self->waiting_.begin()); }
-    } waiting{this};
-    AdmitFront(&waiting);
+void ColocatedInstance::MaybeStep() {
+  if (run_.in_flight()) {
     return;
   }
+  // Admission: move waiting requests into the prefilling set while KV memory and the batch
+  // cap allow — highest tenant priority first. A blocked higher-priority prompt may evict
+  // the lowest-priority resident decode (strictly below it) to make room. Reservation covers
+  // the full final context (prompt + outputs); the cached prefix reserves too — KV reuse
+  // saves compute, not memory.
   while (!waiting_.empty() &&
          static_cast<int>(prefilling_.size() + decoding_.size()) < options_.max_batch_size) {
     auto it = PickWaiting();
-    if (!kv_.CanReserve((*it)->request.total_len())) {
-      if (!PreemptLowestBelow((*it)->request.priority)) {
+    RequestState* request = *it;
+    if (!kv_.CanReserve(request->request.total_len())) {
+      if (!priorities_active_ || !PreemptLowestBelow(request->request.priority)) {
         break;
       }
       continue;  // re-evaluate: the eviction may or may not have freed enough
     }
-    AdmitWaiting(it);
+    const bool reserved = kv_.Reserve(request->request.id, request->request.total_len());
+    DS_CHECK(reserved);
+    waiting_.erase(it);
+    // Compute starts after the cached prefix (a preempted victim resumes here too).
+    request->prefill_tokens_done = request->request.cached_prefix_len;
+    prefilling_.push_back(request);
   }
-}
 
-void ColocatedInstance::AdmitWaiting(RequestQueue::iterator it) {
-  RequestState* request = *it;
-  const bool reserved = kv_.Reserve(request->request.id, request->request.total_len());
-  DS_CHECK(reserved);
-  waiting_.erase(it);
-  // Compute starts after the cached prefix (a preempted victim resumes here too).
-  request->prefill_tokens_done = request->request.cached_prefix_len;
-  prefilling_.push_back(request);
-}
-
-bool ColocatedInstance::FormStep(double at, model::BatchWorkload* workload) {
-  DS_DCHECK(prefilled_now_.empty());
-  if (!waiting_.empty()) {
-    Admit();
-  }
-  if (!prefilling_.empty()) {
-    // This step's prefill work; the prompts it finishes move to prefilled_now_.
-    struct Prefilling {
-      ColocatedInstance* self;
-      double at;
-      model::BatchWorkload* workload;
-      bool empty() const { return self->prefilling_.empty(); }
-      RequestState* front() const { return self->prefilling_.front(); }
-      int64_t done() const { return front()->prefill_tokens_done; }
-      void Take(int64_t chunk) { self->AddPrefillWork(front(), chunk, at, workload); }
-      void pop_front() {
-        self->prefilled_now_.push_back(front());
-        self->prefilling_.pop_front();
-      }
-    } queue{this, at, workload};
-    SelectPrefill(&queue);
-  }
-  return DecodesAdvance(prefilled_now_.size());
-}
-
-void ColocatedInstance::MaybeStep() {
-  if (!run_.in_flight()) {
-    StartStep(sim_->now(), /*folded=*/false);
-  }
-}
-
-void ColocatedInstance::StartStep(double at, bool folded) {
+  // Select this step's prefill work.
   model::BatchWorkload workload;
-  const bool decodes_advance = FormStep(at, &workload);
-  if (folded) {
-    // The look-ahead priced the step the boundary forms; the run already holds it.
-    DS_DCHECK(prefill_step_ == 0 ? PrefillStepTime(workload, decodes_advance,
-                                                   decoding_.ctx_tokens()) == run_.time_of(0) &&
-                                       prefilled_now_.size() == step_prompts_
-                                 : workload.prefill_tokens == 0 && decodes_advance)
-        << "colocated " << id_ << ": a folded step formed differently at its boundary";
-    CommitStart();
-    return;
+  DS_DCHECK(prefilled_now_.empty());
+  int64_t prefill_tokens_in_step = 0;
+  if (!prefilling_.empty()) {
+    if (options_.mode == Options::SchedulingMode::kChunked) {
+      // Sarathi-style token budget: resident decodes claim one token each; prompt chunks
+      // from as many prompts as fit fill the remainder, FCFS in admission order.
+      int64_t budget = options_.chunk_budget - static_cast<int64_t>(decoding_.size());
+      auto it = prefilling_.begin();
+      while (budget > 0 && it != prefilling_.end()) {
+        RequestState* head = *it;
+        const int64_t remaining = head->request.input_len - head->prefill_tokens_done;
+        const int64_t chunk = std::min(remaining, budget);
+        AddPrefillWork(head, chunk, &workload);
+        prefill_tokens_in_step += chunk;
+        budget -= chunk;
+        if (head->prefill_tokens_done == head->request.input_len) {
+          prefilled_now_.push_back(head);
+          it = prefilling_.erase(it);
+        } else {
+          ++it;  // budget exhausted mid-prompt; the next step continues this window
+        }
+      }
+    } else {
+      // vLLM: whole prompts, FCFS, bounded by the per-step token budget (the head prompt
+      // always runs even if it alone exceeds the budget). Budgeted tokens are the computed
+      // ones — a cached prefix costs no step time.
+      while (!prefilling_.empty()) {
+        RequestState* head = prefilling_.front();
+        const int64_t computed = head->request.input_len - head->prefill_tokens_done;
+        if (!prefilled_now_.empty() &&
+            prefill_tokens_in_step + computed > options_.max_prefill_tokens_per_step) {
+          break;
+        }
+        AddPrefillWork(head, computed, &workload);
+        prefill_tokens_in_step += computed;
+        prefilled_now_.push_back(head);
+        prefilling_.pop_front();
+      }
+    }
   }
+
+  // Decode side. Under prefill-priority scheduling a step carrying prefill work is
+  // prefill-only: resident decodes stall until it finishes (the vLLM baseline behaviour the
+  // paper measures). Chunked mode batches decodes into the same step.
+  const bool prefill_only_step =
+      options_.mode == Options::SchedulingMode::kPrefillPriority && !prefilled_now_.empty();
+  const bool decodes_advance = !decoding_.empty() && !prefill_only_step;
+  const double now = sim_->now();
   if (workload.prefill_tokens > 0) {
-    // A step carrying prefill work; a prefill-only one may continue into the decode steps
-    // its prompts join.
-    run_.StartSingle(at, PrefillStepTime(workload, decodes_advance, decoding_.ctx_tokens()));
-    prefill_step_ = 0;
-    prefill_decodes_ = decodes_advance;
-    step_prompts_ = prefilled_now_.size();
+    // A step carrying prefill work is a run of one step.
+    if (decodes_advance) {
+      workload.decode_requests = static_cast<int64_t>(decoding_.size());
+      workload.decode_context_tokens = decoding_.ctx_tokens();
+    }
+    run_.StartSingle(now, latency_model_.FullTime(workload) + options_.cpu_overhead_per_step);
   } else if (decodes_advance) {
     // Decode-only: the membership holds until the earliest completion or a queue change.
     const int steps =
         static_cast<int>(std::min<int64_t>(decoding_.StepsToNextFinish(), kDecodeStepChunk));
-    run_.StartDecode(latency_model_, at, static_cast<int64_t>(decoding_.size()),
+    run_.StartDecode(latency_model_, now, static_cast<int64_t>(decoding_.size()),
                      decoding_.ctx_tokens(), steps, options_.cpu_overhead_per_step);
-    prefill_step_ = kNoPrefillStep;
   } else {
     return;  // Idle; the next Enqueue re-arms the loop.
   }
+  run_decodes_ = decodes_advance;
   CommitStart();
-  if (prefill_step_ == 0 && !prefill_decodes_) {
-    DecodeBatchShape merged = BatchShape(/*steps_ending=*/0);
-    for (const RequestState* r : prefilled_now_) {
-      merged.Add(r);
-    }
-    if (ContinuesIntoDecodes(/*prompts_left=*/!prefilling_.empty(), merged)) {
-      ExtendWithJoin(merged);
-    }
-  }
   run_.event = sim_->ScheduleAt(run_.end(), [this] { RunEnd(); });
 }
 
@@ -587,15 +347,12 @@ void ColocatedInstance::RunEnd() {
   CommitThrough(now);
   DS_TRACE(recorder_, InstanceSpan(trace::ColocatedPid(id_), 0, trace::SpanKind::kEngineStep,
                                    run_.start_of(0), now, run_.len()));
-  DS_DCHECK(admission_at_ == kNever && join_at_ == kNever);
-  const bool decodes_advanced = Advances(run_.len() - 1);
   run_.Clear();
-  prefill_step_ = kNoPrefillStep;
 
   // End the run's last step: the batch advances (unless the step was prefill-only), then the
   // step's cancels and completions leave in join order.
   finished_.clear();
-  if (decodes_advanced) {
+  if (run_decodes_) {
     tokens_generated_ += decoding_.EndStep();
     decoding_.PopFinished([this](const DecodeBatch::Member& m) { finished_.push_back(m); });
   }
@@ -616,29 +373,23 @@ void ColocatedInstance::RunEnd() {
       on_complete_(r);
     }
   }
-  if (!prefilled_now_.empty()) {
-    EndPrefills(now);
-  }
-  MaybeStep();
-}
 
-void ColocatedInstance::EndPrefills(double at) {
   // Prompts that finished this step produce their first token now; colocation means no
   // transfer and no decode queue (they are already resident).
   for (RequestState* r : prefilled_now_) {
     if (r->cancel_pending) {
-      FinishCancel(r, at);
+      FinishCancel(r, now);
       continue;
     }
-    r->record.first_token = at;
-    r->record.transfer_start = at;
-    r->record.transfer_end = at;
-    r->record.decode_start = at;
+    r->record.first_token = now;
+    r->record.transfer_start = now;
+    r->record.transfer_end = now;
+    r->record.decode_start = now;
     ++tokens_generated_;
     if (r->request.output_len <= 1) {
-      r->record.completion = at;
+      r->record.completion = now;
       r->phase = RequestPhase::kDone;
-      DS_TRACE(recorder_, Finish(r->request.id, at));
+      DS_TRACE(recorder_, Finish(r->request.id, now));
       kv_.Release(r->request.id);
       if (on_complete_) {
         on_complete_(r);
@@ -647,12 +398,14 @@ void ColocatedInstance::EndPrefills(double at) {
       // Colocation: transfer and decode queue are zero-width; go straight to decode_step at
       // the same instant the record stamps decode_start (keeps extents bitwise-equal to the
       // collector's subtractions).
-      DS_TRACE(recorder_, Transition(r->request.id, at, trace::SpanKind::kDecodeStep,
+      DS_TRACE(recorder_, Transition(r->request.id, now, trace::SpanKind::kDecodeStep,
                                      trace::ColocatedPid(id_), 0, 0));
       decoding_.Join(r);
     }
   }
   prefilled_now_.clear();
+
+  MaybeStep();
 }
 
 }  // namespace distserve::engine

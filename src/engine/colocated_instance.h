@@ -32,24 +32,15 @@
 // each emits its last token; a member's progress is that counter minus its join step, written
 // into RequestState::decode_steps_done only when read (completion, cancel, preemption). A
 // stretch of decode-only steps with unchanged membership is one DES event, at its earliest
-// completion or after kDecodeStepChunk steps. Where only the replica's own queues change, the
-// run extends instead of ending (DESIGN.md §12, fold rule):
-//   * an arrival during a decode step folds the step the end of that step forms (prefill-only
-//     or chunked) into the run; a blocked admission folds nothing;
-//   * a prefill-only step whose end admits nothing and finishes nothing continues into the
-//     merged batch's decode steps.
-// Waiting prompts stay queued until a fold's boundary commits, where the same admission and
-// step formation as at a run end runs, stamped at the boundary's time. An arrival during a
-// prefill step, any Cancel, and tenant priorities cut the run at the end of the step in
-// flight instead, where the per-step schedule would next look at the queues. Every sim time
-// and counter stays bit-identical to one event per step (tests/engine_run_stepping_test.cc
-// keeps that engine as its reference).
+// completion or after kDecodeStepChunk steps; an Enqueue or Cancel cuts it at the end of the
+// step in flight, where the per-step schedule would next look at the queues. Steps carrying
+// prefill work (prefill-only, or chunked) are runs of one step. Every sim time and counter
+// stays bit-identical to one event per step (tests/engine_run_stepping_test.cc keeps that
+// engine as its reference).
 #ifndef DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 #define DISTSERVE_ENGINE_COLOCATED_INSTANCE_H_
 
-#include <algorithm>
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "engine/kv_block_manager.h"
@@ -121,39 +112,18 @@ class ColocatedInstance {
   // is fully released and on_cancelled fires exactly once.
   void Cancel(RequestState* request);
 
-  // KV memory as read through kv(): the pool plus the reservations of a folded admission
-  // whose boundary has passed but is not committed yet.
-  class KvView {
-   public:
-    KvView(const KvBlockManager& pool, int64_t pending_blocks)
-        : pool_(&pool), pending_blocks_(pending_blocks) {}
-    int64_t used_blocks() const { return pool_->used_blocks() + pending_blocks_; }
-    int64_t total_blocks() const { return pool_->total_blocks(); }
-
-   private:
-    const KvBlockManager* pool_;
-    int64_t pending_blocks_;
-  };
-
-  // Observability. Every view reads as the per-step engine's at the simulator's current
-  // time, also mid-run and across fold boundaries that have passed but are not committed:
-  // steps and busy time count every step started by now, tokens every step ended by now.
-  // load() counts queued, admitted and decoding requests; prompts in the prefill step in
-  // flight are not counted.
   int64_t load() const {
-    // A passed admission takes the prefill step's prompts out of the count, and a passed join
-    // puts them on the batch (no branch: routing reads every replica's load per arrival).
-    const double now = sim_->now();
-    const int64_t passed = static_cast<int64_t>(now >= join_at_) -
-                           static_cast<int64_t>(now >= admission_at_);
     return static_cast<int64_t>(waiting_.size() + prefilling_.size() + decoding_.size() +
-                                reaping_.size()) +
-           passed * static_cast<int64_t>(step_prompts_);
+                                reaping_.size());
   }
-  size_t waiting_count() const;
-  KvView kv() const;
+  size_t waiting_count() const { return waiting_.size(); }
 
   int id() const { return id_; }
+  const KvBlockManager& kv() const { return kv_; }
+
+  // Observability. Counters read as the per-step engine's at the simulator's current time,
+  // also mid-run: steps and busy time count every step started by now, tokens every step
+  // ended by now.
   int64_t steps_executed() const;
   int64_t tokens_generated() const;
   double busy_seconds() const;
@@ -161,131 +131,24 @@ class ColocatedInstance {
   int64_t cancellations() const { return cancellations_; }
 
  private:
-  // No step of the run carries prefill work (prefill_step_).
-  static constexpr int kNoPrefillStep = -1;
-
-  // The batch a run of decode steps is priced for: members, context sum, and steps to its
-  // first finish (at most kDecodeStepChunk).
-  struct DecodeBatchShape {
-    int64_t batch = 0;
-    int64_t ctx_tokens = 0;
-    int64_t steps = kDecodeStepChunk;
-    void Add(const RequestState* r) {
-      ++batch;
-      ctx_tokens += r->context_len();
-      steps = std::min<int64_t>(steps, r->remaining_decode_steps());
-    }
-  };
-
-  // The step the end of the decode step in flight would form, looked ahead (PlanBoundary).
-  struct StepPlan {
-    model::BatchWorkload workload;  // its prefill work
-    bool decodes_advance = false;
-    size_t admitted = 0;            // waiting prompts it admits, from the front
-    int64_t admitted_blocks = 0;    // the KV blocks they reserve
-    size_t prompts = 0;             // prompts whose last prefill token it computes
-    bool continues = false;         // its end continues into `merged`'s decode steps
-    DecodeBatchShape merged;
-  };
-
-  // Forms the next step at a run end and starts its run (no-op mid-run).
+  // Admits waiting prompts, forms the next step and starts its run (no-op mid-run).
   void MaybeStep();
-  // Forms the step at boundary time `at` and commits its start. At a run end it starts a run
-  // for it; at a fold's boundary (`folded`) the run already holds it, priced by the
-  // look-ahead.
-  void StartStep(double at, bool folded);
   // The run's event: ends its last step, reaps cancels and completions in join order, turns
   // the step's finished prompts into decodes, then forms the next step.
   void RunEnd();
-  // Admits waiting prompts into prefilling_ (FCFS, or by tenant priority with preemption).
-  void Admit();
-  // Reserves the KV of the waiting prompt at `it` and moves it to prefilling_.
-  void AdmitWaiting(RequestQueue::iterator it);
-  // Admission and prefill selection at a step boundary at time `at`: admits waiting prompts,
-  // adds the step's prefill work to `workload` and moves the prompts it finishes to
-  // prefilled_now_. Returns whether the decodes advance in the step.
-  bool FormStep(double at, model::BatchWorkload* workload);
-  // The boundary at the end of the decode step in flight, looked ahead without changing
-  // anything (FCFS admission only: folds run without tenant priorities).
-  StepPlan PlanBoundary() const;
-  // FCFS admission over `waiting`: admits its front while the batch cap and KV memory allow.
-  // Admit runs it on waiting_ and the KV pool; PlanBoundary on a look-ahead that changes
-  // nothing.
-  template <typename Waiting>
-  void AdmitFront(Waiting* waiting) const;
-  // The prefill work of one step over `queue`, the admitted prompts in admission order: Takes
-  // each chunk of its front and pops the prompts whose last token the step computes.
-  template <typename Queue>
-  void SelectPrefill(Queue* queue) const;
-  // Whether the decodes advance in a step that finishes `prompts` prompts. Under
-  // prefill-priority scheduling such a step is prefill-only: resident decodes stall until it
-  // ends (the vLLM baseline behaviour the paper measures). Chunked mode batches decodes into
-  // the same step.
-  bool DecodesAdvance(size_t prompts) const {
-    return !decoding_.empty() &&
-           !(options_.mode == Options::SchedulingMode::kPrefillPriority && prompts > 0);
-  }
-  // The time of a step carrying `workload`'s prefill work (plus the decodes, when they advance
-  // with `ctx_tokens`).
-  double PrefillStepTime(model::BatchWorkload workload, bool decodes_advance,
-                         int64_t ctx_tokens) const {
-    if (decodes_advance) {
-      workload.decode_requests = static_cast<int64_t>(decoding_.size());
-      workload.decode_context_tokens = ctx_tokens;
-    }
-    return latency_model_.FullTime(workload) + options_.cpu_overhead_per_step;
-  }
-  // The decode batch once `steps_ending` more decode steps have ended.
-  DecodeBatchShape BatchShape(int steps_ending) const {
-    DecodeBatchShape shape;
-    shape.batch = static_cast<int64_t>(decoding_.size());
-    shape.ctx_tokens = decoding_.ctx_tokens() + steps_ending * shape.batch;
-    if (!decoding_.empty()) {
-      shape.steps = std::min<int64_t>(shape.steps, decoding_.StepsToNextFinish() - steps_ending);
-    }
-    return shape;
-  }
-  // Whether a prefill-only step's end would only join its prompts to the batch, which then
-  // runs as `merged`: no admitted prompt is left for a later step (`prompts_left`), nothing is
-  // reaped there, and every prompt has a decode step to run (a single-token prompt completes
-  // at its prefill step's end, leaving `merged` no step). Its end would admit nothing: the
-  // admission before it stopped at a blocked head (or an empty queue), and until then no
-  // memory is freed and the batch only grows. With tenant priorities a blocked head could
-  // preempt there.
-  bool ContinuesIntoDecodes(bool prompts_left, const DecodeBatchShape& merged) const {
-    return options_.mode == Options::SchedulingMode::kPrefillPriority && !priorities_active_ &&
-           !prompts_left && merged.steps > 0 && reaping_.empty();
-  }
-  // Continues the run's last step (prefill-only) with the merged batch's decode steps.
-  void ExtendWithJoin(const DecodeBatchShape& merged);
-  // An arrival mid-run: folds the step the end of the step in flight forms into the run, or
-  // cuts it there.
-  void FoldArrival();
-  // Commits the in-flight run's step starts at or before `now`, fold boundaries with
-  // CommitFold. Every entry point calls it first.
+  // Commits the in-flight run's step starts at or before `now`. Every entry point calls it
+  // first.
   void CommitThrough(double now);
-  // Commits the next step start (not a fold boundary): ends the step before it, adds its busy
-  // time, and traces each decode's decode_step transition at the step's start.
+  // Commits the next step start: ends the step before it, adds its busy time, and traces each
+  // decode's decode_step transition at the step's start.
   void CommitStart();
-  // Commits a fold's boundary: what the run end and MaybeStep of a cut did there.
-  void CommitFold();
-  // Ends the prefill of the step that just ended at `at`: first tokens, single-token
-  // completions, cancels, and joins to the batch.
-  void EndPrefills(double at);
-  // Shortens the run to end with the step in flight (the queues changed mid-run); a pending
-  // fold unfolds back to that cut.
+  // Moves the run's event to the end of the step in flight (the queues changed mid-run).
   void CutRun();
-  // Moves the run's event to its end, keeping its sequence number or taking a fresh one.
-  void MoveRunEvent(bool keep_seq);
-  // Whether the decodes advance in step i of the run.
-  bool Advances(int i) const { return i != prefill_step_ || prefill_decodes_; }
-  // Tokens the end of step i of the run emits.
-  int64_t TokensAtEnd(int i) const;
-  // Adds one prompt's chunk (or whole remaining prompt) to `workload` at boundary time `at`;
-  // stamps prefill_start on the first computed token and opens the prefill_exec span.
-  void AddPrefillWork(RequestState* request, int64_t chunk, double at,
-                      model::BatchWorkload* workload);
-  // Admission scan with tenant priorities: highest priority first, FCFS within a class.
+  // Adds one prompt's chunk (or whole remaining prompt) to `workload`; stamps prefill_start
+  // on the first computed token and opens the prefill_exec span.
+  void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);
+  // Admission scan: highest priority first, FCFS within a class; plain front() when no
+  // annotated priorities ever arrived (single-tenant fast path).
   RequestQueue::iterator PickWaiting();
   // Evicts the lowest-priority resident decode strictly below `floor`; returns true if one
   // was evicted (its KV is freed and it re-queues for a full re-prefill).
@@ -309,26 +172,10 @@ class ColocatedInstance {
   DecodeBatch decoding_;
   // Decodes cancelled during the step in flight: out of the batch, reaped at its end.
   std::vector<DecodeBatch::Member> reaping_;
-  // The prefill step's prompts whose last token it computes: planned while its admission
-  // boundary is pending, then prefilled_now_.size(). These fields sit beside the queues, which
-  // load() reads with them on every routing decision.
-  size_t step_prompts_ = 0;
-  // The pending fold boundaries' times, for the views (kNever when none is pending): the
-  // admission's, which admits fold_admitted_ waiting prompts into fold_blocks_ KV blocks,
-  // and the join's.
-  static constexpr double kNever = std::numeric_limits<double>::infinity();
-  double admission_at_ = kNever;
-  double join_at_ = kNever;
-  size_t fold_admitted_ = 0;
-  int64_t fold_blocks_ = 0;
   // Prompts whose last prefill token is in the step in flight (one step is ever in flight).
   std::vector<RequestState*> prefilled_now_;
   StepRun run_;
-  // The run's step carrying prefill work (at most one), or kNoPrefillStep. Steps before it
-  // run the batch; steps after it (a prefill-only step's continuation) run the batch merged
-  // with its prompts, and their first start is the join boundary.
-  int prefill_step_ = kNoPrefillStep;
-  bool prefill_decodes_ = false;  // the decodes advance in the prefill step too (chunked)
+  bool run_decodes_ = false;  // the run in flight advances the decodes
   // Scratch for ordering step-end callbacks, reused across runs.
   std::vector<DecodeBatch::Member> finished_;
   // True once any enqueued request carried priority != 0; gates the admission scan so

@@ -6,9 +6,8 @@
 // prices them up front with the batch's LatencyModel::DecodePricer (the batch-dependent terms
 // once, then one KV-read term per step; bit-identical to FullTime), accumulates each step's
 // end time in step order — the same additions the per-step event chain made — and the engine
-// schedules one DES event at the run's last boundary instead of one per step. A step that
-// carries prefill work starts a run of its own, which a prefill-only step may continue with
-// the decode steps of the batch its prompts join.
+// schedules one DES event at the run's last boundary instead of one per step. Steps that
+// carry prefill work are runs of length 1.
 //
 // The engine commits a step's start (busy time, step count, per-member trace transitions)
 // lazily: when it next handles an event, it commits every start at or before that event's
@@ -19,11 +18,8 @@
 // (FoldDecode): the steps through the one in flight stay, the rest are re-priced for the
 // merged batch with their ends summed on from the in-flight step's end, and the run's one
 // event moves to the new last boundary. The engine merges the joiners when it commits the
-// fold's boundary, and DropBeforeFold then makes that boundary step 0 (in O(1): the run's
-// first slot moves, its steps stay where they are). The colocated engine folds a whole step
-// formed at that boundary (FoldStep: a prefill-only or chunked step) and may continue it with
-// the merged batch's decode steps (ExtendDecode), marking the join between them as the next
-// fold boundary once the first commits (MarkFold).
+// fold's boundary, and DropBeforeFold then makes that boundary step 0, so a run never holds
+// more than the steps through the one in flight plus kDecodeStepChunk more.
 #ifndef DISTSERVE_ENGINE_STEP_RUN_H_
 #define DISTSERVE_ENGINE_STEP_RUN_H_
 
@@ -46,11 +42,10 @@ inline constexpr int kDecodeStepChunk = 32;
 
 class StepRun {
  public:
-  // Steps a run can hold. A fresh run has at most one step carrying prefill work and
-  // kDecodeStepChunk decode steps. A fold keeps the steps through the one in flight (at most
-  // kDecodeStepChunk decode steps, since committing a fold's boundary drops the steps before
-  // it) and adds at most one step carrying prefill work and kDecodeStepChunk decode steps.
-  static constexpr int kCapacity = 2 * kDecodeStepChunk + 1;
+  // Steps a run can hold: a fresh run has at most kDecodeStepChunk, and a fold keeps the steps
+  // through the one in flight (at most kDecodeStepChunk, since the fold's boundary drops the
+  // steps before it once committed) and adds at most kDecodeStepChunk more.
+  static constexpr int kCapacity = 2 * kDecodeStepChunk;
 
   // Starts a run of `steps` decode-only steps at time `start`: `batch` members whose contexts
   // sum to `ctx_tokens` before the first step. Step i costs
@@ -59,14 +54,14 @@ class StepRun {
                    int64_t ctx_tokens, int steps, double overhead) {
     DS_DCHECK(steps > 0 && steps <= kDecodeStepChunk);
     Begin(start);
-    PriceDecode(lm, 0, batch, ctx_tokens, steps, overhead);
+    PriceDecode(lm, 0, start, batch, ctx_tokens, steps, overhead);
   }
 
   // Starts a one-step run of known duration (a step that carries prefill work).
   void StartSingle(double start, double step_time) {
     Begin(start);
-    times_[1] = step_time;
-    bounds_[1] = start + step_time;
+    times_[0] = step_time;
+    ends_[0] = start + step_time;
     len_ = 1;
   }
 
@@ -81,34 +76,7 @@ class StepRun {
     DS_DCHECK(committed_ > 0 && committed_ < len_);
     DS_DCHECK(steps > 0 && steps <= kDecodeStepChunk && committed_ + steps <= kCapacity);
     fold_ = committed_;
-    PriceDecode(lm, committed_, batch, ctx_tokens, steps, overhead);
-  }
-
-  // Folds one step of known duration, formed at the end of the step in flight (the last
-  // committed one), into the run: keeps the steps through it and ends the run with the new
-  // step, which is the fold boundary until the engine commits it. Folding again before then
-  // replaces it. Requires a step after the one in flight (committed() < len()).
-  void FoldStep(double step_time) {
-    DS_DCHECK(committed_ > 0 && committed_ < len_);
-    fold_ = committed_;
-    const size_t s = Slot(committed_);  // no compaction needed: the run only shrinks
-    times_[s] = step_time;
-    bounds_[s] = bounds_[s - 1] + step_time;
-    len_ = committed_ + 1;
-  }
-
-  // Appends `steps` decode steps after the run's last one, priced as StartDecode would price
-  // them from its end, their ends summed on from it.
-  void ExtendDecode(const model::LatencyModel& lm, int64_t batch, int64_t ctx_tokens, int steps,
-                    double overhead) {
-    DS_DCHECK(steps > 0 && steps <= kDecodeStepChunk && len_ + steps <= kCapacity);
-    PriceDecode(lm, len_, batch, ctx_tokens, steps, overhead);
-  }
-
-  // Marks the start of uncommitted step `step` as the fold boundary.
-  void MarkFold(int step) {
-    DS_DCHECK(step >= committed_ && step < len_);
-    fold_ = step;
+    PriceDecode(lm, committed_, end_of(committed_ - 1), batch, ctx_tokens, steps, overhead);
   }
 
   bool in_flight() const { return len_ > 0; }
@@ -118,11 +86,11 @@ class StepRun {
   }
 
   int len() const { return len_; }
-  double start_of(int i) const { return bounds_[Slot(i) - 1]; }
-  double time_of(int i) const { return times_[Slot(i)]; }
-  double end_of(int i) const { return bounds_[Slot(i)]; }
+  double start_of(int i) const { return i == 0 ? start_ : ends_[static_cast<size_t>(i - 1)]; }
+  double time_of(int i) const { return times_[static_cast<size_t>(i)]; }
+  double end_of(int i) const { return ends_[static_cast<size_t>(i)]; }
   // The run's last boundary: where its event fires.
-  double end() const { return bounds_[Slot(len_ - 1)]; }
+  double end() const { return ends_[static_cast<size_t>(len_ - 1)]; }
 
   // Steps whose start the engine has committed. Step i > 0 starts where step i - 1 ends, so
   // committed() - 1 interior boundaries have passed.
@@ -152,11 +120,14 @@ class StepRun {
   // True when the next step to commit is the fold boundary.
   bool AtFold() const { return fold_ > 0 && committed_ == fold_; }
   // At the fold boundary: drops the steps before it, so the boundary becomes step 0 of a
-  // fresh run starting there (uncommitted). The caller traces the dropped steps first. The
-  // steps stay where they are; only the run's first slot moves.
+  // fresh run starting there (uncommitted). The caller traces the dropped steps first.
   void DropBeforeFold() {
     DS_DCHECK(AtFold());
-    base_ += fold_;
+    const auto first = static_cast<std::ptrdiff_t>(fold_);
+    const auto last = static_cast<std::ptrdiff_t>(len_);
+    start_ = ends_[static_cast<size_t>(fold_ - 1)];
+    std::copy(times_.begin() + first, times_.begin() + last, times_.begin());
+    std::copy(ends_.begin() + first, ends_.begin() + last, ends_.begin());
     len_ -= fold_;
     committed_ = 0;
     fold_ = 0;
@@ -180,51 +151,34 @@ class StepRun {
   simcore::EventHandle event;
 
  private:
-  // Slots hold a run's steps from base_ + 1 on: step i's time in times_[base_ + 1 + i], its
-  // end in bounds_[base_ + 1 + i], and the run's start in bounds_[base_]. Dropping steps moves
-  // base_; the steps are moved down only when an extension would run past the last slot.
-  static constexpr int kSlots = 2 * kCapacity + 1;
-
-  size_t Slot(int i) const { return static_cast<size_t>(base_ + 1 + i); }
-
   void Begin(double start) {
-    base_ = 0;
-    bounds_[0] = start;
+    start_ = start;
     committed_ = 0;
     fold_ = 0;
   }
 
-  // Prices steps first .. first + steps - 1 of one batch, summing their ends on from the end
-  // of step first - 1 (the run's start when first is 0) in step order, and ends the run with
-  // them.
-  void PriceDecode(const model::LatencyModel& lm, int first, int64_t batch, int64_t ctx_tokens,
-                   int steps, double overhead) {
-    if (base_ + 1 + first + steps > kSlots) {
-      // Move the run's start and its steps through step first - 1 down to slot 0.
-      std::copy(bounds_.begin() + base_, bounds_.begin() + base_ + 1 + first, bounds_.begin());
-      std::copy(times_.begin() + base_ + 1, times_.begin() + base_ + 1 + first,
-                times_.begin() + 1);
-      base_ = 0;
-    }
+  // Prices steps first .. first + steps - 1 of one batch, summing their ends on from `start`
+  // in step order, and ends the run with them.
+  void PriceDecode(const model::LatencyModel& lm, int first, double start, int64_t batch,
+                   int64_t ctx_tokens, int steps, double overhead) {
     const model::DecodeStepPricer pricer = lm.DecodePricer(batch);
-    const size_t s0 = Slot(first);
-    double now = bounds_[s0 - 1];
+    double now = start;
     for (int i = 0; i < steps; ++i) {
-      const size_t s = s0 + static_cast<size_t>(i);
+      const auto s = static_cast<size_t>(first + i);
       times_[s] = pricer.FullTime(ctx_tokens + static_cast<int64_t>(i) * batch);
       times_[s] += overhead;
       now += times_[s];
-      bounds_[s] = now;
+      ends_[s] = now;
     }
     len_ = first + steps;
   }
 
-  int base_ = 0;
+  double start_ = 0.0;
   int len_ = 0;
   int committed_ = 0;
   int fold_ = 0;
-  std::array<double, kSlots> times_{};
-  std::array<double, kSlots> bounds_{};
+  std::array<double, kCapacity> times_{};
+  std::array<double, kCapacity> ends_{};
 };
 
 }  // namespace distserve::engine

@@ -393,7 +393,7 @@ TEST(EngineRunSteppingTest, ChunkedColocatedMatchesPerStep) {
 
 // Inputs beyond the trace for a set of colocated replicas. Arrivals route to the replica with
 // the least load() (the first on ties), as baselines::VllmSystem routes them, so a load view
-// that misreads a fold boundary that has passed but is not committed changes the routing.
+// that misreads a replica mid-run changes the routing.
 struct ReplicaCase {
   ColocatedInstance::Options options;
   int64_t kv_capacity = 1 << 20;
@@ -410,6 +410,7 @@ struct ReplicaCase {
 struct ReplicaOutcome {
   Outcome outcome;  // probes read every replica in turn; spans are sorted by request
   int64_t engine_events = 0;  // events fired by the replicas, not by the harness
+  int64_t preemptions = 0;
   std::vector<trace::Span> instance_spans;
 };
 
@@ -507,6 +508,7 @@ ReplicaOutcome RunReplicas(const ReplicaCase& c, const workload::Trace& trace) {
   int64_t cancellations = 0;
   for (const auto& instance : replicas) {
     cancellations += instance->cancellations();
+    result.preemptions += instance->preemptions();
   }
   EXPECT_EQ(cancellations, static_cast<int64_t>(out.records.cancelled_count() +
                                                 out.records.timed_out_count()));
@@ -548,16 +550,6 @@ metrics::RequestRecord RecordOf(const ReplicaOutcome& run, workload::RequestId i
   return {};
 }
 
-// ShareGPT traffic with prefix hits, cancels, deadlines and exact arrival ties, but one tenant
-// class: tenant priorities turn folding off.
-workload::Trace SingleTenantScenarioTrace(int n, double rate, uint64_t seed) {
-  workload::Trace trace = test_util::ScenarioTraceWithTies(n, rate, seed);
-  for (workload::Request& req : trace) {
-    req.priority = 0;
-  }
-  return trace;
-}
-
 TEST(EngineRunSteppingTest, RoutedColocatedReplicasMatchPerStep) {
   for (const auto mode : {ColocatedInstance::Options::SchedulingMode::kPrefillPriority,
                           ColocatedInstance::Options::SchedulingMode::kChunked}) {
@@ -566,9 +558,10 @@ TEST(EngineRunSteppingTest, RoutedColocatedReplicasMatchPerStep) {
     c.options.mode = mode;
     c.options.chunk_budget = 512;
     c.options.cpu_overhead_per_step = 0.0015;
-    const workload::Trace trace = SingleTenantScenarioTrace(600, 9.0, 41);
+    // ShareGPT traffic with prefix hits, tenants, cancels, deadlines and exact arrival ties.
+    const workload::Trace trace = test_util::ScenarioTraceWithTies(600, 9.0, 41);
     ExpectReplicasMatch(c, trace);
-    c.kv_capacity = 14000;  // blocked heads and a binding token budget
+    c.kv_capacity = 14000;  // blocked heads, preemptions and a binding token budget
     c.options.max_prefill_tokens_per_step = 1024;
     ExpectReplicasMatch(c, trace);
     c.kv_capacity = 1 << 20;
@@ -589,12 +582,14 @@ TEST(EngineRunSteppingTest, RoutedColocatedReplicasMatchPerStepOnPlainTraffic) {
   ExpectReplicasMatch(c, trace);
 }
 
-// Hand-built traces on one replica, one per path of the fold rule. A is a long decode
-// (100-token prompt, 300 tokens) whose runs are in flight when the others arrive at t = 1.
+// Hand-built traces on one replica, one per path an arrival or a cancel takes through a run.
+// A is a long decode (100-token prompt, 300 tokens) whose runs are in flight when the others
+// arrive at t = 1. The engine event counts pin the path: an arrival at a busy replica cuts
+// its run at the end of the step in flight, and every prefill-only step ends its run.
 ReplicaCase OneReplica() {
   ReplicaCase c;
   c.replicas = 1;
-  c.probe_every = 0.00371;  // dense: probes land between fold boundaries and their commits
+  c.probe_every = 0.00371;  // dense: probes land inside runs and between steps
   c.probes = 1500;
   return c;
 }
@@ -608,71 +603,68 @@ workload::Trace WithLongDecode(std::vector<workload::Request> others) {
   return trace;
 }
 
-TEST(EngineRunSteppingTest, ColocatedFoldsAnArrivalAndContinuesItsPrefillStep) {
+TEST(EngineRunSteppingTest, ColocatedArrivalCutsTheDecodeRunInFlight) {
   const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40)});
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
-  // A's prefill step continues into its decode steps, and B's arrival folds B's prefill step,
-  // which continues into the merged batch: the cut engine fired 13 events here.
-  EXPECT_EQ(run.engine_events, 10);
+  EXPECT_EQ(run.engine_events, 13);
 }
 
-TEST(EngineRunSteppingTest, ColocatedRefoldsArrivalsBeforeTheBoundary) {
-  // C ties with B, and D follows 0.1 ms later, inside the same decode step: each re-folds the
-  // boundary B's arrival folded, and all three prefill in one step.
+TEST(EngineRunSteppingTest, ColocatedArrivalsInOneDecodeStepPrefillTogether) {
+  // C ties with B, and D follows 0.1 ms later, inside the same decode step: the first arrival
+  // cuts the run there, the others find it cut, and all three prefill in one step.
   const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40),
                                                 test_util::MakeRequest(0, 1.0, 150, 30),
                                                 test_util::MakeRequest(0, 1.0001, 120, 50)});
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
   EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).prefill_start);
   EXPECT_EQ(RecordOf(run, 3).prefill_start, RecordOf(run, 1).prefill_start);
-  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
+  EXPECT_EQ(run.engine_events, 14);
 }
 
-TEST(EngineRunSteppingTest, ColocatedCutsForAnArrivalDuringAPrefillStep) {
+TEST(EngineRunSteppingTest, ColocatedArrivalDuringAPrefillStepWaitsForItsEnd) {
   // B's 2,000-token prefill step runs from the end of the decode step in flight at t = 1
-  // until after C arrives: B's fold unfolds back to that step's end, where C is admitted.
+  // until after C arrives: C is admitted at that step's end.
   const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 2000, 40),
                                                 test_util::MakeRequest(0, 1.1, 100, 20)});
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
   EXPECT_GT(RecordOf(run, 1).first_token, 1.1);
   EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).first_token);
-  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
+  EXPECT_EQ(run.engine_events, 14);
 }
 
-TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAFoldedPromptIsCancelled) {
+TEST(EngineRunSteppingTest, ColocatedCancelOfAPromptWaitingAtACut) {
   // B is cancelled the instant it arrives (its cancel event follows its arrival), before the
-  // boundary its fold counted on. Only A's own prefill step continues.
+  // boundary its arrival cut the run at.
   workload::Request b = test_util::MakeRequest(0, 1.0, 200, 40);
   b.cancel_at = 1.0;
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), WithLongDecode({b}));
   EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
-  EXPECT_EQ(run.engine_events, 10);  // 11 when arrivals cut
+  EXPECT_EQ(run.engine_events, 11);
 }
 
-TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAStalledDecodeIsCancelled) {
-  // A stalls behind B's long prefill step and is cancelled inside it: the cancel unfolds B's
-  // continuation, and the prefill step's end reaps A.
+TEST(EngineRunSteppingTest, ColocatedCancelOfADecodeStalledByAPrefillStep) {
+  // A stalls behind B's long prefill step and is cancelled inside it: the prefill step's end
+  // reaps A.
   workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 2000, 40)});
   trace[0].cancel_at = 1.1;
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
   EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
   EXPECT_GT(RecordOf(run, 1).first_token, 1.1);
-  EXPECT_EQ(run.engine_events, 4);  // 6 when arrivals cut
+  EXPECT_EQ(run.engine_events, 6);
 }
 
-TEST(EngineRunSteppingTest, ColocatedUnfoldsWhenAPromptInItsPrefillStepIsCancelled) {
-  // B's fold commits and its prefill step runs, continued into the merged batch's decode
-  // steps; B is cancelled inside that step, so the step's end must reap it.
+TEST(EngineRunSteppingTest, ColocatedCancelOfAPromptInItsPrefillStep) {
+  // B is cancelled inside its own prefill step, so the step's end must reap it.
   workload::Request b = test_util::MakeRequest(0, 1.0, 2000, 40);
   b.cancel_at = 1.1;
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), WithLongDecode({b}));
   EXPECT_EQ(run.outcome.records.cancelled_count(), 1u);
-  EXPECT_EQ(run.engine_events, 10);  // 12 when arrivals cut
+  EXPECT_EQ(run.engine_events, 12);
 }
 
-TEST(EngineRunSteppingTest, ColocatedBlockedAdmissionFoldsNothing) {
-  // B never fits beside A, and C queues behind B (FCFS) although it would fit: neither
-  // arrival touches A's runs, and both admit when A completes.
+TEST(EngineRunSteppingTest, ColocatedBlockedHeadHoldsTheQueue) {
+  // B never fits beside A, and C queues behind B (FCFS) although it would fit: both admit
+  // when A completes.
   ReplicaCase c = OneReplica();
   c.kv_capacity = 70 * 16;
   const workload::Trace trace = WithLongDecode({test_util::MakeRequest(0, 1.0, 1000, 40),
@@ -680,12 +672,28 @@ TEST(EngineRunSteppingTest, ColocatedBlockedAdmissionFoldsNothing) {
   const ReplicaOutcome run = ExpectReplicasMatch(c, trace);
   EXPECT_EQ(RecordOf(run, 1).prefill_start, RecordOf(run, 0).completion);
   EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 0).completion);
-  EXPECT_EQ(run.engine_events, 12);  // 15 when arrivals cut
+  EXPECT_EQ(run.engine_events, 15);
 }
 
-TEST(EngineRunSteppingTest, ColocatedSingleTokenPromptEndsItsPrefillStep) {
-  // D's prefill step (fresh) and B's (folded) each complete their prompt and free its KV, so
-  // neither continues; A's prefill step, between them, does.
+TEST(EngineRunSteppingTest, ColocatedPriorityArrivalBehindABlockedHeadPreempts) {
+  // As above, B is blocked behind A; then C arrives with a higher priority, finds the run
+  // cut at the end of its decode step, and does not fit either: C evicts A there, and A
+  // re-queues for a full re-prefill.
+  ReplicaCase c = OneReplica();
+  c.kv_capacity = 70 * 16;
+  workload::Request priority = test_util::MakeRequest(0, 1.2, 900, 20);
+  priority.priority = 1;
+  const workload::Trace trace =
+      WithLongDecode({test_util::MakeRequest(0, 1.0, 1000, 40), priority});
+  const ReplicaOutcome run = ExpectReplicasMatch(c, trace);
+  EXPECT_EQ(run.preemptions, 1);
+  EXPECT_GT(RecordOf(run, 2).prefill_start, 1.2);
+  EXPECT_LT(RecordOf(run, 2).completion, RecordOf(run, 0).completion);
+}
+
+TEST(EngineRunSteppingTest, ColocatedSingleTokenPromptsCompleteAtTheirPrefillEnd) {
+  // D's prefill step (fresh) and B's (after a cut) each complete their prompt and free its KV
+  // at the step's end; A's prefill step lies between them.
   workload::Trace trace{test_util::MakeRequest(0, 0.0, 50, 1)};
   for (const workload::Request& req : WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 1)})) {
     trace.push_back(req);
@@ -694,14 +702,13 @@ TEST(EngineRunSteppingTest, ColocatedSingleTokenPromptEndsItsPrefillStep) {
   const ReplicaOutcome run = ExpectReplicasMatch(OneReplica(), trace);
   EXPECT_EQ(RecordOf(run, 0).completion, RecordOf(run, 0).first_token);
   EXPECT_EQ(RecordOf(run, 2).completion, RecordOf(run, 2).first_token);
-  EXPECT_EQ(run.engine_events, 12);  // 14 when arrivals cut
+  EXPECT_EQ(run.engine_events, 14);
 }
 
-TEST(EngineRunSteppingTest, ColocatedArrivalTiedWithAFoldBoundarySeesItPassed) {
-  // B folds its prefill step into A's run at the end of the decode step in flight at t = 1.
-  // X arrives at exactly that boundary, posted at t = 1 (after the step started): the step
-  // has ended and B's prefill step has started when X arrives, so X unfolds B's continuation
-  // and waits for the prefill step's end.
+TEST(EngineRunSteppingTest, ColocatedArrivalTiedWithAStepEndSeesItPassed) {
+  // B's arrival at t = 1 cuts A's run at the end of the decode step in flight. X arrives at
+  // exactly that step end, posted at t = 1 (after the step started): the step has ended and
+  // B's prefill step has started when X arrives, so X waits for the prefill step's end.
   const workload::Trace base = WithLongDecode({test_util::MakeRequest(0, 1.0, 200, 40)});
   ReplicaCase c = OneReplica();
   c.instance_spans = true;
@@ -718,7 +725,7 @@ TEST(EngineRunSteppingTest, ColocatedArrivalTiedWithAFoldBoundarySeesItPassed) {
   const ReplicaOutcome run = ExpectReplicasMatch(c, trace);
   EXPECT_EQ(RecordOf(run, 1).prefill_start, boundary);
   EXPECT_EQ(RecordOf(run, 2).prefill_start, RecordOf(run, 1).first_token);
-  EXPECT_EQ(run.engine_events, 11);  // 14 when arrivals cut
+  EXPECT_EQ(run.engine_events, 14);
 }
 
 }  // namespace

@@ -7,10 +7,9 @@
 namespace distserve::engine {
 namespace {
 
-// A lane whose run is folded again and again before it ends keeps dropping the steps before
-// each fold's boundary, so its steps move up StepRun's slots until an extension moves them
-// back down. Every fold must keep the committed steps bit for bit and price the new ones from
-// the end of the step in flight.
+// A decode lane whose run is folded again and again before it ends (DecodeInstance's join
+// fold) drops the steps before each fold's boundary every time. Every fold must keep the
+// committed steps bit for bit and price the new ones from the end of the step in flight.
 TEST(StepRunTest, ChainedFoldsKeepEveryBoundaryAcrossCompactions) {
   const model::LatencyModel lm(model::ModelSpec::Opt13B(), {1, 1},
                                cluster::GpuSpec::A100_80GB());

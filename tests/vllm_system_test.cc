@@ -7,7 +7,6 @@
 
 #include "scenario_trace.h"
 #include "simcore/simulator.h"
-#include "workload/dataset.h"
 #include "workload/generator.h"
 
 namespace distserve::baselines {
@@ -74,8 +73,8 @@ TEST(VllmSystemTest, InterferenceShowsInTpotUnderLoad) {
   EXPECT_GT(loaded.TpotPercentile(90), 2.0 * idle.TpotPercentile(90));
 }
 
-// Arrivals that land mid-run fold into the run or cut it, and both re-time the run's event in
-// place, so a fault-free run fires every event it schedules (ServingSystemTest's check, on the
+// Every arrival that lands mid-run cuts the run, and a cut re-times the run's event in place,
+// so a fault-free run fires every event it schedules (ServingSystemTest's check, on the
 // colocated engine). Cutting by Cancel + ScheduleAt cancelled 186 events on this trace (164
 // chunked).
 void ExpectFaultFreeRunCancelsNothing(const VllmConfig& config) {
@@ -95,29 +94,6 @@ TEST(VllmSystemTest, ChunkedFaultFreeRunCancelsNothing) {
   config.engine_options.mode = engine::ColocatedInstance::Options::SchedulingMode::kChunked;
   config.engine_options.chunk_budget = 512;
   ExpectFaultFreeRunCancelsNothing(config);
-}
-
-// The colocated event diet (ServingSystemTest.EventsPerRequestBudget's twin): an arrival at
-// a busy replica folds its prefill step into the running run, and a prefill-only step that
-// only joins its prompts to the batch continues into its decode steps. serve-chatbot's vLLM
-// shape on ShareGPT fired 3.35 events per request (13,403) when every arrival cut the run and
-// every prefill step ended one; a fault-free run still cancels nothing.
-TEST(VllmSystemTest, EventsPerRequestBudget) {
-  const auto dataset = workload::MakeDatasetByName("sharegpt");
-  workload::TraceSpec spec;
-  spec.rate = 12.8;
-  spec.num_requests = 4000;
-  spec.seed = 7;
-  const workload::Trace trace = workload::GenerateTrace(spec, *dataset);
-  VllmConfig config = BasicConfig(/*tp=*/1, /*instances=*/4);
-  config.engine_options.cpu_overhead_per_step = kVllmStepCpuOverhead;
-  VllmSystem system(config);
-  const metrics::Collector results = system.Run(trace);
-  ASSERT_EQ(results.count(), trace.size());
-  const double per_request = static_cast<double>(system.simulator().events_processed()) /
-                             static_cast<double>(trace.size());
-  EXPECT_LE(per_request, 2.4);
-  EXPECT_EQ(system.simulator().events_cancelled(), 0);
 }
 
 // --- Run() streams its arrivals; the results match the up-front schedule bit for bit ---
