@@ -194,10 +194,14 @@ class BasicDecodeBatch {
   template <typename Done>
   void PopFinished(Done&& done) {
     while (!heap_.empty() && heap_.front().finish <= step_) {
-      std::pop_heap(heap_.begin(), heap_.end(), kFinishesLater);
-      Leave(heap_.back(), 0);
-      done(heap_.back());
+      const Member top = heap_.front();
+      const Member last = heap_.back();
       heap_.pop_back();
+      if (!heap_.empty()) {
+        RefillTop(last);
+      }
+      Leave(top, 0);
+      done(top);
     }
   }
 
@@ -221,6 +225,37 @@ class BasicDecodeBatch {
   static constexpr auto kFinishesLater = [](const Member& a, const Member& b) {
     return a.finish > b.finish;
   };
+
+  // Refills the top hole with `value` as std::pop_heap does (Floyd: the hole descends to a
+  // leaf along the earlier-finishing children, then `value` climbs back), so the layout is the
+  // same; the child pick is arithmetic, since which child finishes first is a coin toss to the
+  // branch predictor.
+  void RefillTop(const Member& value) {
+    Member* const h = heap_.data();
+    const size_t len = heap_.size();
+    size_t hole = 0;
+    size_t child = 0;
+    while (child < (len - 1) / 2) {
+      child = 2 * (child + 1);
+      child -= static_cast<size_t>(h[child].finish > h[child - 1].finish);
+      h[hole] = h[child];
+      hole = child;
+    }
+    if ((len & 1) == 0 && child == (len - 2) / 2) {
+      child = 2 * (child + 1);
+      h[hole] = h[child - 1];
+      hole = child - 1;
+    }
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!(h[parent].finish > value.finish)) {
+        break;
+      }
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = value;
+  }
 
   void Leave(const Member& member, int64_t left) {
     refs_.Leave(member.request, left);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 namespace distserve::engine {
 namespace {
@@ -144,6 +146,57 @@ TEST_P(BatchFormerPropertyTest, InvariantsHoldAcrossTargets) {
 
 INSTANTIATE_TEST_SUITE_P(Targets, BatchFormerPropertyTest,
                          ::testing::Values(64, 128, 256, 512, 1024, 4096));
+
+// PopFinished refills the heap as std::pop_heap does, so members sit where they always did:
+// the engines walk the batch in heap order (tracing, cancels, preemption scans). Joins and
+// completions interleave over odd and even heap sizes, with many equal finish steps.
+TEST(DecodeBatchTest, PopFinishedKeepsStdPopHeapLayout) {
+  struct Shadow {
+    int64_t finish;
+    int64_t seq;
+  };
+  const auto finishes_later = [](const Shadow& a, const Shadow& b) { return a.finish > b.finish; };
+  std::vector<std::unique_ptr<RequestState>> states;
+  std::vector<Shadow> shadow;
+  DecodeBatch batch;
+  int64_t step = 0;
+  int64_t popped = 0;
+  uint64_t lcg = 777;
+  for (int round = 0; round < 400; ++round) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    const int joins = static_cast<int>((lcg >> 33) % 4);
+    for (int j = 0; j < joins; ++j) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      workload::Request req;
+      req.id = static_cast<workload::RequestId>(states.size());
+      req.input_len = 16;
+      req.output_len = 2 + static_cast<int>((lcg >> 33) % 40);
+      states.push_back(std::make_unique<RequestState>(req));
+      shadow.push_back({step + req.output_len - 1, batch.next_seq()});
+      std::push_heap(shadow.begin(), shadow.end(), finishes_later);
+      batch.Join(states.back().get());
+    }
+    if (batch.empty()) {
+      continue;
+    }
+    batch.EndStep();
+    ++step;
+    batch.PopFinished([&](const DecodeBatch::Member& m) {
+      EXPECT_EQ(m.finish, step);
+      EXPECT_EQ(m.request->decode_steps_done, m.request->request.output_len - 1);
+      ++popped;
+    });
+    while (!shadow.empty() && shadow.front().finish <= step) {
+      std::pop_heap(shadow.begin(), shadow.end(), finishes_later);
+      shadow.pop_back();
+    }
+    ASSERT_EQ(batch.size(), shadow.size()) << "round " << round;
+    for (size_t i = 0; i < shadow.size(); ++i) {
+      ASSERT_EQ(batch[i].seq, shadow[i].seq) << "round " << round << " position " << i;
+    }
+  }
+  EXPECT_GT(popped, 300);
+}
 
 }  // namespace
 }  // namespace distserve::engine
