@@ -12,7 +12,7 @@
 // shards=1 vs shards=4 — the configuration CI runs), --json=PATH (machine-readable artifact),
 // --shards=N (env DISTSERVE_SHARDS; default 1). Stdout is byte-identical at any --shards
 // value — the determinism job diffs exactly this — so everything shard-dependent (per-shard
-// event counts, sync rounds, message/spill totals) goes only into the JSON artifact.
+// event counts, sync rounds, message totals) goes only into the JSON artifact.
 //
 // No thread pool is wired here: the CI container has one core, so shard advancement is
 // serial and the exhibit measures the sharded core's bookkeeping cost, not parallel speedup.

@@ -5,7 +5,7 @@
 // forwards one message with latency >= lookahead (the analogue of router dispatch/notify).
 // BM_PlainSimulator runs it on the raw sequential simcore::Simulator; BM_ShardedSimulator/N
 // runs the identical event count through ShardedSimulator at N shards, so the /1 row is the
-// pure cost of the windowed run loop + channel path with zero parallelism available — the
+// pure cost of the windowed run loop + outbox path with zero parallelism available — the
 // overhead the transparent 1-shard fallback pays. The perf gate tracks /1 against the plain
 // row (budget: <= 5%) and the /2 /4 /8 rows for sync-cost regressions. No thread pool is
 // used: on the 1-core CI box this isolates synchronization cost from parallel speedup.

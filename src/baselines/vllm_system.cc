@@ -136,50 +136,14 @@ metrics::Collector VllmSystem::Run(const workload::Trace& trace) {
   return FinishStream(sim_->now());
 }
 
-double SimulateColocatedGoodput(const placement::PlannerInputs& inputs,
-                                const model::ParallelismConfig& par) {
+namespace {
+
+// Goodput of one colocated instance via the fast simulator: vLLM's prefill-priority schedule
+// when `chunk_budget` is 0, the chunk-budget scheduler otherwise.
+double SimulateOneInstanceGoodput(const placement::PlannerInputs& inputs,
+                                  const model::ParallelismConfig& par, int64_t chunk_budget) {
   DS_CHECK(inputs.dataset != nullptr);
   DS_CHECK_EQ(par.pp, 1);
-  const model::LatencyModel lm(inputs.model, par, inputs.cluster.gpu);
-  const model::ShardedModelView view(inputs.model, par);
-  if (!view.FitsInMemory(inputs.cluster.gpu)) {
-    return 0.0;
-  }
-  placement::ColocatedFastConfig fast;
-  fast.num_instances = 1;
-  fast.cpu_overhead_per_step = kVllmStepCpuOverhead;
-  fast.kv_capacity_tokens = view.KvCapacityTokens(inputs.cluster.gpu);
-  if (fast.kv_capacity_tokens <= 0) {
-    return 0.0;
-  }
-  auto attainment = [&](const workload::Trace& trace) {
-    const std::vector<placement::FastRecord> records =
-        placement::SimulateColocated(lm, trace, fast);
-    return placement::FastAttainment(records, inputs.slo).both;
-  };
-  placement::GoodputSearchOptions search = inputs.search;
-  search.attainment_target = inputs.attainment_target;
-  return placement::FindMaxRate(attainment, *inputs.dataset, search);
-}
-
-ColocatedSearchResult FindBestColocatedConfig(const placement::PlannerInputs& inputs) {
-  ColocatedSearchResult best;
-  for (int tp = 1; tp <= inputs.cluster.gpus_per_node; tp *= 2) {
-    const model::ParallelismConfig par{tp, 1};
-    const double goodput = SimulateColocatedGoodput(inputs, par);
-    const double per_gpu = goodput / static_cast<double>(par.num_gpus());
-    if (per_gpu > best.per_gpu) {
-      best = ColocatedSearchResult{par, goodput, per_gpu};
-    }
-  }
-  return best;
-}
-
-double SimulateChunkedGoodput(const placement::PlannerInputs& inputs,
-                              const model::ParallelismConfig& par, int64_t chunk_budget) {
-  DS_CHECK(inputs.dataset != nullptr);
-  DS_CHECK_EQ(par.pp, 1);
-  DS_CHECK_GT(chunk_budget, 0);
   const model::LatencyModel lm(inputs.model, par, inputs.cluster.gpu);
   const model::ShardedModelView view(inputs.model, par);
   if (!view.FitsInMemory(inputs.cluster.gpu)) {
@@ -201,6 +165,32 @@ double SimulateChunkedGoodput(const placement::PlannerInputs& inputs,
   placement::GoodputSearchOptions search = inputs.search;
   search.attainment_target = inputs.attainment_target;
   return placement::FindMaxRate(attainment, *inputs.dataset, search);
+}
+
+}  // namespace
+
+double SimulateColocatedGoodput(const placement::PlannerInputs& inputs,
+                                const model::ParallelismConfig& par) {
+  return SimulateOneInstanceGoodput(inputs, par, /*chunk_budget=*/0);
+}
+
+ColocatedSearchResult FindBestColocatedConfig(const placement::PlannerInputs& inputs) {
+  ColocatedSearchResult best;
+  for (int tp = 1; tp <= inputs.cluster.gpus_per_node; tp *= 2) {
+    const model::ParallelismConfig par{tp, 1};
+    const double goodput = SimulateColocatedGoodput(inputs, par);
+    const double per_gpu = goodput / static_cast<double>(par.num_gpus());
+    if (per_gpu > best.per_gpu) {
+      best = ColocatedSearchResult{par, goodput, per_gpu};
+    }
+  }
+  return best;
+}
+
+double SimulateChunkedGoodput(const placement::PlannerInputs& inputs,
+                              const model::ParallelismConfig& par, int64_t chunk_budget) {
+  DS_CHECK_GT(chunk_budget, 0);
+  return SimulateOneInstanceGoodput(inputs, par, chunk_budget);
 }
 
 ChunkedSearchResult FindBestChunkedConfig(const placement::PlannerInputs& inputs) {

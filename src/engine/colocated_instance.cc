@@ -104,20 +104,6 @@ double ColocatedInstance::busy_seconds() const {
   return busy;
 }
 
-
-RequestQueue::iterator ColocatedInstance::PickWaiting() {
-  if (!priorities_active_) {
-    return waiting_.begin();  // single-tenant fast path: plain FCFS
-  }
-  auto best = waiting_.begin();
-  for (auto it = std::next(waiting_.begin()); it != waiting_.end(); ++it) {
-    if ((*it)->request.priority > (*best)->request.priority) {
-      best = it;  // strictly greater: FCFS stays stable within a class
-    }
-  }
-  return best;
-}
-
 bool ColocatedInstance::PreemptLowestBelow(int floor) {
   DS_CHECK(!run_.in_flight());
   // Lowest priority; among equals the latest joiner (least decode progress invested).
@@ -255,7 +241,7 @@ void ColocatedInstance::MaybeStep() {
   // saves compute, not memory.
   while (!waiting_.empty() &&
          static_cast<int>(prefilling_.size() + decoding_.size()) < options_.max_batch_size) {
-    auto it = PickWaiting();
+    auto it = PickByPriority(waiting_, priorities_active_);
     RequestState* request = *it;
     if (!kv_.CanReserve(request->request.total_len())) {
       if (!priorities_active_ || !PreemptLowestBelow(request->request.priority)) {

@@ -147,9 +147,6 @@ class ColocatedInstance {
   // Adds one prompt's chunk (or whole remaining prompt) to `workload`; stamps prefill_start
   // on the first computed token and opens the prefill_exec span.
   void AddPrefillWork(RequestState* request, int64_t chunk, model::BatchWorkload* workload);
-  // Admission scan: highest priority first, FCFS within a class; plain front() when no
-  // annotated priorities ever arrived (single-tenant fast path).
-  RequestQueue::iterator PickWaiting();
   // Evicts the lowest-priority resident decode strictly below `floor`; returns true if one
   // was evicted (its KV is freed and it re-queues for a full re-prefill).
   bool PreemptLowestBelow(int floor);

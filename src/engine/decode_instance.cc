@@ -152,19 +152,6 @@ void DecodeInstance::Submit(RequestState* request) {
   TryAdmit();
 }
 
-RequestQueue::iterator DecodeInstance::PickPending() {
-  if (!priorities_active_) {
-    return pending_.begin();  // single-tenant fast path: plain FCFS
-  }
-  auto best = pending_.begin();
-  for (auto it = std::next(pending_.begin()); it != pending_.end(); ++it) {
-    if ((*it)->request.priority > (*best)->request.priority) {
-      best = it;  // strictly greater: FCFS stays stable within a class
-    }
-  }
-  return best;
-}
-
 bool DecodeInstance::PreemptLowestBelow(int floor) {
   // Lowest priority wins; among equals the latest in scan order (lanes in order, each lane's
   // joiners before its members, members in join order): the least decode progress invested.
@@ -270,7 +257,7 @@ void DecodeInstance::Abort(RequestState* request) {
     if (*it == request) {
       // Not yet admitted: no reservation, no lane membership. If it was the blocked head,
       // the next step end's admission scan sees a new head.
-      const bool was_head = it == PickPending();
+      const bool was_head = it == PickByPriority(pending_, priorities_active_);
       pending_.erase(it);
       if (was_head && !pending_.empty()) {
         CutEarliestRun();
@@ -307,7 +294,7 @@ void DecodeInstance::TryAdmit() {
   const int64_t usable_blocks = static_cast<int64_t>(
       static_cast<double>(kv_.total_blocks()) * options_.admission_watermark);
   while (!pending_.empty()) {
-    auto it = PickPending();
+    auto it = PickByPriority(pending_, priorities_active_);
     RequestState* request = *it;
     const int64_t needed_tokens = request->request.total_len();
     const int64_t needed_blocks = kv_.BlocksForTokens(needed_tokens);

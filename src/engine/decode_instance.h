@@ -130,9 +130,6 @@ class DecodeInstance {
   int64_t preemptions() const { return preemptions_; }
 
  private:
-  // Admission scan over pending_: highest priority first, FCFS within a class; plain front()
-  // when no prioritized request was ever submitted (single-tenant fast path).
-  RequestQueue::iterator PickPending();
   // Evicts the lowest-priority joining/active resident strictly below `floor`: releases its
   // KV, emits a preempt span, and hands it to on_preempt_. Returns false when no such victim.
   bool PreemptLowestBelow(int floor);

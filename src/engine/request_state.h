@@ -11,6 +11,7 @@
 #define DISTSERVE_ENGINE_REQUEST_STATE_H_
 
 #include <cstdint>
+#include <iterator>
 
 #include "common/ring_queue.h"
 #include "metrics/collector.h"
@@ -103,6 +104,22 @@ struct RequestState {
 // The engines' FIFO request queues (prefill queue, decode admission queue, colocated waiting
 // and prefilling queues): a ring that stops allocating once it has grown to its peak length.
 using RequestQueue = RingQueue<RequestState*>;
+
+// The engines' admission order over a non-empty waiting queue: highest priority first, FCFS
+// within a class. `priorities_active` says whether a prioritized request was ever queued;
+// until then the pick is plain front() (the single-tenant fast path).
+inline RequestQueue::iterator PickByPriority(RequestQueue& queue, bool priorities_active) {
+  if (!priorities_active) {
+    return queue.begin();
+  }
+  auto best = queue.begin();
+  for (auto it = std::next(queue.begin()); it != queue.end(); ++it) {
+    if ((*it)->request.priority > (*best)->request.priority) {
+      best = it;  // strictly greater: FCFS stays stable within a class
+    }
+  }
+  return best;
+}
 
 }  // namespace distserve::engine
 

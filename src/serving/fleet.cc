@@ -15,7 +15,6 @@ simcore::ShardedSimulator::Options MakeShardOptions(const FleetConfig& config) {
   options.num_shards = config.shards;
   options.lookahead = std::min(config.dispatch_latency, config.notify_latency);
   options.pool = config.pool;
-  options.channel_capacity = config.channel_capacity;
   return options;
 }
 

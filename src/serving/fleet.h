@@ -65,7 +65,6 @@ struct FleetConfig {
   // Sharding knobs, forwarded to simcore::ShardedSimulator::Options.
   int shards = 1;
   ThreadPool* pool = nullptr;
-  size_t channel_capacity = 1024;
 };
 
 struct FleetResult {

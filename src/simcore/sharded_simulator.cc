@@ -16,12 +16,8 @@ ShardedSimulator::ShardedSimulator(const Options& options)
   for (int i = 0; i < options.num_shards; ++i) {
     shards_.push_back(std::make_unique<Simulator>());
   }
-  const size_t s = shards_.size();
-  channels_.reserve(s * s);
-  for (size_t i = 0; i < s * s; ++i) {
-    channels_.push_back(std::make_unique<Channel>(options.channel_capacity));
-  }
-  stats_.shards.resize(s);
+  outboxes_.resize(shards_.size());
+  stats_.shards.resize(shards_.size());
 }
 
 int ShardedSimulator::AddSender(int shard) {
@@ -49,16 +45,15 @@ bool ShardedSimulator::MessageBefore(const Message& a, const Message& b) {
 // Sorting indices instead of the elements keeps the inline callables in place: every Message
 // move is an indirect manage call on its InlineFunction, and a small insertion sort does a
 // quadratic number of moves — measurably the hottest part of delivery before this change.
-template <typename Item>
-void ShardedSimulator::SortIndices(const std::vector<Item>& items) {
-  const uint32_t n = static_cast<uint32_t>(items.size());
+void ShardedSimulator::SortIndices(const std::vector<Message>& messages) {
+  const uint32_t n = static_cast<uint32_t>(messages.size());
   order_scratch_.clear();
   order_scratch_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     order_scratch_.push_back(i);
   }
-  const auto before = [&items](uint32_t a, uint32_t b) {
-    return MessageBefore(AsMessage(items[a]), AsMessage(items[b]));
+  const auto before = [&messages](uint32_t a, uint32_t b) {
+    return MessageBefore(messages[a], messages[b]);
   };
   // A typical delivery round holds a handful of messages, where std::sort's dispatch overhead
   // costs more than the sort itself; hand-rolled insertion keeps the per-window cost flat.
@@ -78,72 +73,36 @@ void ShardedSimulator::SortIndices(const std::vector<Item>& items) {
 }
 
 int64_t ShardedSimulator::DeliverPending() {
-  const int s = num_shards();
-  if (s == 1) {
-    // 1-shard fallback: every message sits in the single diagonal spill vector (see Post),
-    // so it can be sorted and scheduled in place — same canonical order as the general
-    // merge, one fewer move per message.
-    Channel& ch = channel(0, 0);
-    if (ch.spill.empty()) {
-      return 0;
-    }
-    SortIndices(ch.spill);
-    Simulator* dst = shards_[0].get();
-    for (const uint32_t idx : order_scratch_) {
-      Message& msg = ch.spill[idx];
-      // Debug-only here: with one shard there is no cross-thread hazard, the always-on
-      // Post-side contract check already bounds every timestamp, and the general path below
-      // keeps its always-on detector.
-      DS_DCHECK(msg.when >= dst->now())
-          << "late delivery: message for t=" << msg.when << " reached shard 0 at t="
-          << dst->now();
-      dst->ScheduleAt(msg.when, std::move(msg.fn));
-    }
-    const int64_t delivered = static_cast<int64_t>(ch.spill.size());
-    stats_.shards[0].messages_in += delivered;
-    stats_.messages += delivered;
-    ch.spill.clear();
-    return delivered;
-  }
-  merge_scratch_.clear();
-  for (int src = 0; src < s; ++src) {
-    for (int dst = 0; dst < s; ++dst) {
-      Channel& ch = channel(src, dst);
-      Message msg;
-      while (ch.ring.TryPop(&msg)) {
-        merge_scratch_.push_back(Delivery{std::move(msg), dst});
+  // With one shard every message sits in outbox 0, so it is sorted and scheduled in place —
+  // one fewer move per message. Otherwise the outboxes are gathered into one merge list.
+  std::vector<Message>* pending = &outboxes_[0];
+  if (outboxes_.size() > 1) {
+    merge_scratch_.clear();
+    for (std::vector<Message>& outbox : outboxes_) {
+      for (Message& msg : outbox) {
+        merge_scratch_.push_back(std::move(msg));
       }
-      if (!ch.spill.empty()) {
-        if (src != dst) {
-          // Only ring overflow counts as a spill; the diagonal uses the spill vector as its
-          // normal path (see Post) and would swamp the stat.
-          stats_.channel_spills += static_cast<int64_t>(ch.spill.size());
-        }
-        for (Message& spilled : ch.spill) {
-          merge_scratch_.push_back(Delivery{std::move(spilled), dst});
-        }
-        ch.spill.clear();
-      }
+      outbox.clear();
     }
+    pending = &merge_scratch_;
   }
-  if (merge_scratch_.empty()) {
+  if (pending->empty()) {
     return 0;
   }
-  SortIndices(merge_scratch_);
+  SortIndices(*pending);
   for (const uint32_t idx : order_scratch_) {
-    Delivery& d = merge_scratch_[idx];
-    Simulator* dst = shards_[static_cast<size_t>(d.dst)].get();
-    // The receive-side detector: with the Post-side check above this cannot fire, but a late
+    Message& msg = (*pending)[idx];
+    Simulator* dst = shards_[static_cast<size_t>(msg.dst)].get();
+    // The receive-side detector: with the Post-side check this cannot fire, but a late
     // message silently rewriting history would be worse than an abort.
-    DS_CHECK(d.msg.when >= dst->now())
-        << "late cross-shard delivery: message for t=" << d.msg.when << " reached shard "
-        << d.dst << " at t=" << dst->now();
-    ++stats_.shards[static_cast<size_t>(d.dst)].messages_in;
-    dst->ScheduleAt(d.msg.when, std::move(d.msg.fn));
+    DS_CHECK(msg.when >= dst->now()) << "late delivery: message for t=" << msg.when
+                                     << " reached shard " << msg.dst << " at t=" << dst->now();
+    ++stats_.shards[static_cast<size_t>(msg.dst)].messages_in;
+    dst->ScheduleAt(msg.when, std::move(msg.fn));
   }
-  const int64_t delivered = static_cast<int64_t>(merge_scratch_.size());
+  const int64_t delivered = static_cast<int64_t>(pending->size());
   stats_.messages += delivered;
-  merge_scratch_.clear();
+  pending->clear();
   return delivered;
 }
 
@@ -182,14 +141,14 @@ int64_t ShardedSimulator::Run() {
     // one shard's next event; nothing else falls inside [t, t+L)). A ParallelFor barrier per
     // window would then dominate the whole run, so the pool is engaged only when the window
     // has multi-shard work to overlap. Which thread runs a shard never affects the result —
-    // shards are independent within a window and the channel merge fixes delivery order.
+    // shards are independent within a window and the outbox merge fixes delivery order.
     int active = 0;
     for (const auto& shard : shards_) {
       active += shard->NextTime() < end ? 1 : 0;
     }
     if (parallel && active > 1) {
       // ParallelFor is the window barrier: it returns only when every shard has advanced to
-      // the window edge, which also publishes the shards' channel writes to this thread.
+      // the window edge, which also publishes the shards' outbox writes to this thread.
       pool_->ParallelFor(s, [this, end](int64_t i) {
         stats_.shards[static_cast<size_t>(i)].events +=
             shards_[static_cast<size_t>(i)]->RunBefore(end);

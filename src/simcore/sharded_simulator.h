@@ -6,13 +6,14 @@
 // events independently — in parallel on a ThreadPool when one is provided — because the
 // protocol guarantees no cross-shard message can land inside the current window: a message
 // posted by an actor at local time `s` must be timestamped `when >= s + L` (checked, loudly).
-// Messages travel through bounded SPSC ring channels (one per shard pair; see spsc_channel.h)
-// and are delivered at the window barrier in the canonical order (when, sender, seq). The
-// sender id is a stable actor identity registered up front and the seq is per-sender, so the
-// merge order — and with it every downstream event-queue tie-break — is independent of how
-// actors are mapped to shards and of the thread count. One shard with no pool degenerates to
-// the familiar single-queue loop (same EventQueue, windows traversed inline); the identical
-// message discipline at every shard count is what makes results bit-identical across them.
+// Each shard appends the messages its actors post to its own outbox, a plain vector only that
+// shard writes during a window; the window barrier publishes the outboxes, and the messages
+// are delivered there in the canonical order (when, sender, seq). The sender id is a stable
+// actor identity registered up front and the seq is per-sender, so the merge order — and with
+// it every downstream event-queue tie-break — is independent of how actors are mapped to
+// shards and of the thread count. One shard with no pool degenerates to the familiar
+// single-queue loop (same EventQueue, windows traversed inline); the identical message
+// discipline at every shard count is what makes results bit-identical across them.
 //
 // What this core does NOT do: partition an existing monolithic simulation automatically. The
 // serving layer opts in by constructing independent actor groups on shard(i) and exchanging
@@ -22,12 +23,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "simcore/simulator.h"
-#include "simcore/spsc_channel.h"
 
 namespace distserve::simcore {
 
@@ -41,25 +42,19 @@ class ShardedSimulator {
     // Runs each window's shards with ParallelFor when non-null and it has workers; windows
     // run inline on the caller otherwise (the single-core / 1-shard fallback).
     ThreadPool* pool = nullptr;
-    // Per shard-pair ring capacity; overflow spills to a producer-owned vector (counted, not
-    // fatal), so capacity only tunes the fast path. Sized for a window's worth of messages,
-    // not a run's: S*S rings of ~100-byte slots cycle through their whole buffer, and a few
-    // hundred KB of ring working set measurably collapses under cache pressure at 8 shards
-    // (the fleet exhibit delivers 2M messages through 64 channels with zero spills at this
-    // size).
-    size_t channel_capacity = 128;
   };
 
   struct ShardStats {
     int64_t events = 0;        // events fired on this shard
-    int64_t messages_in = 0;   // cross-shard messages delivered to this shard
+    int64_t messages_in = 0;   // messages delivered to this shard
     int64_t messages_out = 0;  // messages posted by senders living on this shard
   };
 
   struct Stats {
     int64_t sync_rounds = 0;     // lookahead windows executed
-    int64_t messages = 0;        // total cross-shard messages delivered
-    int64_t channel_spills = 0;  // messages that overflowed a ring into its spill vector
+    int64_t messages = 0;        // total Post()ed messages delivered, same-shard included
+    // Always 0: outboxes grow instead of spilling. Kept only because perfbench reports it.
+    int64_t channel_spills = 0;
     std::vector<ShardStats> shards;
   };
 
@@ -85,21 +80,14 @@ class ShardedSimulator {
   // when >= sender's now() + lookahead — a violation aborts: late messages must fail loudly,
   // never silently reorder. Same-shard posts obey the same discipline so that the delivery
   // order is identical at every shard count. Templated so the callable is built in place in
-  // the spill slot on the (hot) same-shard path — every InlineFunction relocation costs an
-  // indirect call, and the 1-shard fallback's overhead budget is tight.
+  // the outbox — every InlineFunction relocation costs an indirect call, and the 1-shard
+  // fallback's overhead budget is tight.
   template <typename F>
   void Post(int sender, int dst_shard, SimTime when, F&& fn) {
-    const PostSlot slot = PreparePost(sender, dst_shard, when);
-    if (slot.same_shard) {
-      slot.channel->spill.emplace_back(when, static_cast<int32_t>(sender), slot.seq,
-                                       std::forward<F>(fn));
-    } else {
-      Message msg{when, static_cast<int32_t>(sender), slot.seq,
-                  EventCallback(std::forward<F>(fn))};
-      if (!slot.channel->ring.TryPush(msg)) {
-        slot.channel->spill.push_back(std::move(msg));
-      }
-    }
+    const int src_shard = CheckPost(sender, dst_shard, when);
+    outboxes_[static_cast<size_t>(src_shard)].emplace_back(
+        when, static_cast<int32_t>(sender), static_cast<int32_t>(dst_shard),
+        sender_seq_[static_cast<size_t>(sender)]++, std::forward<F>(fn));
   }
 
   // Runs windows until every shard is idle and no message is in flight. Returns the total
@@ -117,38 +105,20 @@ class ShardedSimulator {
   struct Message {
     SimTime when = 0.0;
     int32_t sender = -1;
+    int32_t dst = 0;  // destination shard
     int64_t seq = 0;  // per-sender, assigned at Post in program order
     EventCallback fn;
   };
 
-  struct Channel {
-    explicit Channel(size_t capacity) : ring(capacity) {}
-    SpscChannel<Message> ring;
-    // Producer-owned overflow — and the normal path for same-shard (diagonal) messages,
-    // which never cross a thread; only touched by the producer during a window and by the
-    // merge step after the barrier, never both at once.
-    std::vector<Message> spill;
-  };
-
-  Channel& channel(int src, int dst) {
-    return *channels_[static_cast<size_t>(src) * shards_.size() + static_cast<size_t>(dst)];
-  }
-
-  struct PostSlot {
-    Channel* channel = nullptr;
-    int64_t seq = 0;
-    bool same_shard = false;
-  };
-
-  // The non-template half of Post: validates the lookahead contract, assigns the sender's
-  // next seq, bumps stats, and picks the channel. Inline: it runs once per message and the
-  // 1-shard fallback's overhead budget has no room for an out-of-line call here.
-  PostSlot PreparePost(int sender, int dst_shard, SimTime when) {
+  // The non-template half of Post: validates the lookahead contract, bumps the sender
+  // shard's stats, and returns that shard. Inline: it runs once per message and the 1-shard
+  // fallback's overhead budget has no room for an out-of-line call here.
+  int CheckPost(int sender, int dst_shard, SimTime when) {
     DS_CHECK(sender >= 0 && sender < static_cast<int>(sender_shard_.size()))
         << "unregistered sender " << sender;
     DS_CHECK(dst_shard >= 0 && dst_shard < num_shards());
     const int src_shard = sender_shard_[static_cast<size_t>(sender)];
-    Simulator* src = shards_[static_cast<size_t>(src_shard)].get();
+    const Simulator* src = shards_[static_cast<size_t>(src_shard)].get();
     // The conservative-lookahead contract. Exact-FP safe for callers that add a latency
     // >= lookahead to now(): addition is monotone in the addend under one rounding.
     DS_CHECK(when >= src->now() + lookahead_)
@@ -156,41 +126,27 @@ class ShardedSimulator {
         << src->now() << " posted a message for t=" << when << " < now + lookahead ("
         << lookahead_ << ")";
     ++stats_.shards[static_cast<size_t>(src_shard)].messages_out;
-    PostSlot slot;
-    slot.channel = &channel(src_shard, dst_shard);
-    slot.seq = sender_seq_[static_cast<size_t>(sender)]++;
-    // Same-shard messages never cross a thread: the producer-owned spill vector already has
-    // the right drain point (the window barrier) and the merge applies the same canonical
-    // order, so the ring's atomics are pure overhead on the diagonal. Every message in a
-    // 1-shard run takes that path.
-    slot.same_shard = src_shard == dst_shard;
-    return slot;
+    return src_shard;
   }
 
-  // Drains every channel and schedules the messages onto their destination shards in
+  // Drains every outbox and schedules the messages onto their destination shards in
   // (when, sender, seq) order. Returns the number of messages delivered.
   int64_t DeliverPending();
 
   static bool MessageBefore(const Message& a, const Message& b);
-  static const Message& AsMessage(const Message& m) { return m; }
 
-  // Fills order_scratch_ with the indices of `items` in canonical message order. Defined in
-  // the .cc; instantiated there for Message (1-shard fast path) and Delivery (general merge).
-  template <typename Item>
-  void SortIndices(const std::vector<Item>& items);
+  // Fills order_scratch_ with the indices of `messages` in canonical message order.
+  void SortIndices(const std::vector<Message>& messages);
 
   SimTime lookahead_;
   ThreadPool* pool_;
   std::vector<std::unique_ptr<Simulator>> shards_;
-  std::vector<std::unique_ptr<Channel>> channels_;  // src-major S x S
+  // One per source shard: written only by that shard during a window, read only by the
+  // merge after the barrier.
+  std::vector<std::vector<Message>> outboxes_;
   std::vector<int> sender_shard_;
   std::vector<int64_t> sender_seq_;
-  struct Delivery {
-    Message msg;
-    int dst = 0;
-  };
-  static const Message& AsMessage(const Delivery& d) { return d.msg; }
-  std::vector<Delivery> merge_scratch_;
+  std::vector<Message> merge_scratch_;
   std::vector<uint32_t> order_scratch_;
   Stats stats_;
 };

@@ -162,8 +162,8 @@ TEST_F(ChunkedScheduleTest, PrefixSkipReducesChunkStepsButReservesFullKv) {
 
 TEST_F(ChunkedScheduleTest, HighPriorityAdmittedBeforeEarlierLowPriority) {
   auto instance = MakeChunked(/*chunk_budget=*/256);
-  // The decoy's first chunk step is in flight when both prompts arrive, so PickWaiting sees
-  // them together at the next step boundary and must order by priority, not FCFS.
+  // The decoy's first chunk step is in flight when both prompts arrive, so the admission scan
+  // sees them together at the next step boundary and must order by priority, not FCFS.
   instance->Enqueue(NewRequest(512, 2));
   RequestState* low = NewRequest(512, 2, /*arrival=*/0.0, /*priority=*/0);
   RequestState* high = NewRequest(512, 2, /*arrival=*/0.0, /*priority=*/1);

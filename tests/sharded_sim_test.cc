@@ -72,7 +72,6 @@ std::vector<std::vector<double>> RunRing(int num_shards, ThreadPool* pool) {
   options.num_shards = num_shards;
   options.lookahead = kLookahead;
   options.pool = pool;
-  options.channel_capacity = 4;  // tiny ring: exercise the spill path too
   simcore::ShardedSimulator sim(options);
   RingCtx ctx;
   ctx.sim = &sim;
@@ -110,6 +109,73 @@ TEST(ShardedSimulatorTest, RingBitIdenticalWithThreadPool) {
   ThreadPool pool(3);
   EXPECT_EQ(RunRing(4, &pool), baseline);
   EXPECT_EQ(RunRing(8, &pool), baseline);
+}
+
+// --- Burst: every actor posts hundreds of messages in one window, all actors at the same
+// times, so several shards fill their outboxes in the same window and equal-time messages
+// from different senders meet at every destination. ---
+
+struct BurstRun {
+  std::vector<std::vector<std::pair<double, int>>> log;  // per actor: (time, payload)
+  int64_t messages = 0;
+  int64_t sync_rounds = 0;
+};
+
+BurstRun RunBurst(int num_shards, ThreadPool* pool) {
+  constexpr int kActors = 8;
+  constexpr int kBurst = 300;  // messages per actor per burst
+  constexpr int kRounds = 3;
+  simcore::ShardedSimulator::Options options;
+  options.num_shards = num_shards;
+  options.lookahead = kLookahead;
+  options.pool = pool;
+  simcore::ShardedSimulator sim(options);
+  std::vector<int> actor_shard;
+  std::vector<int> senders;
+  for (int a = 0; a < kActors; ++a) {
+    actor_shard.push_back(a % sim.num_shards());
+    senders.push_back(sim.AddSender(actor_shard.back()));
+  }
+  BurstRun run;
+  run.log.resize(kActors);
+  for (int round = 0; round < kRounds; ++round) {
+    for (int a = 0; a < kActors; ++a) {
+      simcore::Simulator* local = sim.shard(actor_shard[static_cast<size_t>(a)]);
+      local->ScheduleAt(0.05 * static_cast<double>(round), [&, local, a] {
+        for (int k = 0; k < kBurst; ++k) {
+          // Every sender's k-th message goes to the same actor at the same time, so the
+          // senders' equal (when, seq) keys there are ordered by sender id alone.
+          const int to = k % kActors;
+          simcore::Simulator* dst = sim.shard(actor_shard[static_cast<size_t>(to)]);
+          const double when =
+              local->now() + kLookahead * static_cast<double>(1 + (k / kActors) % 4);
+          sim.Post(senders[static_cast<size_t>(a)], actor_shard[static_cast<size_t>(to)], when,
+                   [&run, dst, to, payload = a * kBurst + k] {
+                     run.log[static_cast<size_t>(to)].emplace_back(dst->now(), payload);
+                   });
+        }
+      });
+    }
+  }
+  sim.Run();
+  EXPECT_EQ(sim.stats().messages, int64_t{kActors} * kBurst * kRounds);
+  run.messages = sim.stats().messages;
+  run.sync_rounds = sim.stats().sync_rounds;
+  return run;
+}
+
+TEST(ShardedSimulatorTest, BurstBitIdenticalAcrossShardCountsAndPools) {
+  const BurstRun baseline = RunBurst(1, nullptr);
+  ThreadPool pool(3);
+  for (const int shards : {2, 8}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, pool " << (p != nullptr));
+      const BurstRun run = RunBurst(shards, p);
+      EXPECT_EQ(run.log, baseline.log);
+      EXPECT_EQ(run.messages, baseline.messages);
+      EXPECT_EQ(run.sync_rounds, baseline.sync_rounds);
+    }
+  }
 }
 
 TEST(ShardedSimulatorDeathTest, LateCrossShardMessageFailsLoudly) {
