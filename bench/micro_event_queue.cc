@@ -25,8 +25,8 @@ BENCHMARK(BM_ScheduleAndFire);
 
 // One schedule+fire cycle while `range(0)` later events stand in the queue: every push and
 // pop sifts through that many entries. 40000 is the depth a serve-chatbot trace left behind
-// when its arrivals were all scheduled up front; Simulator::StreamArrivals keeps the standing
-// depth at in-flight work, which the /0 row approximates.
+// when its arrivals were all scheduled up front. Simulator::StreamArrivals keeps arrivals out
+// of the heap, so the standing depth is in-flight work alone, which the /0 row approximates.
 void BM_ScheduleAndFireWithBacklog(benchmark::State& state) {
   const int64_t backlog = state.range(0);
   simcore::Simulator sim;
@@ -42,6 +42,22 @@ void BM_ScheduleAndFireWithBacklog(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ScheduleAndFireWithBacklog)->Arg(0)->Arg(40000);
+
+// A trace streamed through Simulator::StreamArrivals: `range(0)` arrivals 1 ms apart, each
+// scheduling one follow-up event 0.5 ms later, so at most one heap event stands beside the
+// pending arrival. Items are fired events, arrivals and follow-ups alike.
+void BM_StreamedArrivals(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  for (auto _ : state) {
+    simcore::Simulator sim;
+    sim.StreamArrivals(
+        n, [](size_t i) { return 1e-3 * static_cast<double>(i); },
+        [&sim](size_t) { sim.ScheduleAfter(5e-4, [] {}); });
+    benchmark::DoNotOptimize(sim.Run());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * state.range(0));
+}
+BENCHMARK(BM_StreamedArrivals)->Arg(4096);
 
 void BM_CancelHeavy(benchmark::State& state) {
   for (auto _ : state) {

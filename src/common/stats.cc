@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <sstream>
 
@@ -65,7 +66,6 @@ double PercentileTracker::Percentile(double q) const {
     return std::numeric_limits<double>::quiet_NaN();
   }
   DS_CHECK(q >= 0.0 && q <= 100.0);
-  EnsureSorted();
   if (samples_.size() == 1) {
     return samples_[0];
   }
@@ -73,7 +73,21 @@ double PercentileTracker::Percentile(double q) const {
   const size_t lo = static_cast<size_t>(rank);
   const size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  double lo_value = 0.0;
+  double hi_value = 0.0;
+  if (sorted_) {
+    lo_value = samples_[lo];
+    hi_value = samples_[hi];
+  } else {
+    // Select rather than sort: one O(n) partition around order statistic `lo` leaves only
+    // larger-or-equal samples after it, so order statistic `lo + 1` is their minimum. Both
+    // are the exact sorted values, so the result is bitwise the sorted one.
+    const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(samples_.begin(), nth, samples_.end());
+    lo_value = *nth;
+    hi_value = hi == lo ? lo_value : *std::min_element(nth + 1, samples_.end());
+  }
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double PercentileTracker::Mean() const {

@@ -34,7 +34,9 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-// Collects raw samples for exact percentile queries. Sorting is deferred and cached.
+// Collects raw samples for exact percentile queries. A percentile of an unsorted tracker
+// selects its two order statistics in O(n) (a one-off p99 over a run's records is the common
+// query); Min, Max, FractionAtOrBelow and Sorted sort once and cache the order.
 class PercentileTracker {
  public:
   void Add(double x);

@@ -1,5 +1,6 @@
 #include "simcore/event_queue.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -45,6 +46,14 @@ void EventQueue::CancelNode(uint32_t node, uint32_t generation) {
 EventHandle EventQueue::ScheduleReserved(SimTime when, uint64_t seq, EventCallback&& fn) {
   DS_DCHECK(seq < next_seq_) << "sequence number " << seq << " was never reserved";
   return Push(when, seq, std::move(fn));
+}
+
+void EventQueue::BeginStream(SimTime when, uint64_t seq, EventCallback&& fn) {
+  DS_CHECK(!stream_fn_) << "a stream is still pending: one stream at a time";
+  DS_DCHECK(seq < next_seq_) << "sequence number " << seq << " was never reserved";
+  DS_DCHECK(when >= 0.0);
+  stream_ = Entry{when, seq, 0, 0};
+  stream_fn_ = std::move(fn);
 }
 
 EventHandle EventQueue::Push(SimTime when, uint64_t seq, EventCallback&& fn) {
@@ -144,7 +153,7 @@ SimTime EventQueue::NextTime() {
   if (dead_count_ != 0) {
     DropDead();
   }
-  return heap_.empty() ? std::numeric_limits<SimTime>::infinity() : heap_.front().time;
+  return heap_.empty() ? stream_.time : std::min(heap_.front().time, stream_.time);
 }
 
 }  // namespace distserve::simcore

@@ -22,6 +22,12 @@
 // included, so reusing the node earlier would let the stale entry overwrite the position of
 // the node's next event.
 //
+// One event lives outside the heap: the stream slot, which holds the next event of a long
+// time-ordered stream (Simulator::StreamArrivals) under a reserved sequence number. Its callback
+// is built once and re-armed in place with each firing, and FireNext fires whichever of the
+// slot and the live heap top orders first, so a streamed event ties exactly as it would in the
+// heap without paying for a slab node, a push and a pop.
+//
 // Lifetime rule: an EventHandle must not be *used* (Cancel/pending/Reschedule) after its queue
 // is destroyed; destroying a handle is always safe. Every component in this codebase owns its
 // handles inside objects that the simulator outlives, so this costs nothing in practice.
@@ -85,11 +91,12 @@ class EventQueue {
   }
 
   // Reserves `n` consecutive sequence numbers and returns the first. An event later scheduled
-  // under one of them with ScheduleReserved ties against every other event exactly as if it
-  // had been scheduled at reservation time: after everything scheduled before the
-  // reservation, before everything scheduled after it. This lets a producer feed a long
-  // time-ordered stream into the queue one event at a time (Simulator::StreamArrivals)
-  // without changing the order of events at equal times.
+  // under one of them with ScheduleReserved (or armed in the stream slot) ties against every
+  // other event exactly as if it had been scheduled at reservation time: after everything
+  // scheduled before the reservation, before everything scheduled after it. This lets a
+  // component decide later whether an event is needed at all, and a producer feed a long
+  // time-ordered stream into the queue one event at a time without changing the order of
+  // events at equal times.
   uint64_t ReserveSeqs(uint64_t n) {
     const uint64_t base = next_seq_;
     next_seq_ += n;
@@ -111,23 +118,41 @@ class EventQueue {
   // false and changes nothing when the handle is not pending here.
   bool Retime(const EventHandle& handle, SimTime when);
 
-  // True when no live (uncancelled) event remains.
-  bool empty() const { return heap_.size() == dead_count_; }
+  // Arms the stream slot: `fn` fires at `when` under `seq`, a sequence number returned by
+  // ReserveSeqs. Each firing must re-arm the slot (AdvanceStream) or end the stream
+  // (EndStream) before it returns; the slot keeps `fn` and invokes it again at its next time.
+  // Aborts if a stream is still armed or firing: one stream at a time.
+  void BeginStream(SimTime when, uint64_t seq, EventCallback&& fn);
 
-  // Entries currently stored, counting cancelled-but-uncollected ones (upper bound on live).
-  size_t size() const { return heap_.size(); }
+  // From inside the slot's callback: re-arms the slot at `when` under the next sequence number.
+  void AdvanceStream(SimTime when) {
+    stream_.time = when;
+    ++stream_.seq;
+  }
+
+  // From inside the slot's callback: leaves the slot empty once the callback returns.
+  void EndStream() { stream_ = kNoStream; }
+
+  // True when no live (uncancelled) event remains, counting an armed stream slot.
+  bool empty() const { return heap_.size() == dead_count_ && !StreamArmed(); }
+
+  // Entries currently stored, counting cancelled-but-uncollected ones (upper bound on live)
+  // and an armed stream slot.
+  size_t size() const { return heap_.size() + (StreamArmed() ? 1 : 0); }
 
   // Events cancelled before they fired, over the queue's lifetime.
   uint64_t cancelled() const { return cancelled_; }
 
-  // Time of the earliest live event; +infinity when empty. Drops cancelled entries off the
-  // top of the heap.
+  // Time of the earliest live event, the stream slot's included; +infinity when empty. Drops
+  // cancelled entries off the top of the heap.
   SimTime NextTime();
 
-  // Fires the earliest live event if its time is at most `until`: removes it, marks its
-  // handle fired, calls `on_fire(time)`, invokes the callback where it lies in the slab, then
-  // frees the node. The callback may schedule, cancel and re-time other events. Returns false,
-  // firing nothing, when the queue is empty or the earliest event is later than `until`.
+  // Fires the earliest live event if its time is at most `until`. A heap event is removed, its
+  // handle marked fired, `on_fire(time)` called, its callback invoked where it lies in the
+  // slab, and its node freed; the stream slot's callback is invoked where it lies too, and
+  // destroyed only once it has ended the stream. The callback may schedule, cancel and re-time
+  // other events. Returns false, firing nothing, when the queue is empty or the earliest event
+  // is later than `until`.
   template <typename OnFire>
   bool FireNext(SimTime until, OnFire&& on_fire);
 
@@ -154,6 +179,10 @@ class EventQueue {
   static bool Before(const Entry& a, const Entry& b) {
     return a.time < b.time || (a.time == b.time && a.seq < b.seq);
   }
+  // The empty stream slot's key: after every heap entry, even one at +infinity, because no
+  // sequence number handed out reaches UINT64_MAX.
+  static constexpr Entry kNoStream{std::numeric_limits<SimTime>::infinity(), UINT64_MAX, 0, 0};
+  bool StreamArmed() const { return stream_.seq != kNoStream.seq; }
 
   // Per-node bookkeeping, dense by node index. `link` is the heap position of the node's
   // entry while one is stored, and the next free node while the node is on the free list.
@@ -206,6 +235,8 @@ class EventQueue {
   void Compact();
 
   std::vector<Entry> heap_;
+  Entry stream_ = kNoStream;  // the stream slot's key; node and generation unused
+  EventCallback stream_fn_;   // set from BeginStream until the stream's last event returns
   std::vector<Slot> slots_;
   std::vector<std::unique_ptr<EventCallback[]>> chunks_;
   uint32_t free_head_ = kNilNode;
@@ -219,7 +250,18 @@ bool EventQueue::FireNext(SimTime until, OnFire&& on_fire) {
   if (dead_count_ != 0) {
     DropDead();
   }
-  if (heap_.empty() || heap_.front().time > until) {
+  if (heap_.empty() || Before(stream_, heap_.front())) {
+    if (stream_.time > until || !StreamArmed()) {
+      return false;
+    }
+    on_fire(stream_.time);
+    stream_fn_();  // re-arms or ends the stream
+    if (!StreamArmed()) {
+      stream_fn_.reset();
+    }
+    return true;
+  }
+  if (heap_.front().time > until) {
     return false;
   }
   const Entry top = heap_.front();

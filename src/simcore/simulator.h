@@ -77,15 +77,17 @@ class Simulator {
     return queue_.ScheduleReserved(when, seq, std::move(fn));
   }
 
-  // Streams `n` timed arrivals (a workload trace) into the queue one at a time: only the next
-  // arrival is ever pending, so the heap holds in-flight work, not the whole trace. Arrival i
-  // fires at time_of(i); its event first schedules arrival i + 1 and then calls fire(i).
-  // Every arrival carries the sequence number it would have had if all n had been scheduled
-  // here, up front (EventQueue::ReserveSeqs), so events at equal times fire in the same order
-  // as under that up-front schedule: after events scheduled before this call, before events
-  // scheduled after it (fault plans, and everything the arrivals cause). Arrival times must
-  // not decrease; a trace that does aborts, naming the offending index. time_of and fire must
-  // stay valid until the last arrival has fired.
+  // Streams `n` timed arrivals (a workload trace) through the queue's stream slot, outside the
+  // heap: only the next arrival is ever pending, so the heap holds in-flight work, not the whole
+  // trace, and an arrival costs no push or pop. Arrival i fires at time_of(i); its event first
+  // re-arms the slot with arrival i + 1 and then calls fire(i). Every arrival carries the
+  // sequence number it would have had if all n had been scheduled here, up front
+  // (EventQueue::ReserveSeqs), so events at equal times fire in the same order as under that
+  // up-front schedule: after events scheduled before this call, before events scheduled after
+  // it (fault plans, and everything the arrivals cause). Arrival times must not decrease; a
+  // trace that does aborts, naming the offending index. One stream at a time: a call while an
+  // earlier stream still has an arrival pending or firing aborts. time_of and fire must stay
+  // valid until the last arrival has fired.
   template <typename TimeOf, typename Fire>
   void StreamArrivals(size_t n, TimeOf time_of, Fire fire);
 
@@ -99,13 +101,14 @@ class Simulator {
   // cross-shard messages timestamped >= the edge can be delivered without reordering.
   int64_t RunBefore(SimTime bound);
 
-  // True when no live events remain.
+  // True when no live events remain, counting a pending streamed arrival.
   bool Idle() const { return queue_.empty(); }
 
-  // Time of the earliest pending event; +infinity when idle. The sharded simulator computes
-  // each lookahead window's start as the minimum across shards. A callback that finds
-  // NextTime() > now() knows that no other event can fire at now(), so work it would have
-  // scheduled at now() can run inline without changing any observable order.
+  // Time of the earliest pending event, a pending streamed arrival included; +infinity when
+  // idle. The sharded simulator computes each lookahead window's start as the minimum across
+  // shards. A callback that finds NextTime() > now() knows that no other event can fire at
+  // now(), so work it would have scheduled at now() can run inline without changing any
+  // observable order.
   SimTime NextTime() { return queue_.NextTime(); }
 
   // True while Run or RunBefore is firing events, that is, inside an event callback. Outside
@@ -113,31 +116,33 @@ class Simulator {
   // work the caller adds before it.
   bool running() const { return running_; }
 
-  // Entries stored in the event queue (EventQueue::size).
+  // Entries stored in the event queue, plus one while a streamed arrival is pending
+  // (EventQueue::size).
   size_t queue_size() const { return queue_.size(); }
 
  private:
-  // The event of one streamed arrival; captures an index, not a copy of the arrival.
+  // The stream slot's callback: fires arrival `index` and re-arms itself for the next one.
+  // Captures an index, not a copy of the arrival.
   template <typename TimeOf, typename Fire>
   struct StreamedArrival {
     Simulator* sim;
-    uint64_t base;  // sequence number of arrival 0
     size_t index;
     size_t n;
     TimeOf time_of;
     Fire fire;
 
     void operator()() {
-      const size_t next = index + 1;
-      if (next < n) {
-        const SimTime when = time_of(next);
-        DS_CHECK(when >= sim->now_) << "arrival times must not decrease: arrival " << next
-                                    << " at " << when << " follows arrival " << index
+      const size_t current = index++;
+      if (index < n) {
+        const SimTime when = time_of(index);
+        DS_CHECK(when >= sim->now_) << "arrival times must not decrease: arrival " << index
+                                    << " at " << when << " follows arrival " << current
                                     << " at " << sim->now_;
-        sim->queue_.ScheduleReserved(when, base + next,
-                                     StreamedArrival{sim, base, next, n, time_of, fire});
+        sim->queue_.AdvanceStream(when);
+      } else {
+        sim->queue_.EndStream();
       }
-      fire(index);
+      fire(current);
     }
   };
 
@@ -169,8 +174,7 @@ void Simulator::StreamArrivals(size_t n, TimeOf time_of, Fire fire) {
   // Checked in every build: one compare per stream, and a stream into the past means the
   // caller reused a clock it should not have.
   DS_CHECK(first >= now_) << "scheduling into the past: " << first << " < " << now_;
-  queue_.ScheduleReserved(first, base,
-                          Event{this, base, 0, n, std::move(time_of), std::move(fire)});
+  queue_.BeginStream(first, base, Event{this, 0, n, std::move(time_of), std::move(fire)});
 }
 
 }  // namespace distserve::simcore

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -184,6 +186,152 @@ TEST(SimulatorStreamTest, QueueHoldsOneArrivalPlusInFlightWork) {
   EXPECT_EQ(c.in_flight, 0);
   EXPECT_LE(c.max_size, 60u);
   EXPECT_EQ(sim.events_processed(), static_cast<int64_t>(2 * kArrivals));
+}
+
+// The pending arrival sits in the queue's stream slot, outside the heap; every query of the
+// queue must still see it.
+TEST(SimulatorStreamTest, RunUntilStopsWithTheArrivalPendingThenResumes) {
+  Simulator sim;
+  const std::vector<double> times = {1.0, 2.0, 2.0, 4.0};
+  std::vector<size_t> fired;
+  sim.StreamArrivals(
+      times.size(), [&times](size_t i) { return times[i]; },
+      [&fired](size_t i) { fired.push_back(i); });
+  EXPECT_EQ(sim.Run(1.5), 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 1.5);
+  EXPECT_EQ(sim.Run(2.0), 2);  // both arrivals at the horizon fire
+  EXPECT_EQ(fired, (std::vector<size_t>{0, 1, 2}));
+  EXPECT_FALSE(sim.Idle());
+  EXPECT_EQ(sim.queue_size(), 1u);
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 4.0);
+  EXPECT_EQ(sim.Run(3.9), 0);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.9);
+  EXPECT_EQ(sim.Run(), 1);
+  EXPECT_EQ(fired, (std::vector<size_t>{0, 1, 2, 3}));
+  EXPECT_DOUBLE_EQ(sim.now(), 4.0);
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(SimulatorStreamTest, RunBeforeWindowEdgesOnArrivalTimes) {
+  Simulator sim;
+  const std::vector<double> times = {1.0, 2.0, 2.0, 3.0};
+  std::vector<std::string> log;
+  sim.StreamArrivals(
+      times.size(), [&times](size_t i) { return times[i]; },
+      [&sim, &log](size_t i) {
+        log.push_back("arrival" + std::to_string(i));
+        sim.ScheduleAfter(0.0, [&log, i] { log.push_back("echo" + std::to_string(i)); });
+      });
+  EXPECT_EQ(sim.RunBefore(1.0), 0);  // the arrival at the edge stays pending
+  EXPECT_DOUBLE_EQ(sim.now(), 1.0);
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 1.0);
+  EXPECT_EQ(sim.RunBefore(2.0), 2);
+  EXPECT_EQ(log, (std::vector<std::string>{"arrival0", "echo0"}));
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 2.0);
+  EXPECT_EQ(sim.RunBefore(3.0), 4);
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 3.0);
+  EXPECT_EQ(sim.RunBefore(3.0), 0);
+  EXPECT_EQ(sim.RunBefore(std::nextafter(3.0, 4.0)), 2);
+  EXPECT_EQ(log, (std::vector<std::string>{"arrival0", "echo0", "arrival1", "arrival2",
+                                           "echo1", "echo2", "arrival3", "echo3"}));
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(SimulatorStreamTest, NextTimeAndIdleSeeTheSlotAlone) {
+  Simulator sim;
+  EventHandle early = sim.ScheduleAt(0.5, [] { FAIL() << "cancelled"; });
+  sim.StreamArrivals(
+      2, [](size_t i) { return 1.0 + static_cast<double>(i); }, [](size_t) {});
+  early.Cancel();
+  // Only the slot is live; the cancelled heap entry below it must not hide it.
+  EXPECT_FALSE(sim.Idle());
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 1.0);
+  EXPECT_EQ(sim.Run(1.0), 1);
+  EXPECT_FALSE(sim.Idle());
+  EXPECT_EQ(sim.queue_size(), 1u);
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 2.0);
+  EXPECT_EQ(sim.Run(), 1);
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.queue_size(), 0u);
+  EXPECT_EQ(sim.NextTime(), std::numeric_limits<SimTime>::infinity());
+  // The stream has ended, so another may start.
+  sim.StreamArrivals(
+      1, [](size_t) { return 3.0; }, [](size_t) {});
+  EXPECT_DOUBLE_EQ(sim.NextTime(), 3.0);
+  EXPECT_EQ(sim.Run(), 1);
+  EXPECT_EQ(sim.events_processed(), 3);
+}
+
+// Events put onto an arrival's time by ScheduleAt, Retime and Reschedule, from before the
+// stream, after it and inside an arrival, fire in the up-front schedule's order (TieOrderLog
+// builds the same comparison for plain scheduling).
+std::vector<std::string> RetimeOrderLog(bool streamed) {
+  Simulator sim;
+  std::vector<std::string> log;
+  const std::vector<double> times = {1.0, 2.0, 3.0};
+  auto note = [&log](const std::string& name) { return [&log, name] { log.push_back(name); }; };
+  sim.ScheduleAt(2.0, note("pre@2"));
+  const EventHandle retimed_pre = sim.ScheduleAt(9.0, note("retimed_pre"));
+  const EventHandle rescheduled_pre = sim.ScheduleAt(9.0, note("rescheduled_pre"));
+  const EventHandle retimed_in = sim.ScheduleAt(9.0, note("retimed_in"));
+  EventHandle rescheduled_in;
+  auto fire = [&](size_t i) {
+    log.push_back("arrival" + std::to_string(i));
+    if (i == 0) {
+      sim.Retime(retimed_in, 3.0);        // keeps its pre-stream seq: before arrival 2
+      sim.Reschedule(rescheduled_in, 3.0);  // fresh seq: after arrival 2
+    }
+  };
+  if (streamed) {
+    sim.StreamArrivals(
+        times.size(), [&times](size_t i) { return times[i]; }, fire);
+  } else {
+    for (size_t i = 0; i < times.size(); ++i) {
+      sim.ScheduleAt(times[i], [fire, i] { fire(i); });
+    }
+  }
+  sim.ScheduleAt(2.0, note("post@2"));
+  rescheduled_in = sim.ScheduleAt(9.0, note("rescheduled_in"));
+  const EventHandle retimed_post = sim.ScheduleAt(9.0, note("retimed_post"));
+  sim.Retime(retimed_pre, 2.0);
+  sim.Reschedule(rescheduled_pre, 2.0);
+  sim.Retime(retimed_post, 1.0);
+  sim.Run();
+  return log;
+}
+
+TEST(SimulatorStreamTest, RetimeAndRescheduleOntoArrivalTimesTieAsUpFront) {
+  const std::vector<std::string> up_front = RetimeOrderLog(/*streamed=*/false);
+  EXPECT_EQ(up_front,
+            (std::vector<std::string>{"arrival0", "retimed_post", "pre@2", "retimed_pre",
+                                      "arrival1", "post@2", "rescheduled_pre", "retimed_in",
+                                      "arrival2", "rescheduled_in"}));
+  EXPECT_EQ(RetimeOrderLog(/*streamed=*/true), up_front);
+}
+
+// One stream at a time, in every build: a second stream while the first still has an
+// arrival pending, or from inside its last arrival, aborts.
+TEST(SimulatorStreamDeathTest, SecondConcurrentStreamAborts) {
+  auto pending = [] {
+    Simulator sim;
+    sim.StreamArrivals(
+        2, [](size_t i) { return static_cast<double>(i); }, [](size_t) {});
+    sim.StreamArrivals(
+        1, [](size_t) { return 5.0; }, [](size_t) {});
+  };
+  EXPECT_DEATH(pending(), "a stream is still pending");
+  auto from_last_arrival = [] {
+    Simulator sim;
+    sim.StreamArrivals(
+        1, [](size_t) { return 1.0; },
+        [&sim](size_t) {
+          sim.StreamArrivals(
+              1, [](size_t) { return 2.0; }, [](size_t) {});
+        });
+    sim.Run();
+  };
+  EXPECT_DEATH(from_last_arrival(), "a stream is still pending");
 }
 
 // Checked in every build, not only with assertions on: a stream whose first arrival lies

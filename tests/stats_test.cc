@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -134,6 +138,57 @@ TEST(PercentileTest, FractionAtOrBelow) {
   EXPECT_DOUBLE_EQ(tracker.FractionAtOrBelow(5.0), 0.5);
   EXPECT_DOUBLE_EQ(tracker.FractionAtOrBelow(10.0), 1.0);
   EXPECT_DOUBLE_EQ(tracker.FractionAtOrBelow(100.0), 1.0);
+}
+
+// A percentile of an unsorted tracker selects its order statistics instead of sorting; the
+// result must be bitwise the one read off a sorted copy, ties, tiny sizes and both ends of
+// the range included.
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+double SortedReference(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) {
+    return samples[0];
+  }
+  const double rank = q / 100.0 * static_cast<double>(samples.size() - 1);
+  const size_t lo = static_cast<size_t>(rank);
+  const size_t hi = std::min(lo + 1, samples.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
+}
+
+TEST(PercentileTest, SelectionIsBitwiseTheSortedPercentile) {
+  Rng rng(17);
+  const double qs[] = {0.0, 50.0, 90.0, 99.0, 100.0};
+  for (const size_t n : {1u, 2u, 3u, 4u, 7u, 10u, 101u, 1000u, 4001u}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> samples;
+      for (size_t i = 0; i < n; ++i) {
+        // Half the trials draw from eight values only, so most samples tie.
+        samples.push_back(trial % 2 == 0 ? static_cast<double>(rng.UniformInt(0, 7))
+                                         : rng.LogNormal(0.0, 1.5));
+      }
+      PercentileTracker repeated;  // every query after the first sees a partitioned order
+      for (const double x : samples) {
+        repeated.Add(x);
+      }
+      for (const double q : qs) {
+        PercentileTracker fresh;
+        for (const double x : samples) {
+          fresh.Add(x);
+        }
+        const uint64_t want = Bits(SortedReference(samples, q));
+        EXPECT_EQ(Bits(fresh.Percentile(q)), want) << "n=" << n << " q=" << q;
+        EXPECT_EQ(Bits(repeated.Percentile(q)), want) << "n=" << n << " q=" << q;
+      }
+      EXPECT_EQ(repeated.Sorted().size(), n);  // selection reorders, never loses, samples
+      EXPECT_EQ(Bits(repeated.Percentile(99.0)), Bits(SortedReference(samples, 99.0)));
+    }
+  }
 }
 
 TEST(HistogramTest, BinningAndClamping) {
