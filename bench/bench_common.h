@@ -48,6 +48,7 @@ struct CommonFlags {
   std::string json_path;       // --json=PATH
   std::string goodput_cache;   // --goodput-cache=PATH (DISTSERVE_GOODPUT_CACHE fallback)
   std::string trace_path;      // --trace=PATH
+  std::string attribution_path;  // --attribution=PATH (fig10's per-stage attribution table)
   std::string cluster_spec;    // --cluster=SPEC (caller may preset a default)
   double prefix_hit = -1.0;    // --prefix-hit=F in [0,1]; negative = unset (bench default)
   int64_t chunk_budget = 0;    // --chunk-budget=N > 0; 0 = unset (bench default)
@@ -63,6 +64,7 @@ enum CommonFlagBits : unsigned {
   kFlagNoAnalyticTier = 1u << 5,
   kFlagShards = 1u << 6,
   kFlagThreads = 1u << 10,
+  kFlagAttribution = 1u << 11,
   kFlagPrefixHit = 1u << 7,
   kFlagChunkBudget = 1u << 8,
   kFlagTenants = 1u << 9,
@@ -147,6 +149,11 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
       {kFlagTrace, "--trace", true, "[--trace=PATH]", nullptr,
        [](CommonFlags* f, const char* v) {
          f->trace_path = v;
+         return true;
+       }},
+      {kFlagAttribution, "--attribution", true, "[--attribution=PATH]", nullptr,
+       [](CommonFlags* f, const char* v) {
+         f->attribution_path = v;
          return true;
        }},
       {kFlagNoAnalyticTier, "--no-analytic-tier", false, "[--no-analytic-tier]", nullptr,

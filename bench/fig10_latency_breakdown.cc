@@ -13,10 +13,10 @@
 // bit for bit (trace_bitidentity_test proves the equivalence).
 //
 // Flags:
+//   --smoke             200 requests per run instead of 800, for CI
 //   --trace=PATH        export the OPT-175B breakdown run as Chrome trace-event JSON
 //   --attribution=PATH  write the richer per-stage attribution table for the same run
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -56,37 +56,29 @@ AppResult RunApp(const bench::Application& app, double per_gpu_rate, int request
 }  // namespace
 
 int Main(int argc, char** argv) {
-  std::string trace_path;
-  std::string attribution_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--attribution=", 14) == 0) {
-      attribution_path = argv[i] + 14;
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace=PATH] [--attribution=PATH]\n"
-                   "unknown flag: %s\n",
-                   argv[0], argv[i]);
-      return 2;
-    }
+  bench::CommonFlags flags;
+  if (!bench::ParseCommonFlags(argc, argv,
+                               bench::kFlagSmoke | bench::kFlagTrace | bench::kFlagAttribution,
+                               &flags)) {
+    return 2;
   }
+  const int requests = flags.smoke ? 200 : 800;
 
   bench::PrintBanner("Figure 10a: latency breakdown, OPT-175B on ShareGPT (DistServe-Low)");
   placement::PlacementPlan plan_175;
   trace::Recorder recorder_175;
   const AppResult results_175 = RunApp(bench::ChatbotOpt175B(), /*per_gpu_rate=*/0.12,
-                                       /*requests=*/800, &plan_175, &recorder_175);
+                                       requests, &plan_175, &recorder_175);
   const metrics::LatencyBreakdown& breakdown = results_175.breakdown;
   std::printf("plan: %s\n", plan_175.ToString().c_str());
   std::printf("%s\n", breakdown.ToString().c_str());
   std::printf("transmission share of total latency: %.4f%%\n",
               100.0 * breakdown.transfer / breakdown.total());
-  if (!trace_path.empty()) {
-    recorder_175.WriteChromeJson(trace_path);
+  if (!flags.trace_path.empty()) {
+    recorder_175.WriteChromeJson(flags.trace_path);
   }
-  if (!attribution_path.empty()) {
-    std::ofstream out(attribution_path);
+  if (!flags.attribution_path.empty()) {
+    std::ofstream out(flags.attribution_path);
     out << trace::AttributionTable(recorder_175);
   }
 
@@ -99,7 +91,7 @@ int Main(int argc, char** argv) {
   for (int i = 0; i < 3; ++i) {
     placement::PlacementPlan plan;
     trace::Recorder recorder;
-    const AppResult results = RunApp(apps[i], rates[i], 800, &plan, &recorder);
+    const AppResult results = RunApp(apps[i], rates[i], requests, &plan, &recorder);
     PercentileTracker tracker;
     for (double t : results.transfer_times) {
       tracker.Add(t);

@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
     std::printf("No drift detected; nothing to do.\n");
     return 0;
   }
-  Rng rng(1);
-  const workload::LengthSample mean = fitted->MeanLengths(rng);
+  const workload::LengthSample mean = fitted->MeanLengths(/*seed=*/1);
   std::printf("Fitted recent window: mean input %d tokens, mean output %d, rate %.2f rps\n\n",
               mean.input_len, mean.output_len, fitted_rate);
 

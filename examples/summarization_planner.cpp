@@ -23,8 +23,7 @@ int main() {
   const double target_rate = 3.0;  // requests/second the service must sustain
 
   // 1. Workload characterisation.
-  Rng rng(1);
-  const workload::LengthSample mean = dataset->MeanLengths(rng);
+  const workload::LengthSample mean = dataset->MeanLengths(/*seed=*/1);
   const double kv_gb = static_cast<double>(mean.input_len) *
                        static_cast<double>(model.kv_bytes_per_token()) / 1e9;
   std::printf("Workload: %s | mean prompt %d tokens, mean summary %d tokens\n",

@@ -37,8 +37,7 @@ bool DistServe::ResolveHighAffinity() const {
   }
   // Heuristic from §3.3: cross-node transfers are invisible when the NIC can move a typical
   // request's KV cache well within a prefill execution (~100 ms). Otherwise stay intra-node.
-  Rng rng(options_.search.seed);
-  const workload::LengthSample mean = options_.dataset->MeanLengths(rng);
+  const workload::LengthSample mean = options_.dataset->MeanLengths(options_.search.seed);
   const double kv_bytes = static_cast<double>(mean.input_len) *
                           static_cast<double>(options_.model.kv_bytes_per_token());
   const double transfer_time = kv_bytes / options_.cluster.cross_node_bandwidth;

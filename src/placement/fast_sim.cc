@@ -117,9 +117,11 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     }
     order.push_back(i);
   }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ready_times[a] < ready_times[b];
-  });
+  // Arrival-time callers (SimulateDecodeRate) pass sorted readiness, which needs no sort.
+  const auto by_readiness = [&](size_t a, size_t b) { return ready_times[a] < ready_times[b]; };
+  if (!std::is_sorted(order.begin(), order.end(), by_readiness)) {
+    std::stable_sort(order.begin(), order.end(), by_readiness);
+  }
 
   ViewDecodeBatch batch(ViewRefs{&trace});
   batch.reserve(static_cast<size_t>(max_batch_size));

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "placement/analytic_tier.h"
 #include "placement/fast_sim.h"
 
@@ -232,8 +231,7 @@ SearchContext::SearchContext(const PlannerInputs& inputs)
     owned_trace_cache_ = std::make_unique<workload::TraceCache>();
     search_.trace_cache = owned_trace_cache_.get();
   }
-  Rng rng(search_.seed ^ kMeanLengthStream);
-  mean_ = inputs.dataset->MeanLengths(rng);
+  mean_ = inputs.dataset->MeanLengths(search_.seed ^ kMeanLengthStream);
   if (inputs.goodput_cache != nullptr) {
     BuildKeyPrefixes();
   }

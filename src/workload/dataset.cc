@@ -22,8 +22,41 @@ uint64_t Fnv1a(uint64_t hash, uint64_t value) {
 
 }  // namespace
 
-LengthSample Dataset::MeanLengths(Rng& rng, int trials) const {
+Dataset::MeanLengthMemo& Dataset::MeanLengthMemo::operator=(const MeanLengthMemo& /*other*/) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  entries_.clear();
+  return *this;
+}
+
+bool Dataset::MeanLengthMemo::Find(uint64_t seed, int trials, LengthSample* mean) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : entries_) {
+    if (e.seed == seed && e.trials == trials) {
+      *mean = e.mean;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Dataset::MeanLengthMemo::Insert(uint64_t seed, int trials, LengthSample mean) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : entries_) {
+    if (e.seed == seed && e.trials == trials) {
+      return;  // a concurrent caller got here first, with the same value
+    }
+  }
+  entries_.push_back(Entry{seed, trials, mean});
+}
+
+LengthSample Dataset::MeanLengths(uint64_t seed, int trials) const {
   DS_CHECK_GT(trials, 0);
+  LengthSample mean;
+  if (mean_memo_.Find(seed, trials, &mean)) {
+    return mean;
+  }
+  // Sampled outside the memo's lock, so concurrent callers with other keys never wait on it.
+  Rng rng(seed);
   double in_sum = 0.0;
   double out_sum = 0.0;
   for (int i = 0; i < trials; ++i) {
@@ -31,7 +64,9 @@ LengthSample Dataset::MeanLengths(Rng& rng, int trials) const {
     in_sum += s.input_len;
     out_sum += s.output_len;
   }
-  return LengthSample{static_cast<int>(in_sum / trials), static_cast<int>(out_sum / trials)};
+  mean = LengthSample{static_cast<int>(in_sum / trials), static_cast<int>(out_sum / trials)};
+  mean_memo_.Insert(seed, trials, mean);
+  return mean;
 }
 
 LognormalDataset::LognormalDataset(Params params) : params_(std::move(params)) {

@@ -14,7 +14,9 @@
 #ifndef DISTSERVE_WORKLOAD_DATASET_H_
 #define DISTSERVE_WORKLOAD_DATASET_H_
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -39,8 +41,37 @@ class Dataset {
   // whose name underdetermines the distribution must append their parameters.
   virtual std::string identity() const { return name(); }
 
-  // Monte-Carlo mean lengths (for capacity estimates and logging).
-  LengthSample MeanLengths(Rng& rng, int trials = 4096) const;
+  // Monte-Carlo mean lengths over `trials` samples drawn from a fresh Rng(seed), for capacity
+  // estimates and logging. A Dataset is immutable once built, so the answer is a pure function
+  // of (seed, trials): it is computed once and memoized on the dataset, and every later call
+  // is a table lookup. Every plan and replan calls it twice on a long-lived dataset, and
+  // unmemoized those two 4,096-sample runs would cost twice what the rest of a replan answered
+  // wholly from the goodput cache costs (DESIGN.md §13). Safe to call concurrently.
+  LengthSample MeanLengths(uint64_t seed, int trials = 4096) const;
+
+ private:
+  // MeanLengths' memo: one entry per distinct (seed, trials), of which callers use a handful.
+  // A copy starts empty, and assigning over a dataset empties its memo, because the entries
+  // belong to the distribution they were sampled from.
+  class MeanLengthMemo {
+   public:
+    MeanLengthMemo() = default;
+    MeanLengthMemo(const MeanLengthMemo& /*other*/) {}
+    MeanLengthMemo& operator=(const MeanLengthMemo& /*other*/);
+
+    bool Find(uint64_t seed, int trials, LengthSample* mean) const;
+    void Insert(uint64_t seed, int trials, LengthSample mean);
+
+   private:
+    struct Entry {
+      uint64_t seed;
+      int trials;
+      LengthSample mean;
+    };
+    mutable std::mutex mu_;
+    std::vector<Entry> entries_;
+  };
+  mutable MeanLengthMemo mean_memo_;
 };
 
 // Truncated lognormal marginals for input and output lengths, independently sampled.

@@ -48,6 +48,19 @@ TEST_F(BenchFlagsTest, ParsesEveryAcceptedFlag) {
   EXPECT_EQ(flags.shards, 4);
 }
 
+TEST_F(BenchFlagsTest, AttributionFlagIsFig10s) {
+  constexpr unsigned kFig10 = kFlagSmoke | kFlagTrace | kFlagAttribution;
+  CommonFlags flags;
+  EXPECT_TRUE(Parse({"--smoke", "--trace=t.json", "--attribution=attr.txt"}, kFig10, &flags));
+  EXPECT_TRUE(flags.smoke);
+  EXPECT_EQ(flags.trace_path, "t.json");
+  EXPECT_EQ(flags.attribution_path, "attr.txt");
+  CommonFlags missing;
+  EXPECT_FALSE(Parse({"--attribution"}, kFig10, &missing));
+  CommonFlags unaccepted;
+  EXPECT_FALSE(Parse({"--attribution=attr.txt"}, kAll, &unaccepted));
+}
+
 TEST_F(BenchFlagsTest, RejectsBadShardValues) {
   for (const char* arg : {"--shards=0", "--shards=-2", "--shards=abc", "--shards=4x",
                           "--shards=", "--shards=99999999999999"}) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/thread_pool.h"
+
 namespace distserve::workload {
 namespace {
 
@@ -41,9 +45,8 @@ TEST(DatasetTest, ShareGptBoundsAndScale) {
 TEST(DatasetTest, LongBenchHasMuchLongerInputs) {
   const auto sharegpt = MakeShareGptLike();
   const auto longbench = MakeLongBenchLike();
-  Rng rng(3);
-  const LengthSample sg = sharegpt->MeanLengths(rng, 8192);
-  const LengthSample lb = longbench->MeanLengths(rng, 8192);
+  const LengthSample sg = sharegpt->MeanLengths(3, 8192);
+  const LengthSample lb = longbench->MeanLengths(33, 8192);
   // Figure 7c: summarization prompts are ~10x chatbot prompts; outputs stay short.
   EXPECT_GT(lb.input_len, 5 * sg.input_len);
   EXPECT_LT(lb.output_len, 2 * sg.output_len);
@@ -51,8 +54,7 @@ TEST(DatasetTest, LongBenchHasMuchLongerInputs) {
 
 TEST(DatasetTest, HumanEvalShortBothWays) {
   const auto humaneval = MakeHumanEvalLike();
-  Rng rng(4);
-  const LengthSample he = humaneval->MeanLengths(rng, 8192);
+  const LengthSample he = humaneval->MeanLengths(4, 8192);
   EXPECT_LT(he.input_len, 300);
   EXPECT_LT(he.output_len, 150);
 }
@@ -89,8 +91,7 @@ TEST(DatasetTest, EmpiricalFromTracePreservesMarginals) {
   }
   const EmpiricalDataset dataset = EmpiricalDataset::FromTrace("fit", trace);
   EXPECT_EQ(dataset.observation_count(), 100u);
-  Rng rng(6);
-  const LengthSample mean = dataset.MeanLengths(rng, 20000);
+  const LengthSample mean = dataset.MeanLengths(6, 20000);
   EXPECT_NEAR(mean.input_len, 149, 5);
   EXPECT_NEAR(mean.output_len, 59, 5);
 }
@@ -99,6 +100,87 @@ TEST(DatasetTest, MakeDatasetByName) {
   EXPECT_EQ(MakeDatasetByName("sharegpt")->name(), "sharegpt-like");
   EXPECT_EQ(MakeDatasetByName("humaneval")->name(), "humaneval-like");
   EXPECT_EQ(MakeDatasetByName("longbench")->name(), "longbench-like");
+}
+
+// The Monte Carlo run MeanLengths memoizes, recomputed from scratch with the same arithmetic.
+LengthSample FreshMeanLengths(const Dataset& dataset, uint64_t seed, int trials) {
+  Rng rng(seed);
+  double in_sum = 0.0;
+  double out_sum = 0.0;
+  for (int i = 0; i < trials; ++i) {
+    const LengthSample s = dataset.Sample(rng);
+    in_sum += s.input_len;
+    out_sum += s.output_len;
+  }
+  return LengthSample{static_cast<int>(in_sum / trials), static_cast<int>(out_sum / trials)};
+}
+
+// Both the first (sampling) and every later (memoized) call equal a fresh run, per key.
+void ExpectMemoMatchesFresh(const Dataset& dataset) {
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const uint64_t seed : {1ull, 7ull, 0x9e3779b97f4a7c15ull}) {
+      for (const int trials : {4096, 333}) {
+        const LengthSample memo = dataset.MeanLengths(seed, trials);
+        const LengthSample fresh = FreshMeanLengths(dataset, seed, trials);
+        EXPECT_EQ(memo.input_len, fresh.input_len) << dataset.name() << " seed " << seed;
+        EXPECT_EQ(memo.output_len, fresh.output_len) << dataset.name() << " seed " << seed;
+      }
+    }
+  }
+}
+
+Trace RampTrace(int n, int input_base, int output_base) {
+  Trace trace;
+  for (int i = 0; i < n; ++i) {
+    trace.push_back(Request{i, 0.0, input_base + 7 * i, output_base + 3 * i});
+  }
+  return trace;
+}
+
+TEST(MeanLengthMemoTest, MatchesFreshMonteCarloOnEveryDatasetKind) {
+  ExpectMemoMatchesFresh(*MakeShareGptLike());
+  ExpectMemoMatchesFresh(*MakeLongBenchLike());
+  ExpectMemoMatchesFresh(FixedDataset(512, 64));
+  ExpectMemoMatchesFresh(EmpiricalDataset::FromTrace("ramp", RampTrace(50, 100, 10)));
+}
+
+TEST(MeanLengthMemoTest, CopiesAndAssignmentsNeverServeAStaleEntry) {
+  const EmpiricalDataset original = EmpiricalDataset::FromTrace("ramp", RampTrace(50, 100, 10));
+  ExpectMemoMatchesFresh(original);  // fills the original's memo
+  const EmpiricalDataset copy = original;
+  ExpectMemoMatchesFresh(copy);
+
+  // Assigning a different distribution over a dataset with a filled memo must not keep the
+  // old entries: they were sampled from the old observations.
+  EmpiricalDataset target = EmpiricalDataset::FromTrace("ramp", RampTrace(50, 100, 10));
+  const LengthSample before = target.MeanLengths(7, 4096);
+  target = EmpiricalDataset::FromTrace("long", RampTrace(50, 5000, 400));
+  const LengthSample after = target.MeanLengths(7, 4096);
+  EXPECT_NE(after.input_len, before.input_len);
+  ExpectMemoMatchesFresh(target);
+}
+
+TEST(MeanLengthMemoTest, ConcurrentCallersAgreeWithAFreshRun) {
+  const auto dataset = MakeShareGptLike();
+  constexpr int kCallers = 4;
+  const std::vector<uint64_t> seeds = {11, 12, 13, 14, 15, 16};
+  // Every caller asks for every seed, starting at a different one, so first computations and
+  // lookups of the same key race.
+  std::vector<std::vector<LengthSample>> got(kCallers, std::vector<LengthSample>(seeds.size()));
+  ThreadPool pool(kCallers);
+  pool.ParallelFor(kCallers, [&](int64_t caller) {
+    for (size_t k = 0; k < seeds.size(); ++k) {
+      const size_t at = (k + static_cast<size_t>(caller)) % seeds.size();
+      got[static_cast<size_t>(caller)][at] = dataset->MeanLengths(seeds[at]);
+    }
+  });
+  for (size_t at = 0; at < seeds.size(); ++at) {
+    const LengthSample fresh = FreshMeanLengths(*dataset, seeds[at], 4096);
+    for (int caller = 0; caller < kCallers; ++caller) {
+      EXPECT_EQ(got[static_cast<size_t>(caller)][at].input_len, fresh.input_len);
+      EXPECT_EQ(got[static_cast<size_t>(caller)][at].output_len, fresh.output_len);
+    }
+  }
 }
 
 TEST(DatasetDeathTest, UnknownNameAborts) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <string>
+
 namespace distserve {
 namespace {
 
@@ -17,6 +21,42 @@ DistServeOptions FastOptions(const workload::Dataset* dataset) {
   options.search.max_requests = 1500;
   options.search.bisection_iters = 5;
   return options;
+}
+
+// Forwards to a real dataset and counts every Sample call, from any thread.
+class CountingDataset : public workload::Dataset {
+ public:
+  explicit CountingDataset(std::unique_ptr<workload::Dataset> inner) : inner_(std::move(inner)) {}
+  workload::LengthSample Sample(Rng& rng) const override {
+    samples_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->Sample(rng);
+  }
+  std::string name() const override { return inner_->name(); }
+  std::string identity() const override { return inner_->identity(); }
+  int64_t samples() const { return samples_.load(std::memory_order_relaxed); }
+
+ private:
+  std::unique_ptr<workload::Dataset> inner_;
+  mutable std::atomic<int64_t> samples_{0};
+};
+
+TEST(DistServeTest, WarmReplanOnTheSameDatasetDrawsNoSamples) {
+  CountingDataset dataset(workload::MakeShareGptLike());
+  DistServeOptions options = FastOptions(&dataset);
+  options.planner_threads = 2;
+  DistServe server(options);
+  const placement::PlacementPlan cold = server.Plan();
+  const int64_t after_plan = dataset.samples();
+  EXPECT_GT(after_plan, 0);
+
+  const placement::PlacementPlan warm = server.Replan(&dataset, options.traffic_rate);
+  const placement::PlannerResult& details = server.PlannerDetails();
+  ASSERT_GT(details.simulations_run, 0);
+  ASSERT_EQ(details.cache_hits, details.simulations_run);  // every phase answered from cache
+  EXPECT_EQ(warm.ToString(), cold.ToString());
+  // Mean lengths are memoized on the dataset and probe traces are never generated, so the
+  // warm replan is lookups only.
+  EXPECT_EQ(dataset.samples(), after_plan);
 }
 
 TEST(DistServeTest, AutoModePicksLowAffinityOnSlowNetwork) {

@@ -96,8 +96,7 @@ TEST(ProfilerTest, FitRecentReflectsRecentWindow) {
     profiler.Observe(MakeReq(i, i * 1.0, 400, 40));
   }
   const EmpiricalDataset fitted = profiler.FitRecent();
-  Rng rng(1);
-  const LengthSample mean = fitted.MeanLengths(rng, 4096);
+  const LengthSample mean = fitted.MeanLengths(1, 4096);
   EXPECT_EQ(mean.input_len, 400);
   EXPECT_EQ(mean.output_len, 40);
 }

@@ -34,8 +34,7 @@ TEST(ReplannerTest, ReplanFiresOnShiftWithFittedDataset) {
       SmallOptions(),
       [&](const workload::EmpiricalDataset& fitted, double rate, double /*when*/) {
         ++replans;
-        Rng rng(1);
-        fitted_mean_input = fitted.MeanLengths(rng, 2048).input_len;
+        fitted_mean_input = fitted.MeanLengths(1, 2048).input_len;
         observed_rate = rate;
       });
   int id = 0;
