@@ -41,7 +41,6 @@ namespace distserve::bench {
 
 struct CommonFlags {
   bool smoke = false;          // --smoke: reduced sizes for CI
-  bool analytic_tier = true;   // --no-analytic-tier clears it (DESIGN.md §15 escape hatch)
   int threads = 1;             // --threads=N / DISTSERVE_THREADS: planner and sweep threads
                                // (N-1 pool workers plus the caller); 1 = the serial path
   int shards = 1;              // --shards=N / DISTSERVE_SHARDS: DES shards (fig_fleet)
@@ -61,7 +60,6 @@ enum CommonFlagBits : unsigned {
   kFlagGoodputCache = 1u << 2,
   kFlagTrace = 1u << 3,
   kFlagCluster = 1u << 4,
-  kFlagNoAnalyticTier = 1u << 5,
   kFlagShards = 1u << 6,
   kFlagThreads = 1u << 10,
   kFlagAttribution = 1u << 11,
@@ -154,11 +152,6 @@ inline bool ParseCommonFlags(int argc, char** argv, unsigned accepted, CommonFla
       {kFlagAttribution, "--attribution", true, "[--attribution=PATH]", nullptr,
        [](CommonFlags* f, const char* v) {
          f->attribution_path = v;
-         return true;
-       }},
-      {kFlagNoAnalyticTier, "--no-analytic-tier", false, "[--no-analytic-tier]", nullptr,
-       [](CommonFlags* f, const char*) {
-         f->analytic_tier = false;
          return true;
        }},
       {kFlagCluster, "--cluster", true, "[--cluster=SPEC]", nullptr,
@@ -636,9 +629,7 @@ inline void PrintBanner(const std::string& title) {
 // attainment vs per-GPU rate and vs SLO scale, and report the 90%-attainment goodput and
 // tightest-SLO ratios. `goodput_cache` (optional) memoizes the planner's simulations; cached
 // goodputs are exact, so a warm run's stdout is byte-identical to a cold one.
-// `use_analytic_tier` toggles the tier-1 pre-filter (DESIGN.md §15) for the planning step —
-// the chosen plan, and therefore stdout, is bit-identical either way (the CI determinism job
-// diffs exactly this); only the planner's cost accounting moves, surfaced through the optional
+// The planner's cost accounting stays out of stdout; it is surfaced through the optional
 // `planner_out`.
 // `cluster` defaults to the paper testbed; a bench's --cluster flag may substitute any
 // homogeneous cluster (e.g. one pool of a parsed fleet) — the default produces stdout
@@ -649,7 +640,6 @@ inline void PrintBanner(const std::string& title) {
 inline void RunEndToEndComparison(const Application& app, int num_requests, uint64_t seed,
                                   placement::GoodputCache* goodput_cache = nullptr,
                                   trace::Recorder* recorder = nullptr,
-                                  bool use_analytic_tier = true,
                                   placement::PlannerResult* planner_out = nullptr,
                                   const cluster::ClusterSpec& cluster =
                                       cluster::ClusterSpec::PaperTestbed(),
@@ -659,7 +649,6 @@ inline void RunEndToEndComparison(const Application& app, int num_requests, uint
   // DistServe: one Algorithm-2 segment pair.
   placement::PlannerInputs inputs = MakePlannerInputs(app, cluster, dataset.get(), 1.0);
   inputs.goodput_cache = goodput_cache;
-  inputs.use_analytic_tier = use_analytic_tier;
   inputs.pool = pool;
   const placement::PlannerResult planned = placement::LowNodeAffinityPlacement(inputs);
   if (planner_out != nullptr) {

@@ -4,6 +4,12 @@
 // (Alg. 2), for OPT-13B and OPT-66B, at node limits 1-4 (8-32 GPUs per instance). The paper's
 // shape: running time grows with the GPU budget, is independent of model size (the simulator
 // is discrete-event), and Alg. 2's intra-node enumeration eventually costs more than Alg. 1.
+//
+// Beyond the paper: thread scaling at the largest budget (BM_*Threads) and the warm
+// goodput-cache re-search floor (BM_HighAffinity13BCachedReplan). The planner has one search
+// path, so there are no on/off ablation rows; what the analytic tier and trace sharing saved
+// when they could still be switched off is the dated fig12_tiered_search record in
+// BENCH_simcore.json (DESIGN.md §15).
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -75,68 +81,6 @@ BENCHMARK(BM_LowAffinity13B)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HighAffinity66B)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LowAffinity66B)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 
-// --- Search-engine ablations (this reproduction's extension; same plans, different cost) ---
-
-// The pre-engine search: every probe trace regenerated, every feasible config simulated.
-// The gap between this and BM_*Affinity13B above is the single-thread engine speedup
-// (trace sharing + upper-bound pruning).
-void BM_HighAffinity13BEngineOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(model::ModelSpec::Opt13B(),
-                                           static_cast<int>(state.range(0)));
-  inputs.share_probe_traces = false;
-  inputs.prune_search_space = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::HighNodeAffinityPlacement(inputs));
-  }
-  state.SetLabel("gpus=" + std::to_string(8 * state.range(0)));
-}
-
-void BM_LowAffinity13BEngineOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(model::ModelSpec::Opt13B(),
-                                           static_cast<int>(state.range(0)));
-  inputs.share_probe_traces = false;
-  inputs.prune_search_space = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::LowNodeAffinityPlacement(inputs));
-  }
-  state.SetLabel("gpus=" + std::to_string(8 * state.range(0)));
-}
-
-// Tiered-fidelity ablation (DESIGN.md §15): the same searches with the tier-1 analytic
-// pre-filter disabled — every roofline-surviving candidate is fully simulated and every rate
-// search walks the whole probe lattice instead of short-circuiting at the analytic cap. Plans
-// are bit-identical to the tier-on runs above (enforced by tiered_search_test); the gap to
-// BM_*Affinity* is the tier's wall-clock win, recorded in BENCH_simcore.json.
-void BM_HighAffinity13BTierOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(model::ModelSpec::Opt13B(),
-                                           static_cast<int>(state.range(0)));
-  inputs.use_analytic_tier = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::HighNodeAffinityPlacement(inputs));
-  }
-  state.SetLabel("gpus=" + std::to_string(8 * state.range(0)));
-}
-
-void BM_LowAffinity13BTierOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(model::ModelSpec::Opt13B(),
-                                           static_cast<int>(state.range(0)));
-  inputs.use_analytic_tier = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::LowNodeAffinityPlacement(inputs));
-  }
-  state.SetLabel("gpus=" + std::to_string(8 * state.range(0)));
-}
-
-void BM_LowAffinity66BTierOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(model::ModelSpec::Opt66B(),
-                                           static_cast<int>(state.range(0)));
-  inputs.use_analytic_tier = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::LowNodeAffinityPlacement(inputs));
-  }
-  state.SetLabel("gpus=" + std::to_string(8 * state.range(0)));
-}
-
 // Thread scaling at the largest GPU budget (arg = thread count). Plans are bit-identical to
 // the serial run at every point; only the wall clock moves (on multi-core hosts).
 void BM_HighAffinity13BThreads(benchmark::State& state) {
@@ -175,11 +119,6 @@ void BM_HighAffinity13BCachedReplan(benchmark::State& state) {
   state.SetLabel("gpus=32,warm");
 }
 
-BENCHMARK(BM_HighAffinity13BEngineOff)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LowAffinity13BEngineOff)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HighAffinity13BTierOff)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LowAffinity13BTierOff)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LowAffinity66BTierOff)->DenseRange(1, 4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HighAffinity13BThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)

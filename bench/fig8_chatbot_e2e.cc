@@ -7,11 +7,9 @@
 // (machine-readable artifact with the standard wall_ms field), --goodput-cache=PATH (env
 // DISTSERVE_GOODPUT_CACHE fallback: persist the planner's goodput cache across processes;
 // cache statistics go into the JSON artifact), --trace=PATH (export per-request spans for
-// every engine run as Chrome trace-event JSON; see DESIGN.md §14), --no-analytic-tier (escape
-// hatch: disable the planner's tier-1 analytic pre-filter, DESIGN.md §15, and force-simulate
-// the full search). Stdout stays byte-identical across runs — warm-cached or cold, traced or
-// not, tier on or off — so the CI determinism job can diff them; timing, cache-hit, and
-// planner search-cost accounting go only into the JSON artifact.
+// every engine run as Chrome trace-event JSON; see DESIGN.md §14). Stdout stays byte-identical
+// across runs — warm-cached or cold, traced or not — so the CI determinism job can diff them;
+// timing, cache-hit, and planner search-cost accounting go only into the JSON artifact.
 //
 // --cluster=SPEC (cluster/spec_parse.h grammar) substitutes a different homogeneous cluster
 // for the paper testbed; multi-pool fleets are fig_hetero's job and are rejected here. When
@@ -27,8 +25,8 @@ int main(int argc, char** argv) {
   using namespace distserve::bench;
   CommonFlags flags;
   if (!ParseCommonFlags(argc, argv,
-                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace |
-                            kFlagNoAnalyticTier | kFlagCluster | kFlagThreads,
+                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace | kFlagCluster |
+                            kFlagThreads,
                         &flags)) {
     return 2;
   }
@@ -48,18 +46,17 @@ int main(int argc, char** argv) {
   distserve::placement::PlannerResult planned;
   if (flags.smoke) {
     RunEndToEndComparison(ChatbotOpt13B(), /*num_requests=*/400, /*seed=*/81, persist.cache(),
-                          rec, flags.analytic_tier, &planned, cluster, pool.get());
+                          rec, &planned, cluster, pool.get());
     accounting.Add(planned);
   } else {
     RunEndToEndComparison(ChatbotOpt13B(), /*num_requests=*/2500, /*seed=*/81, persist.cache(),
-                          rec, flags.analytic_tier, &planned, cluster, pool.get());
+                          rec, &planned, cluster, pool.get());
     accounting.Add(planned);
     RunEndToEndComparison(ChatbotOpt66B(), /*num_requests=*/1500, /*seed=*/82, persist.cache(),
-                          rec, flags.analytic_tier, &planned, cluster, pool.get());
+                          rec, &planned, cluster, pool.get());
     accounting.Add(planned);
     RunEndToEndComparison(ChatbotOpt175B(), /*num_requests=*/1000, /*seed=*/83,
-                          persist.cache(), rec, flags.analytic_tier, &planned, cluster,
-                          pool.get());
+                          persist.cache(), rec, &planned, cluster, pool.get());
     accounting.Add(planned);
   }
   persist.Save();
@@ -69,7 +66,6 @@ int main(int argc, char** argv) {
   if (!flags.json_path.empty()) {
     BenchJson json("fig8_chatbot_e2e");
     json.AddBool("smoke", flags.smoke);
-    json.AddBool("analytic_tier", flags.analytic_tier);
     json.AddInt("threads", flags.threads);
     json.AddWallMs(timer);
     accounting.AddJsonFields(json);

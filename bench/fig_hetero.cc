@@ -14,11 +14,11 @@
 // Flags: --smoke (reduced search fidelity for CI), --json=PATH (machine-readable artifact:
 // goodput-per-dollar, cost-per-million-requests, planner accounting, cache stats),
 // --goodput-cache=PATH (env DISTSERVE_GOODPUT_CACHE fallback), --cluster=SPEC
-// (cluster/spec_parse.h grammar; default the mixed demo fleet), --no-analytic-tier (escape
-// hatch, DESIGN.md §15), --threads=N (env DISTSERVE_THREADS: run the planner's candidate
-// simulations on N-1 worker threads; DESIGN.md §10). Stdout is byte-identical across runs —
-// cache cold or warm, tier on or off, any thread count (the CI determinism job diffs exactly
-// this); search-cost accounting and cache statistics go only into the JSON artifact.
+// (cluster/spec_parse.h grammar; default the mixed demo fleet), --threads=N (env
+// DISTSERVE_THREADS: run the planner's candidate simulations on N-1 worker threads; DESIGN.md
+// §10). Stdout is byte-identical across runs — cache cold or warm, any thread count (the CI
+// determinism job diffs exactly this); search-cost accounting and cache statistics go only
+// into the JSON artifact.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -98,13 +98,11 @@ int Main(int argc, char** argv) {
   CommonFlags flags;
   flags.cluster_spec = "mixed";  // default demo fleet; --cluster=SPEC overrides
   if (!ParseCommonFlags(argc, argv,
-                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagNoAnalyticTier |
-                            kFlagCluster | kFlagThreads,
+                        kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagCluster | kFlagThreads,
                         &flags)) {
     return 2;
   }
   const bool smoke = flags.smoke;
-  const bool analytic_tier = flags.analytic_tier;
   std::string error;
   const auto fleet = cluster::ParseClusterSpec(flags.cluster_spec, &error);
   if (!fleet) {
@@ -122,7 +120,6 @@ int Main(int argc, char** argv) {
 
   placement::PlannerInputs inputs =
       MakePlannerInputs(app, fleet->PoolCluster(0), dataset.get(), traffic_rate);
-  inputs.use_analytic_tier = analytic_tier;
   inputs.pool = sweep_pool.get();
   if (smoke) {
     inputs.search.num_requests = 150;
@@ -218,7 +215,6 @@ int Main(int argc, char** argv) {
   if (!flags.json_path.empty()) {
     BenchJson json("fig_hetero");
     json.AddBool("smoke", smoke);
-    json.AddBool("analytic_tier", analytic_tier);
     json.AddInt("threads", flags.threads);
     json.AddString("fleet", cluster::FleetToString(*fleet));
     json.AddDouble("traffic_rate", traffic_rate);

@@ -1,7 +1,7 @@
 // Microbenchmark of the heterogeneous-fleet placement search (placement/hetero.h), the
 // fig12 pattern applied to HeterogeneousPlacement: reduced search fidelity (the timing
 // target is the algorithm, not the workload), the mixed demo fleet, one benchmark per
-// objective, plus a tier-off ablation. Tracked in BENCH_simcore.json and gated by
+// objective. Tracked in BENCH_simcore.json and gated by
 // tools/check_perf_regression.py like the fig12 planners.
 #include <benchmark/benchmark.h>
 
@@ -52,22 +52,9 @@ void BM_HeteroMinCost(benchmark::State& state) {
   state.SetLabel("pools=3");
 }
 
-// Tier-off ablation: plans are bit-identical (hetero_placement_test pins this); the gap to
-// BM_HeteroMinCost is the analytic tier's wall-clock win on the heterogeneous search.
-void BM_HeteroMinCostTierOff(benchmark::State& state) {
-  placement::PlannerInputs inputs = Inputs(placement::PlannerObjective::kMinCost);
-  inputs.use_analytic_tier = false;
-  const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(placement::HeterogeneousPlacement(inputs, fleet));
-  }
-  state.SetLabel("pools=3");
-}
-
 BENCHMARK(BM_HeteroMaxGoodput)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HeteroMinGpus)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HeteroMinCost)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HeteroMinCostTierOff)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace distserve

@@ -22,14 +22,14 @@
 // configs whose inputs changed), and an analytic roofline upper bound prunes configs that
 // provably cannot beat the incumbent.
 //
-// Tiered fidelity (this PR's extension; see DESIGN.md §15): tier 1 prices every candidate
-// with a closed-form M/D/1 + Appendix-A estimate (placement/analytic_tier.h), batched
-// through LatencyModel::EvaluateBatch; tier 2 — the full trace simulation — runs only for
-// candidates the tier-1 bound cannot exclude. The tier boundary follows the roofline-prune
-// contract: simulated rates are clamped to the tier-1 cap in *every* mode, so the cap is an
-// upper bound on any simulated goodput by construction and skipping against it can never
-// change the chosen plan (bit-identity tier-on vs tier-off is enforced by
-// tiered_search_test and the CI determinism diff).
+// Tiered fidelity (see DESIGN.md §15): tier 1 prices every candidate with a closed-form
+// M/D/1 + Appendix-A estimate (placement/analytic_tier.h), batched through
+// LatencyModel::EvaluateBatch; tier 2 — the full trace simulation — runs only for candidates
+// the tier-1 bound cannot exclude. The tier boundary follows the roofline-prune contract:
+// simulated rates are clamped to the tier-1 cap, so the cap is an upper bound on any
+// simulated goodput by construction and skipping against it can never change the chosen plan
+// (the full walk, prune_search_space = false, is the reference planner_parallel_test pins
+// every pruned plan to).
 #ifndef DISTSERVE_PLACEMENT_ALGORITHMS_H_
 #define DISTSERVE_PLACEMENT_ALGORITHMS_H_
 
@@ -99,32 +99,19 @@ struct PlannerInputs {
   ThreadPool* pool = nullptr;  // non-owning
 
   // Persistent per-config goodput memo shared across invocations (non-owning; may be null).
-  // With unchanged inputs a re-search answers every simulation from this cache.
+  // With unchanged inputs a re-search answers every simulation from this cache. Entries are
+  // written on the calling thread, once per simulation a fold actually uses, so the cache
+  // ends up identical at any thread count.
   GoodputCache* goodput_cache = nullptr;
 
-  // Skip simulating configs whose analytic roofline upper bound cannot beat the incumbent.
-  // Simulated rates are clamped to the same roofline (finite-trial "unbounded rate" cap-outs
-  // are an artifact no real deployment sustains), so the bound holds by construction and
-  // pruning never changes the chosen plan; disable to force-simulate every candidate (e.g.
-  // for candidate reports).
+  // Skip simulating configs whose analytic roofline, then tier-1 cap (DESIGN.md §15), cannot
+  // beat the incumbent. Simulated rates are clamped to the tier-1 cap (finite-trial
+  // "unbounded rate" cap-outs are an artifact no real deployment sustains), so both bounds
+  // hold by construction and pruning never changes the chosen plan. Disable to
+  // force-simulate every candidate: the full-walk reference for plan-identity tests and
+  // candidate reports. Either way each rate search stops at the cap (goodput.h's exact
+  // cap-out exit) and probe traces are shared through a workload::TraceCache.
   bool prune_search_space = true;
-
-  // Share probe traces across the invocation's rate searches through a workload::TraceCache
-  // (the caller's inputs.search.trace_cache when set, else a per-invocation one). Cached
-  // traces are bit-identical to fresh generation; off regenerates every probe trace — the
-  // pre-engine behavior, kept for cost ablations (Figure 12).
-  bool share_probe_traces = true;
-
-  // Tier-1 analytic pre-filter (DESIGN.md §15). When on: (a) a config whose sanitized
-  // analytic cap — margin * analytic estimate, clamped to the roofline bound — cannot beat
-  // the live incumbent is skipped without simulating, and (b) surviving configs' rate
-  // searches short-circuit once a passing probe reaches the cap (the cap-out exit,
-  // goodput.h — exact because the result is clamped to the same cap). The cap clamps
-  // simulated rates and seeds the probe's starting hint in BOTH modes, so this knob only
-  // controls cost and the chosen plan is bit-identical either way; off force-simulates
-  // everything the roofline prune keeps with the full probe walk (the pre-tier behavior,
-  // kept as escape hatch and for the fig12 ablation).
-  bool use_analytic_tier = true;
 
   // Multiplier lifting the (structurally optimistic but uncalibrated) tier-1 estimate to a
   // trustworthy upper bound before the roofline clamp. Two calibration constraints pin the
@@ -136,7 +123,7 @@ struct PlannerInputs {
   // and at 1.5 the decode cap coincides exactly with the PR-1 roofline clamp (the decode
   // analytic estimate equals the un-slacked roofline when the TPOT SLO is slack), so
   // recorded goodputs match the pre-tier search bit for bit. Raising the margin only
-  // forfeits skips; it can never corrupt the plan relative to tier-off, because both modes
+  // forfeits skips; it can never corrupt the plan relative to the full walk, because both
   // share the clamp (tiered_search_test pins plans at the default against margin = 1e300).
   // Part of the goodput-cache value key, so cached entries computed under a different
   // margin are never reused.
@@ -185,8 +172,8 @@ struct PlannerResult {
 
   // Tier-2 cost actually paid: FindMaxRate attainment probes summed over the simulations
   // that ran (cache hits contribute zero), and how many of those probes reused a cached
-  // trace. The speedup story of the tiered search is visible right here: tier-on runs fewer
-  // simulations and therefore fewer probes for the same plan.
+  // trace. The speedup story of the tiered search is visible right here: the pruned search
+  // runs fewer simulations and therefore fewer probes for the same plan.
   int64_t probes = 0;
   int64_t trace_cache_hits = 0;
 };

@@ -63,10 +63,9 @@ class HeteroSearch {
     for (int p = 0; p < n; ++p) {
       for (int d = 0; d < n; ++d) {
         ++out_->pairs_considered;
-        // Pair-level cost prune, MinGpus/MinCost only: the roofline (tier-independent)
-        // lower bound on this pair's metric cannot beat a feasible incumbent. Strict
-        // comparison keeps it sound against ties, and roofline-only bounds keep the
-        // evaluated-candidate list identical tier-on/off.
+        // Pair-level cost prune, MinGpus/MinCost only: the roofline lower bound on this
+        // pair's metric cannot beat a feasible incumbent. Strict comparison keeps it sound
+        // against ties.
         if (base_.objective != PlannerObjective::kMaxGoodput && have && chosen.feasible &&
             base_.prune_search_space) {
           if (base_.objective == PlannerObjective::kMinGpus) {
@@ -212,7 +211,7 @@ class HeteroSearch {
     return a;
   }
 
-  // Roofline-only (tier-independent) lower bound on the GPUs a phase can need in `pool`.
+  // Roofline-only lower bound on the GPUs a phase can need in `pool`.
   int64_t PhaseGpusLb(int pool, bool is_prefill) {
     int64_t& slot = phase_lbs_[static_cast<size_t>(pool) * 2 + (is_prefill ? 0 : 1)];
     if (slot < 0) {

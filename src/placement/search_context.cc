@@ -225,9 +225,7 @@ SearchContext::SearchContext(const PlannerInputs& inputs)
   // Probe traces are shared across every candidate's rate search; if the caller did not
   // provide a cache, a per-invocation one still collapses the dozens of identical
   // (rate, seed) generations the lattice produces.
-  if (!inputs.share_probe_traces) {
-    search_.trace_cache = nullptr;
-  } else if (search_.trace_cache == nullptr) {
+  if (search_.trace_cache == nullptr) {
     owned_trace_cache_ = std::make_unique<workload::TraceCache>();
     search_.trace_cache = owned_trace_cache_.get();
   }
@@ -260,20 +258,18 @@ PhaseSim SearchContext::SimulatePhase(const model::ParallelismConfig& par,
   const double derate =
       is_prefill ? inputs_.prefill_goodput_derate : inputs_.decode_goodput_derate;
   GoodputCache* cache = inputs_.goodput_cache;
-  std::string value_key;
-  std::string hint_key;
   GoodputSearchOptions search = search_;
   if (cache != nullptr) {
-    value_key = value_prefix_ + ConfigSuffix(par, is_prefill);
-    if (const std::optional<double> hit = cache->Lookup(value_key)) {
-      return PhaseSim{*hit, true, {}};
+    if (const std::optional<double> hit =
+            cache->Lookup(value_prefix_ + ConfigSuffix(par, is_prefill))) {
+      return PhaseSim{*hit, 0.0, true, {}};
     }
   }
   const PhaseCaps caps = Caps(par, is_prefill);
   bool hinted = false;
   if (cache != nullptr) {
-    hint_key = hint_prefix_ + ConfigSuffix(par, is_prefill);
-    if (const std::optional<double> hint = cache->RateHint(hint_key)) {
+    if (const std::optional<double> hint =
+            cache->RateHint(hint_prefix_ + ConfigSuffix(par, is_prefill))) {
       // A hint can now come off disk, where it may predate a recalibration or be outright
       // corrupt. Every in-process hint is a clamped simulation result, so a hint above the
       // tier-1 cap is stale or garbage: clamp it down (non-finite and non-positive hints
@@ -293,26 +289,28 @@ PhaseSim SearchContext::SimulatePhase(const model::ParallelismConfig& par,
     // Same contract as a cached hint — it only moves the starting lattice point.
     search.rate_hint = std::min(caps.analytic_rate, caps.capped_rate);
   }
-  if (inputs_.use_analytic_tier) {
-    // Cap-out short-circuit (goodput.h): the probe walk may stop at the first passing
-    // rate >= the cap we clamp the result to below — the clamped value is provably the
-    // cap either way. Gated with the tier so tier-off measures the full pre-tier walk;
-    // the recorded goodput is bit-identical in both modes.
-    search.rate_cap = caps.capped_rate;
-  }
+  // Cap-out short-circuit (goodput.h): the probe walk may stop at the first passing rate >=
+  // the cap the result is clamped to below — the clamped value is provably the cap either way.
+  search.rate_cap = caps.capped_rate;
   PhaseSim sim;
   const double raw = is_prefill ? SimulatePrefillRate(inputs_, par, search, &sim.stats)
                                 : SimulateDecodeRate(inputs_, par, search, &sim.stats);
   // Clamp to the tier-1 cap (analytic estimate * margin, itself clamped to the roofline —
   // see RateUpperBound and analytic_tier.h): discards finite-trial cap-out artifacts and
   // guarantees every result stays below GoodputUpperBounds().tier_goodput.
-  const double rate = std::min(raw, caps.capped_rate);
-  sim.goodput = derate * rate;
-  if (cache != nullptr) {
-    cache->Insert(value_key, sim.goodput);
-    cache->UpdateRateHint(hint_key, rate);
-  }
+  sim.rate = std::min(raw, caps.capped_rate);
+  sim.goodput = derate * sim.rate;
   return sim;
+}
+
+void SearchContext::Remember(const model::ParallelismConfig& par, bool is_prefill,
+                             const PhaseSim& sim) const {
+  GoodputCache* cache = inputs_.goodput_cache;
+  if (cache == nullptr || sim.cache_hit) {
+    return;
+  }
+  cache->Insert(value_prefix_ + ConfigSuffix(par, is_prefill), sim.goodput);
+  cache->UpdateRateHint(hint_prefix_ + ConfigSuffix(par, is_prefill), sim.rate);
 }
 
 SearchContext::PhaseBounds SearchContext::GoodputUpperBounds(const model::ParallelismConfig& par,
@@ -365,7 +363,7 @@ void SearchContext::BuildKeyPrefixes() {
   // The margin enters the value a simulation stores (rates are clamped to margin-scaled
   // analytic caps), so it must be part of the value key: a margin change silently
   // invalidates every persisted goodput rather than replaying values computed under a
-  // different clamp — which would break tier-on/off bit-identity.
+  // different clamp.
   AppendDouble(s, inputs_.analytic_optimism_margin);
   AppendDouble(s, inputs_.prefill_goodput_derate);
   AppendDouble(s, inputs_.decode_goodput_derate);
@@ -420,6 +418,7 @@ double PhaseMemo::Force(size_t key) {
   const PhaseSim& sim = sims_.Force(key);
   if (!forced_[key]) {
     forced_[key] = 1;
+    ctx_.Remember(configs_[key % configs_.size()], /*is_prefill=*/key < configs_.size(), sim);
     ++cost_.simulations_run;
     cost_.probes += sim.stats.probes;
     cost_.trace_cache_hits += sim.stats.trace_cache_hits;
@@ -474,7 +473,7 @@ class Fold {
       ++result_.pruned_roofline;
       return true;
     }
-    if (inputs_.use_analytic_tier && !CouldWin(std::min(a.tier_goodput, b.tier_goodput), gpus)) {
+    if (!CouldWin(std::min(a.tier_goodput, b.tier_goodput), gpus)) {
       ++result_.pruned_tier;
       return true;
     }

@@ -51,6 +51,7 @@ model::ParallelismConfig SmallestFeasible(const PlannerInputs& inputs, int max_n
 // Result of one speculative phase-simulation task.
 struct PhaseSim {
   double goodput = 0.0;  // derated
+  double rate = 0.0;     // clamped, un-derated: the rate hint a simulation leaves behind
   bool cache_hit = false;
   GoodputSearchStats stats;  // zero for cache hits: no probes were paid
 };
@@ -66,11 +67,17 @@ class SearchContext {
   ThreadPool* pool() const { return pool_; }
 
   // Simulates (or recalls) one phase config's derated goodput. Thread-safe and deterministic:
-  // every task in a planner run has a distinct cache key, so hit/miss outcomes depend only on
-  // the cache's state at entry, not on evaluation order. use_analytic_tier only enables the
-  // (exact) cap-out short-circuit here: the tier-1 cap clamps results and seeds hints in both
-  // modes, which is precisely why skipping against that cap cannot change the plan.
+  // it only reads the goodput cache, and every task in a planner run has a distinct cache
+  // key, so hit/miss outcomes depend only on the cache's state at entry, not on evaluation
+  // order. The tier-1 cap clamps the result, seeds a cold probe's hint and ends the probe
+  // walk early (the exact cap-out exit), which is why skipping against it cannot change the
+  // plan.
   PhaseSim SimulatePhase(const model::ParallelismConfig& par, bool is_prefill) const;
+
+  // Stores a simulated (not recalled) result's goodput and rate hint in the goodput cache.
+  // Called once per key a fold forces, on the calling thread, so the cache never holds a
+  // speculated result no fold used and its contents do not depend on the thread count.
+  void Remember(const model::ParallelismConfig& par, bool is_prefill, const PhaseSim& sim) const;
 
   // Upper bounds on the phase's derated goodput, one per tier. tier_goodput is the same cap
   // SimulatePhase clamps results to, so no simulated candidate can exceed it;
@@ -125,7 +132,7 @@ struct SimulationCost {
 // one SpeculativeTaskSet task per key, speculated on the context's pool, plus each key's
 // GoodputUpperBounds (computed on first use). Every fold over the memo shares it, so a key is
 // simulated at most once however many folds need it. Only the calling thread touches the
-// memo; pool workers only run its tasks.
+// memo and writes the goodput cache; pool workers only run its tasks.
 class PhaseMemo {
  public:
   // Keys are prefill(configs[0..n)) then decode(configs[0..n)).
@@ -143,7 +150,8 @@ class PhaseMemo {
   const SearchContext::PhaseBounds& Bounds(size_t key);
   // Records that a fold enumerated `key` (SimulationCost::keys_visited).
   void Visit(size_t key);
-  // The key's derated goodput, simulating it now unless a worker already did.
+  // The key's derated goodput, simulating it now unless a worker already did; the first
+  // Force of a key Remembers it.
   double Force(size_t key);
   // A fold pruned `key`: workers stop speculating on it (a later fold may still Force it).
   void Skip(size_t key) { sims_.Cancel(key); }

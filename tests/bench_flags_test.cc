@@ -10,7 +10,7 @@ namespace distserve::bench {
 namespace {
 
 constexpr unsigned kAll = kFlagSmoke | kFlagJson | kFlagGoodputCache | kFlagTrace |
-                          kFlagCluster | kFlagNoAnalyticTier | kFlagThreads | kFlagShards;
+                          kFlagCluster | kFlagThreads | kFlagShards;
 
 // Runs the parser over `args` (argv[0] supplied) with a scratch CommonFlags.
 bool Parse(std::vector<std::string> args, unsigned accepted, CommonFlags* flags) {
@@ -35,15 +35,13 @@ class BenchFlagsTest : public ::testing::Test {
 TEST_F(BenchFlagsTest, ParsesEveryAcceptedFlag) {
   CommonFlags flags;
   EXPECT_TRUE(Parse({"--smoke", "--json=out.json", "--goodput-cache=cache.txt",
-                     "--trace=trace.json", "--cluster=4x8xA100", "--no-analytic-tier",
-                     "--threads=3", "--shards=4"},
+                     "--trace=trace.json", "--cluster=4x8xA100", "--threads=3", "--shards=4"},
                     kAll, &flags));
   EXPECT_TRUE(flags.smoke);
   EXPECT_EQ(flags.json_path, "out.json");
   EXPECT_EQ(flags.goodput_cache, "cache.txt");
   EXPECT_EQ(flags.trace_path, "trace.json");
   EXPECT_EQ(flags.cluster_spec, "4x8xA100");
-  EXPECT_FALSE(flags.analytic_tier);
   EXPECT_EQ(flags.threads, 3);
   EXPECT_EQ(flags.shards, 4);
 }
@@ -104,7 +102,6 @@ TEST_F(BenchFlagsTest, RejectsValueFlagWithMissingValue) {
 TEST_F(BenchFlagsTest, RejectsValueOnValuelessFlag) {
   CommonFlags flags;
   EXPECT_FALSE(Parse({"--smoke=1"}, kAll, &flags));
-  EXPECT_FALSE(Parse({"--no-analytic-tier=0"}, kAll, &flags));
 }
 
 TEST_F(BenchFlagsTest, RejectsUnknownAndUnacceptedFlags) {
@@ -113,6 +110,10 @@ TEST_F(BenchFlagsTest, RejectsUnknownAndUnacceptedFlags) {
   EXPECT_FALSE(Parse({"--smokey"}, kAll, &flags));  // prefix of no accepted flag
   // A known flag outside the accepted subset is unknown to this bench.
   EXPECT_FALSE(Parse({"--trace=t.json"}, kFlagSmoke | kFlagJson, &flags));
+  // The deleted tier-off escape hatch is unknown everywhere now, so fig8 and fig_hetero
+  // exit 2 on it. (The literal is split so a search for the flag's name finds only code
+  // that still uses it.)
+  EXPECT_FALSE(Parse({"--no-analytic" "-tier"}, kAll, &flags));
 }
 
 TEST_F(BenchFlagsTest, ShardsEnvironmentFallbackAndOverride) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "workload/dataset.h"
 
 namespace distserve::placement {
@@ -97,6 +103,49 @@ TEST(GoodputTest, WarmStartAlwaysPassingCapsOut) {
   GoodputSearchOptions options = FastOptions();
   options.rate_hint = 2.0;
   EXPECT_GT(FindMaxRate(always, dataset, options), 1e4);
+}
+
+// The cap-out exit (GoodputSearchOptions::rate_cap) is exact for any attainment function,
+// monotone or not: min(capped, c) == min(uncapped, c) bit for bit, with no more probes, cold
+// and hinted, at caps on, between and above the probe lattice (rate_probe * 2^k).
+TEST(GoodputTest, RateCapExitIsExact) {
+  workload::FixedDataset dataset(100, 10);
+  auto observed = [](const workload::Trace& trace) {
+    return workload::ComputeTraceStats(trace).observed_rate;
+  };
+  const std::vector<std::pair<const char*, std::function<double(const workload::Trace&)>>>
+      attainments = {
+          {"monotone", [&](const workload::Trace& t) { return observed(t) <= 5.0 ? 1.0 : 0.0; }},
+          {"always", [](const workload::Trace&) { return 1.0; }},
+          {"sawtooth",
+           [&](const workload::Trace& t) { return std::fmod(observed(t), 3.0) < 1.5 ? 1.0 : 0.0; }},
+      };
+  int searches_cut = 0;
+  for (const auto& [name, attainment] : attainments) {
+    for (const double hint : {0.0, 0.3, 4.0, 50.0}) {
+      GoodputSearchOptions uncapped = FastOptions();
+      uncapped.rate_hint = hint;
+      GoodputSearchStats uncapped_stats;
+      const double full = FindMaxRate(attainment, dataset, uncapped, &uncapped_stats);
+      for (const double cap : {1.0, 2.0, 4.0, 8.0, 64.0,        // on lattice points
+                               0.3, 3.0, 5.5, 12.5, 1000.0,     // between them
+                               2e5, 1e300}) {                   // above the whole lattice
+        GoodputSearchOptions capped = uncapped;
+        capped.rate_cap = cap;
+        GoodputSearchStats capped_stats;
+        const double cut = FindMaxRate(attainment, dataset, capped, &capped_stats);
+        EXPECT_EQ(std::min(cut, cap), std::min(full, cap))
+            << name << " hint=" << hint << " cap=" << cap;
+        EXPECT_LE(capped_stats.probes, uncapped_stats.probes)
+            << name << " hint=" << hint << " cap=" << cap;
+        if (capped_stats.probes < uncapped_stats.probes) {
+          ++searches_cut;
+        }
+      }
+    }
+  }
+  // Not vacuous: the exit does cut searches short.
+  EXPECT_GT(searches_cut, 0);
 }
 
 TEST(GoodputTest, TraceCacheDoesNotChangeResultAndHits) {

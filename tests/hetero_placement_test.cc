@@ -1,13 +1,14 @@
 // Heterogeneous-fleet placement search (placement/hetero.h, DESIGN.md §16).
 //
 // The determinism contract mirrors the homogeneous planners': the chosen assignment and
-// every reported candidate are bit-identical with the analytic tier on or off and with the
+// every reported candidate are bit-identical to the full (unpruned) walk's and with the
 // goodput cache cold or warm, and a single-pool fleet reduces exactly to
 // LowNodeAffinityPlacement. On top of that, the SLO-aware objectives must order sanely
 // (MinGpus never uses more GPUs than MaxGoodput's replicated plan; mixed MinCost never costs
 // more than any feasible uniform fleet) and a degraded fleet must replan onto survivors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -116,25 +117,32 @@ TEST(HeteroPlacementTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(HeteroPlacementTest, TierOnOffBitIdenticalAcrossObjectives) {
+// The full walk (prune_search_space = false) evaluates every pool pair and simulates every
+// config; the pruned search may skip pairs and configs but never change what it reports.
+TEST(HeteroPlacementTest, PrunedSearchMatchesFullWalkAcrossObjectives) {
+  const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
   for (PlannerObjective objective :
        {PlannerObjective::kMaxGoodput, PlannerObjective::kMinGpus,
         PlannerObjective::kMinCost}) {
     PlannerInputs inputs = Inputs(objective);
-    const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
-    inputs.use_analytic_tier = true;
-    const HeteroPlannerResult on = HeterogeneousPlacement(inputs, fleet);
-    inputs.use_analytic_tier = false;
-    const HeteroPlannerResult off = HeterogeneousPlacement(inputs, fleet);
+    const HeteroPlannerResult pruned = HeterogeneousPlacement(inputs, fleet);
+    inputs.prune_search_space = false;
+    const HeteroPlannerResult full = HeterogeneousPlacement(inputs, fleet);
 
-    ExpectSameAssignment(on.chosen, off.chosen);
-    ASSERT_EQ(on.candidates.size(), off.candidates.size());
-    for (size_t i = 0; i < on.candidates.size(); ++i) {
-      ExpectSameAssignment(on.candidates[i], off.candidates[i]);
+    ExpectSameAssignment(pruned.chosen, full.chosen);
+    EXPECT_EQ(full.pairs_cost_pruned, 0);
+    ASSERT_EQ(full.candidates.size(), static_cast<size_t>(full.pairs_considered));
+    for (const PoolAssignment& c : pruned.candidates) {
+      const auto it = std::find_if(
+          full.candidates.begin(), full.candidates.end(), [&](const PoolAssignment& f) {
+            return f.prefill_pool == c.prefill_pool && f.decode_pool == c.decode_pool;
+          });
+      ASSERT_NE(it, full.candidates.end());
+      ExpectSameAssignment(c, *it);
     }
-    // The tier only skips work; it never changes what gets reported.
-    EXPECT_LE(on.simulations_run, off.simulations_run);
-    EXPECT_EQ(off.configs_pruned_tier, 0);
+    EXPECT_LE(pruned.simulations_run, full.simulations_run);
+    EXPECT_EQ(full.simulations_skipped, 0);
+    EXPECT_EQ(full.configs_pruned_roofline + full.configs_pruned_tier, 0);
   }
 }
 

@@ -2,10 +2,13 @@
 // searches produce bit-identical results to the plain serial search.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "cluster/topology.h"
 #include "placement/algorithms.h"
+#include "placement/hetero.h"
 #include "workload/dataset.h"
 
 namespace distserve::placement {
@@ -105,6 +108,40 @@ TEST(PlannerParallelTest, PruningDoesNotChangeThePlan) {
     // simulates everything.
     EXPECT_GT(a.simulations_skipped, 0) << (high ? "alg1" : "alg2");
     EXPECT_EQ(b.simulations_skipped, 0) << (high ? "alg1" : "alg2");
+  }
+}
+
+// Cache writes happen on the fold thread, so speculated configs a fold skips never reach the
+// cache at any thread count. Repeated because a thread-timing leak shows only on some runs.
+TEST(PlannerParallelTest, GoodputCacheIndependentOfThreads) {
+  const auto dataset = workload::MakeShareGptLike();
+  const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
+  const std::vector<std::function<void(PlannerInputs)>> searches = {
+      [](PlannerInputs in) { HighNodeAffinityPlacement(in); },
+      [](PlannerInputs in) { LowNodeAffinityPlacement(in); },
+      [&](PlannerInputs in) {
+        in.objective = PlannerObjective::kMinCost;
+        in.traffic_rate = 40.0;
+        HeterogeneousPlacement(in, fleet);
+      }};
+  for (size_t search = 0; search < searches.size(); ++search) {
+    auto fill = [&](int threads) {
+      GoodputCache cache;
+      PlannerInputs inputs = FastInputs(dataset.get());
+      inputs.goodput_cache = &cache;
+      inputs.num_threads = threads;
+      searches[search](inputs);
+      return cache.TakeSnapshot();
+    };
+    const GoodputCache::Snapshot serial = fill(1);
+    ASSERT_FALSE(serial.values.empty());
+    for (int round = 0; round < 3; ++round) {
+      for (const int threads : {2, 8}) {
+        const GoodputCache::Snapshot threaded = fill(threads);
+        EXPECT_EQ(threaded.values, serial.values) << "search " << search << " threads=" << threads;
+        EXPECT_EQ(threaded.hints, serial.hints) << "search " << search << " threads=" << threads;
+      }
+    }
   }
 }
 

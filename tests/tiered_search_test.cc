@@ -5,9 +5,10 @@
 //   1. LatencyModel::EvaluateBatch == scalar StageTime/FullTime, bit for bit, including
 //      denormal / huge / empty boundary points and duplicates inside one lattice;
 //   2. the run-batched decode probe loop == a per-step scalar reference loop kept here;
-//   3. the planner's chosen plan with use_analytic_tier on == off, across algorithms,
-//      seeds, traffic rates, and a degraded-cluster replan — while tier-on runs strictly
-//      fewer (or equal) simulations.
+//   3. the planner's chosen plan with the tier on (the default search) == the full walk
+//      (prune_search_space = false: tier and every bound off), across algorithms, seeds,
+//      traffic rates, and a degraded-cluster replan — while tier-on runs strictly fewer
+//      simulations.
 // Plus the closed-form M/D/1 inverse and the cap-sanitization rules the tier is built from.
 #include <gtest/gtest.h>
 
@@ -326,66 +327,67 @@ void ExpectAccountingInvariants(const PlannerResult& r) {
   EXPECT_GE(r.trace_cache_hits, 0);
 }
 
-TEST(TieredSearchTest, HighAffinityPlanBitIdenticalTierOnOff) {
-  const auto dataset = workload::MakeShareGptLike();
-  int64_t probes_on = 0;
-  int64_t probes_off = 0;
-  for (uint64_t seed : {uint64_t{1234}, uint64_t{99}}) {
-    for (double traffic : {10.0, 30.0}) {
-      PlannerInputs inputs = FastInputs(dataset.get(), seed, traffic);
-      inputs.use_analytic_tier = true;
-      const PlannerResult on = HighNodeAffinityPlacement(inputs);
-      inputs.use_analytic_tier = false;
-      const PlannerResult off = HighNodeAffinityPlacement(inputs);
-      ExpectPlansIdentical(on, off);
-      ExpectAccountingInvariants(on);
-      ExpectAccountingInvariants(off);
-      // Tier-off never attributes skips to the analytic cap.
-      EXPECT_EQ(off.analytic_rejected, 0);
-      // The tier can only remove work.
-      EXPECT_LE(on.simulations_run, off.simulations_run);
-      EXPECT_LE(on.probes, off.probes);
-      EXPECT_EQ(on.configs_evaluated, off.configs_evaluated);
-      probes_on += on.probes;
-      probes_off += off.probes;
+// Plans `inputs` tier-on and as the full walk (tier and every bound off): plans and kept
+// candidates must match bit for bit, for strictly less work. Returns the tier-on result.
+PlannerResult ExpectTierOnMatchesFullWalk(PlannerInputs inputs, bool high) {
+  const auto plan = [&] {
+    return high ? HighNodeAffinityPlacement(inputs) : LowNodeAffinityPlacement(inputs);
+  };
+  const PlannerResult on = plan();
+  inputs.prune_search_space = false;
+  const PlannerResult off = plan();
+  ExpectPlansIdentical(on, off);
+  for (const auto list : {&PlannerResult::prefill_candidates, &PlannerResult::decode_candidates,
+                          &PlannerResult::pair_candidates}) {
+    for (const CandidateResult& c : on.*list) {
+      const auto it = std::find_if((off.*list).begin(), (off.*list).end(), [&](const auto& f) {
+        return f.par == c.par && f.pair_prefill_tp == c.pair_prefill_tp &&
+               f.pair_decode_tp == c.pair_decode_tp;
+      });
+      EXPECT_TRUE(it != (off.*list).end() && it->goodput == c.goodput);  // bitwise
     }
   }
-  // The point of the tier: identical plans for strictly less tier-2 work somewhere in the
-  // battery (for Algorithm 1 the savings come from the cap-out probe short-circuit; config
-  // rejection beyond the roofline is structurally rare at a sound margin — see algorithms.h).
-  EXPECT_LT(probes_on, probes_off);
+  ExpectAccountingInvariants(on);
+  ExpectAccountingInvariants(off);
+  EXPECT_EQ(off.simulations_skipped, 0);
+  EXPECT_EQ(off.pairs_pruned_roofline + off.pairs_pruned_analytic, 0);
+  EXPECT_EQ(on.configs_evaluated, off.configs_evaluated);
+  EXPECT_EQ(on.pairs_considered, off.pairs_considered);
+  EXPECT_LT(on.simulations_run, off.simulations_run);
+  EXPECT_LT(on.probes, off.probes);
+  return on;
+}
+
+TEST(TieredSearchTest, HighAffinityPlanBitIdenticalTierOnOff) {
+  const auto dataset = workload::MakeShareGptLike();
+  for (uint64_t seed : {uint64_t{1234}, uint64_t{99}}) {
+    for (double traffic : {10.0, 30.0}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " traffic=" << traffic);
+      ExpectTierOnMatchesFullWalk(FastInputs(dataset.get(), seed, traffic), /*high=*/true);
+    }
+  }
 }
 
 TEST(TieredSearchTest, LowAffinityPlanBitIdenticalTierOnOff) {
   const auto dataset = workload::MakeShareGptLike();
-  PlannerInputs inputs = FastInputs(dataset.get(), 1234, 10.0);
-  inputs.use_analytic_tier = true;
-  const PlannerResult on = LowNodeAffinityPlacement(inputs);
-  inputs.use_analytic_tier = false;
-  const PlannerResult off = LowNodeAffinityPlacement(inputs);
-  ExpectPlansIdentical(on, off);
-  ExpectAccountingInvariants(on);
-  ExpectAccountingInvariants(off);
-  EXPECT_EQ(on.pairs_considered, off.pairs_considered);
-  EXPECT_EQ(off.pairs_pruned_analytic, 0);
-  EXPECT_GE(on.pairs_pruned_analytic + on.pairs_pruned_roofline, off.pairs_pruned_roofline);
-  EXPECT_LE(on.simulations_run, off.simulations_run);
-  // Algorithm 2 is where the analytic bound genuinely rejects candidates the roofline
-  // cannot: the pair bound is the min over both phases, so one SLO-crippled phase sinks
-  // the pair.
-  EXPECT_GT(on.pairs_pruned_analytic, 0);
-  EXPECT_LT(on.probes, off.probes);
+  for (uint64_t seed : {uint64_t{1234}, uint64_t{99}}) {
+    for (double traffic : {10.0, 30.0}) {
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " traffic=" << traffic);
+      const PlannerResult on =
+          ExpectTierOnMatchesFullWalk(FastInputs(dataset.get(), seed, traffic), /*high=*/false);
+      // Algorithm 2's pair bound is the min over both phases, so the analytic bound rejects
+      // pairs the roofline cannot (seed 1234 has some at these trial sizes; seed 99 none).
+      EXPECT_TRUE(seed != 1234 || on.pairs_pruned_analytic > 0);
+    }
+  }
 }
 
 TEST(TieredSearchTest, DegradedClusterReplanBitIdenticalTierOnOff) {
   const auto dataset = workload::MakeShareGptLike();
   PlannerInputs inputs = FastInputs(dataset.get(), 1234, 10.0);
   inputs.cluster = inputs.cluster.Degraded(/*failed_gpus=*/9);
-  inputs.use_analytic_tier = true;
-  const PlannerResult on = HighNodeAffinityPlacement(inputs);
-  inputs.use_analytic_tier = false;
-  const PlannerResult off = HighNodeAffinityPlacement(inputs);
-  ExpectPlansIdentical(on, off);
+  ExpectTierOnMatchesFullWalk(inputs, /*high=*/true);
+  ExpectTierOnMatchesFullWalk(inputs, /*high=*/false);
 }
 
 TEST(TieredSearchTest, PlanInsensitiveToOptimismMargin) {
