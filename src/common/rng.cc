@@ -133,10 +133,15 @@ double Rng::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigm
 double Rng::Gamma(double shape, double scale) {
   DS_CHECK(shape > 0.0);
   DS_CHECK(scale > 0.0);
+  return UnitGamma(shape).Scaled(scale);
+}
+
+GammaDraw Rng::UnitGamma(double shape) {
+  DS_CHECK(shape > 0.0);
   if (shape < 1.0) {
     // Boost shape above 1 and correct with a power of a uniform (Marsaglia–Tsang trick).
     const double u = NextDouble();
-    return Gamma(shape + 1.0, scale) * std::pow(u, 1.0 / shape);
+    return GammaDraw{UnitGamma(shape + 1.0).unit, std::pow(u, 1.0 / shape)};
   }
   const double d = shape - 1.0 / 3.0;
   const double c = 1.0 / std::sqrt(9.0 * d);
@@ -149,10 +154,10 @@ double Rng::Gamma(double shape, double scale) {
     v = v * v * v;
     const double u = NextDouble();
     if (u < 1.0 - 0.0331 * x * x * x * x) {
-      return d * v * scale;
+      return GammaDraw{d * v};
     }
     if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
-      return d * v * scale;
+      return GammaDraw{d * v};
     }
   }
 }

@@ -12,6 +12,16 @@
 
 namespace distserve {
 
+// One Gamma(shape, scale) draw split into its scale-free part and its scaling, so that one
+// draw can be scaled to many scales: Scaled(scale) is bit-identical to what Gamma(shape, scale)
+// returns from the same generator state. The probe-trace cache (workload/trace_cache.h) keeps
+// these draws and rescales them to every probe rate.
+struct GammaDraw {
+  double unit = 0.0;   // Marsaglia–Tsang's d * v (at shape + 1 when the shape is boosted)
+  double boost = 1.0;  // pow(u, 1/shape) for shape < 1; exactly 1 otherwise
+  double Scaled(double scale) const { return unit * scale * boost; }
+};
+
 // SplitMix64: used to expand a 64-bit seed into xoshiro state, and as a cheap standalone
 // stateless hash for deriving substream seeds.
 uint64_t SplitMix64(uint64_t& state);
@@ -60,7 +70,11 @@ class Rng {
   double LogNormal(double mu, double sigma);
 
   // Gamma(shape k, scale theta) via Marsaglia–Tsang; used for bursty arrival processes.
+  // Equal to UnitGamma(shape).Scaled(scale).
   double Gamma(double shape, double scale);
+
+  // The scale-free part of one Gamma(shape, .) draw; consumes exactly the draws Gamma does.
+  GammaDraw UnitGamma(double shape);
 
   // Bernoulli trial.
   bool Bernoulli(double p);

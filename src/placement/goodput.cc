@@ -30,19 +30,18 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
       ++stats->probes;
     }
     if (options.trace_cache != nullptr) {
-      const int64_t hits_before = options.trace_cache->stats().hits;
-      const std::shared_ptr<const workload::Trace> trace =
-          options.trace_cache->Get(spec, dataset);
-      if (stats != nullptr && options.trace_cache->stats().hits > hits_before) {
+      bool drew = false;
+      const workload::Trace trace = options.trace_cache->Get(spec, dataset, &drew);
+      if (stats != nullptr && !drew) {
         ++stats->trace_cache_hits;
       }
-      return attainment_at(*trace);
+      return attainment_at(trace);
     }
     return attainment_at(workload::GenerateTrace(spec, dataset));
   };
   // The exponential-probe lattice: rate_probe * 2^k. Keeping every probe on this lattice —
-  // warm-started or not — is what lets the trace cache share probe traces across configs and
-  // keeps hinted searches on the same pass/fail boundary as cold ones.
+  // warm-started or not — keeps hinted searches on the same pass/fail boundary as cold ones.
+  // (Trace sharing does not depend on it: the trace cache serves any rate.)
   auto lattice = [&](int k) { return options.rate_probe * std::ldexp(1.0, k); };
   // Cap-out short-circuit (see GoodputSearchOptions::rate_cap): `capped(r)` is checked
   // exactly when r has just been established as a passing rate, i.e. whenever the running

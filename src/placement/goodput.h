@@ -5,9 +5,9 @@
 // the SLO attainment target with simulation trials" (§4.1). FindMaxRate does exactly that: an
 // exponential probe to bracket the knee, then bisection; each probe resamples a trace at the
 // candidate rate from the workload distribution (as the paper does). Probe traces are fetched
-// through an optional workload::TraceCache — probe rates live on a shared lattice
-// (rate_probe * 2^k), so the dozens of searches a planner runs against different parallelism
-// configs regenerate identical traces without one.
+// through an optional workload::TraceCache, which draws each seed's arrivals and lengths once
+// and spaces them at any probe rate, so the dozens of searches a planner runs against
+// different parallelism configs draw each trace's randomness once between them.
 //
 // `rate_hint` warm-starts the exponential probe near a previously measured rate for the same
 // configuration (replanning after traffic drift). The probe stays on the same lattice and
@@ -39,7 +39,7 @@ struct GoodputSearchOptions {
   double burstiness_cv = 1.0;
   uint64_t seed = 1234;
 
-  // Shared probe-trace cache (non-owning; may be null). Cached traces are bit-identical to
+  // Shared probe-trace cache (non-owning; may be null). Its traces are bit-identical to
   // fresh generation, so enabling the cache never changes results.
   workload::TraceCache* trace_cache = nullptr;
 
@@ -67,7 +67,7 @@ struct GoodputSearchOptions {
 // Cost accounting for one search (Figure 12 / PlannerResult reporting).
 struct GoodputSearchStats {
   int probes = 0;             // attainment evaluations (trace simulations requested)
-  int trace_cache_hits = 0;   // probes whose trace came from the cache
+  int trace_cache_hits = 0;   // probes whose trace the cache served without new draws
 };
 
 // `attainment_at(trace)` returns the joint SLO attainment for one trace. Returns the largest

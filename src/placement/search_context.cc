@@ -223,8 +223,8 @@ SearchContext::SearchContext(const PlannerInputs& inputs)
     pool_ = owned_pool_.get();
   }
   // Probe traces are shared across every candidate's rate search; if the caller did not
-  // provide a cache, a per-invocation one still collapses the dozens of identical
-  // (rate, seed) generations the lattice produces.
+  // provide a cache, a per-invocation one still draws the seed's arrivals and lengths once
+  // for every probe of every candidate.
   if (search_.trace_cache == nullptr) {
     owned_trace_cache_ = std::make_unique<workload::TraceCache>();
     search_.trace_cache = owned_trace_cache_.get();

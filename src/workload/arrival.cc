@@ -53,7 +53,11 @@ GammaArrivals::GammaArrivals(double rate, double cv) : rate_(rate), cv_(cv) {
   scale_ = 1.0 / (rate_ * shape_);
 }
 
-double GammaArrivals::NextGap(Rng& rng) { return SanitizeGap(rng.Gamma(shape_, scale_)); }
+double GammaArrivals::NextGap(Rng& rng) { return Gap(rng.UnitGamma(shape_)); }
+
+double GammaArrivals::Gap(const GammaDraw& draw) const {
+  return SanitizeGap(draw.Scaled(scale_));
+}
 
 FixedArrivals::FixedArrivals(double rate) : rate_(rate) { CheckRate(rate, "FixedArrivals"); }
 

@@ -60,9 +60,14 @@ class GammaArrivals : public ArrivalProcess {
   static constexpr double kMaxCv = 64.0;
 
   GammaArrivals(double rate, double cv);
+  // Gap(rng.UnitGamma(shape())).
   double NextGap(Rng& rng) override;
+  // The gap one unit draw makes at this process's rate: draws taken once at shape() can be
+  // spaced at any rate with the same cv (workload::TraceCache does), bit-identical to NextGap.
+  double Gap(const GammaDraw& draw) const;
   double rate() const override { return rate_; }
   double cv() const { return cv_; }  // post-clamp value actually in effect
+  double shape() const { return shape_; }
 
  private:
   double rate_;

@@ -6,11 +6,6 @@
 
 namespace distserve::workload {
 
-namespace {
-constexpr uint64_t kArrivalStream = 1;
-constexpr uint64_t kLengthStream = 2;
-}  // namespace
-
 Trace GenerateTrace(const TraceSpec& spec, const Dataset& dataset) {
   DS_CHECK_GT(spec.rate, 0.0);
   DS_CHECK_GT(spec.num_requests, 0);

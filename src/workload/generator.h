@@ -16,6 +16,10 @@
 
 namespace distserve::workload {
 
+// The Rng::Fork stream ids every generator here draws arrivals and lengths from.
+inline constexpr uint64_t kArrivalStream = 1;
+inline constexpr uint64_t kLengthStream = 2;
+
 struct TraceSpec {
   double rate = 1.0;          // mean requests/second
   double burstiness_cv = 1.0; // 1.0 = Poisson

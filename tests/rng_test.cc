@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace distserve {
@@ -136,6 +137,55 @@ TEST(RngTest, GammaShapeBelowOne) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, shape * scale, 0.03);
+}
+
+// Marsaglia–Tsang written out as one function, the form Gamma had before it was split into
+// UnitGamma and GammaDraw::Scaled: the split must not move a single bit.
+double ReferenceGamma(Rng& rng, double shape, double scale) {
+  if (shape < 1.0) {
+    const double u = rng.NextDouble();
+    return ReferenceGamma(rng, shape + 1.0, scale) * std::pow(u, 1.0 / shape);
+  }
+  const double d = shape - 1.0 / 3.0;
+  const double c = 1.0 / std::sqrt(9.0 * d);
+  while (true) {
+    const double x = rng.Normal(0.0, 1.0);
+    double v = 1.0 + c * x;
+    if (v <= 0.0) {
+      continue;
+    }
+    v = v * v * v;
+    const double u = rng.NextDouble();
+    if (u < 1.0 - 0.0331 * x * x * x * x) {
+      return d * v * scale;
+    }
+    if (u > 0.0 && std::log(u) < 0.5 * x * x + d * (1.0 - v + std::log(v))) {
+      return d * v * scale;
+    }
+  }
+}
+
+TEST(RngTest, UnitGammaScaledIsGammaBitForBit) {
+  for (const double shape : {1.0 / 4096.0, 0.25, 0.999, 1.0, 4.0, 4096.0}) {
+    for (const double scale : {1e-6, 0.37, 1.0, 250.0}) {
+      Rng reference(61);
+      Rng gamma(61);
+      Rng unit(61);
+      for (int i = 0; i < 2000; ++i) {
+        const double want = ReferenceGamma(reference, shape, scale);
+        const double got = gamma.Gamma(shape, scale);
+        const double scaled = unit.UnitGamma(shape).Scaled(scale);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << "shape=" << shape << " scale=" << scale << " draw " << i;
+        ASSERT_EQ(std::memcmp(&scaled, &want, sizeof(double)), 0)
+            << "shape=" << shape << " scale=" << scale << " draw " << i;
+      }
+      // All three consumed the same draws.
+      const uint64_t next = reference.NextU64();
+      EXPECT_EQ(gamma.NextU64(), next);
+      EXPECT_EQ(unit.NextU64(), next);
+    }
+  }
 }
 
 TEST(RngTest, LogNormalMedian) {
