@@ -62,10 +62,11 @@ struct BatchCount {
   void push_back(const workload::Request*) { ++n; }
 };
 
-std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
-                                           const TraceView& trace, int64_t target_tokens,
-                                           int max_batch_size) {
-  std::vector<double> finish(trace.size(), 0.0);
+// The prefill instance's loop. `sink(k, finish)` receives view element k's absolute
+// first-token time, in view order; the loop stops early when the sink returns false.
+template <typename Sink>
+void PrefillFinishTimesView(const model::LatencyModel& lm, const TraceView& trace,
+                            int64_t target_tokens, int max_batch_size, Sink&& sink) {
   const engine::PrefillBatchPolicy policy{target_tokens, max_batch_size};
   const auto no_memory_bound = [](int64_t) { return true; };
   engine::PipelineCadence cadence(lm.par().pp);
@@ -79,10 +80,11 @@ std::vector<double> PrefillFinishTimesView(const model::LatencyModel& lm,
     const double entry = cadence.Enter(launch, lm.StageTime(workload));
     const double batch_finish = entry + lm.FullTime(workload);
     for (; i < arrived.next(); ++i) {
-      finish[i] = batch_finish;
+      if (!sink(i, batch_finish)) {
+        return;
+      }
     }
   }
-  return finish;
 }
 
 // DecodeBatch members in the fast sim: positions in a trace view, which keep no progress.
@@ -95,12 +97,15 @@ struct ViewRefs {
 };
 using ViewDecodeBatch = engine::BasicDecodeBatch<ViewRefs>;
 
-std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
-                                    const TraceView& trace, std::span<const double> ready_times,
-                                    int max_batch_size) {
+// The decode instance's loop. `sink(k, tpot)` receives view element k's TPOT once it is known
+// (0 for single-token outputs, infinite for requests that never fit); the loop stops early
+// when the sink returns false.
+template <typename Sink>
+void DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                     const TraceView& trace, std::span<const double> ready_times,
+                     int max_batch_size, Sink&& sink) {
   DS_CHECK_EQ(trace.size(), ready_times.size());
   DS_CHECK_GT(max_batch_size, 0);
-  std::vector<double> tpot(trace.size(), 0.0);
 
   // Admission order: by readiness (FCFS at the decode instance). Requests whose full context
   // can never fit this pool score an infinite TPOT — the configuration simply cannot serve
@@ -109,10 +114,15 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
   order.reserve(trace.size());
   for (size_t i = 0; i < trace.size(); ++i) {
     if (trace[i].output_len < 2) {
+      if (!sink(i, 0.0)) {
+        return;
+      }
       continue;
     }
     if (trace[i].total_len() > kv_capacity_tokens) {
-      tpot[i] = std::numeric_limits<double>::infinity();
+      if (!sink(i, std::numeric_limits<double>::infinity())) {
+        return;
+      }
       continue;
     }
     order.push_back(i);
@@ -175,13 +185,18 @@ std::vector<double> DecodeTpotsView(const model::LatencyModel& lm, int64_t kv_ca
     // leaves everyone with tokens to go). TPOT is measured from first-token readiness, so
     // admission queueing counts toward it (matching RequestRecord::Tpot in the engine
     // runtime).
+    bool open = true;
     batch.PopFinished([&](const ViewDecodeBatch::Member& m) {
-      tpot[m.request] =
-          (now - ready_times[m.request]) / static_cast<double>(trace[m.request].output_len - 1);
+      if (open) {
+        open = sink(m.request, (now - ready_times[m.request]) /
+                                   static_cast<double>(trace[m.request].output_len - 1));
+      }
       used_tokens -= trace[m.request].total_len();
     });
+    if (!open) {
+      return;
+    }
   }
-  return tpot;
 }
 
 // Single colocated instance over a trace view; writes results through the view's global
@@ -376,12 +391,40 @@ metrics::Attainment FastAttainment(const std::vector<FastRecord>& records,
   return result;
 }
 
+SloVerdict::SloVerdict(int64_t n, double target) : n_(n) {
+  DS_CHECK_GE(n, 0);
+  if (n == 0) {
+    need_ok_ = 0.0 >= target ? 0 : 1;  // an empty probe attains 0
+    return;
+  }
+  // double(k) / double(n) is non-decreasing in k (division rounds monotonically), so the
+  // smallest passing k is a binary search; n + 1 means no k <= n passes.
+  const double dn = static_cast<double>(n);
+  int64_t lo = 0;
+  int64_t hi = n + 1;
+  while (lo < hi) {
+    const int64_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) / dn >= target) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  need_ok_ = lo;
+}
+
 std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
                                                const workload::Trace& trace,
                                                int64_t target_tokens, int max_batch_size) {
   DS_CHECK_GT(target_tokens, 0);
   DS_CHECK_GT(max_batch_size, 0);
-  return PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size);
+  std::vector<double> finish(trace.size(), 0.0);
+  PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size,
+                         [&](size_t i, double f) {
+                           finish[i] = f;
+                           return true;
+                         });
+  return finish;
 }
 
 std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
@@ -389,8 +432,39 @@ std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         const workload::Trace& trace,
                                         const std::vector<double>& ready_times,
                                         int max_batch_size) {
-  return DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times,
-                         max_batch_size);
+  std::vector<double> tpot(trace.size(), 0.0);
+  DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times, max_batch_size,
+                  [&](size_t i, double t) {
+                    tpot[i] = t;
+                    return true;
+                  });
+  return tpot;
+}
+
+bool PrefillProbePasses(const model::LatencyModel& lm, const workload::Trace& trace,
+                        int64_t target_tokens, int max_batch_size, double ttft_slo,
+                        double target) {
+  DS_CHECK_GT(target_tokens, 0);
+  DS_CHECK_GT(max_batch_size, 0);
+  SloVerdict verdict(static_cast<int64_t>(trace.size()), target);
+  if (!verdict.settled()) {
+    PrefillFinishTimesView(lm, TraceView(trace), target_tokens, max_batch_size,
+                           [&](size_t i, double finish) {
+                             return verdict.Count(finish - trace[i].arrival_time <= ttft_slo);
+                           });
+  }
+  return verdict.passed();
+}
+
+bool DecodeProbePasses(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                       const workload::Trace& trace, const std::vector<double>& ready_times,
+                       int max_batch_size, double tpot_slo, double target) {
+  SloVerdict verdict(static_cast<int64_t>(trace.size()), target);
+  if (!verdict.settled()) {
+    DecodeTpotsView(lm, kv_capacity_tokens, TraceView(trace), ready_times, max_batch_size,
+                    [&](size_t, double tpot) { return verdict.Count(tpot <= tpot_slo); });
+  }
+  return verdict.passed();
 }
 
 std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill_lm,
@@ -406,13 +480,12 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
   for (int inst = 0; inst < config.num_prefill; ++inst) {
     const std::vector<size_t> idx =
         RoundRobinIndices(trace.size(), inst, config.num_prefill);
-    const std::vector<double> finish =
-        PrefillFinishTimesView(prefill_lm, TraceView(trace, idx), config.prefill_target_tokens,
-                               config.prefill_max_batch);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      first_token[idx[k]] = finish[k];
-      records[idx[k]].ttft = finish[k] - trace[idx[k]].arrival_time;
-    }
+    PrefillFinishTimesView(prefill_lm, TraceView(trace, idx), config.prefill_target_tokens,
+                           config.prefill_max_batch, [&](size_t k, double finish) {
+                             first_token[idx[k]] = finish;
+                             records[idx[k]].ttft = finish - trace[idx[k]].arrival_time;
+                             return true;
+                           });
   }
 
   // Phase 2: round-robin decode with arrivals at prefill completion.
@@ -423,12 +496,11 @@ std::vector<FastRecord> SimulateDisaggregated(const model::LatencyModel& prefill
     for (size_t i : idx) {
       ready.push_back(first_token[i]);
     }
-    const std::vector<double> tpots =
-        DecodeTpotsView(decode_lm, config.decode_kv_capacity_tokens, TraceView(trace, idx),
-                        ready, config.decode_max_batch);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      records[idx[k]].tpot = tpots[k];
-    }
+    DecodeTpotsView(decode_lm, config.decode_kv_capacity_tokens, TraceView(trace, idx), ready,
+                    config.decode_max_batch, [&](size_t k, double tpot) {
+                      records[idx[k]].tpot = tpot;
+                      return true;
+                    });
   }
   return records;
 }

@@ -36,6 +36,30 @@ struct FastRecord {
 metrics::Attainment FastAttainment(const std::vector<FastRecord>& records,
                                    const metrics::SloSpec& slo);
 
+// A goodput probe's pass/fail rule, `double(ok) / double(n) >= target`, decided from running
+// counts. need_ok() is the smallest ok count that passes (n + 1 when none does), so the
+// verdict is settled as soon as ok reaches it or more than n - need_ok() requests have failed:
+// a probe can stop simulating there without changing its verdict.
+class SloVerdict {
+ public:
+  SloVerdict(int64_t n, double target);
+
+  // Counts one request's outcome; returns whether the verdict is still open.
+  bool Count(bool ok) {
+    ++(ok ? ok_ : fail_);
+    return !settled();
+  }
+  bool settled() const { return ok_ >= need_ok_ || fail_ > n_ - need_ok_; }
+  bool passed() const { return ok_ >= need_ok_; }
+  int64_t need_ok() const { return need_ok_; }
+
+ private:
+  int64_t n_;
+  int64_t need_ok_;
+  int64_t ok_ = 0;
+  int64_t fail_ = 0;
+};
+
 // Prefill-only instance: FCFS, L_m-aware batching, pipeline-bubble cadence. Returns, per
 // request (trace order), the absolute first-token time.
 std::vector<double> SimulatePrefillFinishTimes(const model::LatencyModel& lm,
@@ -50,6 +74,17 @@ std::vector<double> SimulateDecodeTpots(const model::LatencyModel& lm,
                                         const workload::Trace& trace,
                                         const std::vector<double>& ready_times,
                                         int max_batch_size);
+
+// Goodput-probe verdicts on one instance: SloVerdict(trace.size(), target) over the
+// per-request outcomes of SimulatePrefillFinishTimes (finish - arrival <= ttft_slo) or
+// SimulateDecodeTpots (tpot <= tpot_slo). Each simulation stops once its verdict is settled,
+// so a clearly passing or failing probe simulates only part of its trace.
+bool PrefillProbePasses(const model::LatencyModel& lm, const workload::Trace& trace,
+                        int64_t target_tokens, int max_batch_size, double ttft_slo,
+                        double target);
+bool DecodeProbePasses(const model::LatencyModel& lm, int64_t kv_capacity_tokens,
+                       const workload::Trace& trace, const std::vector<double>& ready_times,
+                       int max_batch_size, double tpot_slo, double target);
 
 struct DisaggregatedFastConfig {
   int num_prefill = 1;

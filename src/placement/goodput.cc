@@ -12,13 +12,13 @@ namespace {
 constexpr double kRateCeiling = 1e5;
 }  // namespace
 
-double FindMaxRate(const std::function<double(const workload::Trace&)>& attainment_at,
+double FindMaxRate(const std::function<bool(const workload::Trace&)>& passes,
                    const workload::Dataset& dataset, const GoodputSearchOptions& options,
                    GoodputSearchStats* stats) {
-  DS_CHECK(attainment_at != nullptr);
+  DS_CHECK(passes != nullptr);
   DS_CHECK_GT(options.rate_floor, 0.0);
   DS_CHECK_GT(options.rate_probe, 0.0);
-  auto attainment_at_rate = [&](double rate) {
+  auto passes_at = [&](double rate) {
     workload::TraceSpec spec;
     spec.rate = rate;
     spec.burstiness_cv = options.burstiness_cv;
@@ -35,9 +35,9 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
       if (stats != nullptr && !drew) {
         ++stats->trace_cache_hits;
       }
-      return attainment_at(trace);
+      return passes(trace);
     }
-    return attainment_at(workload::GenerateTrace(spec, dataset));
+    return passes(workload::GenerateTrace(spec, dataset));
   };
   // The exponential-probe lattice: rate_probe * 2^k. Keeping every probe on this lattice —
   // warm-started or not — keeps hinted searches on the same pass/fail boundary as cold ones.
@@ -61,7 +61,7 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
     while (k0 > 0 && lattice(k0) > kRateCeiling) {
       --k0;
     }
-    if (attainment_at_rate(lattice(k0)) >= options.attainment_target) {
+    if (passes_at(lattice(k0))) {
       // Walk up to the first failing lattice point (identical to the cold walk from k0).
       lo = lattice(k0);
       if (capped(lo)) {
@@ -72,7 +72,7 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
         if (lattice(k) > kRateCeiling) {
           return lo;  // effectively unbounded for this trial size
         }
-        if (attainment_at_rate(lattice(k)) < options.attainment_target) {
+        if (!passes_at(lattice(k))) {
           break;
         }
         lo = lattice(k);
@@ -85,11 +85,11 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
     } else {
       // Walk down to the last passing lattice point.
       int k = k0 - 1;
-      while (k >= 0 && attainment_at_rate(lattice(k)) < options.attainment_target) {
+      while (k >= 0 && !passes_at(lattice(k))) {
         --k;
       }
       if (k < 0) {
-        if (attainment_at_rate(options.rate_floor) < options.attainment_target) {
+        if (!passes_at(options.rate_floor)) {
           return 0.0;
         }
         lo = options.rate_floor;
@@ -103,13 +103,13 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
       }
     }
   } else {
-    if (attainment_at_rate(options.rate_floor) < options.attainment_target) {
+    if (!passes_at(options.rate_floor)) {
       return 0.0;
     }
     // Exponential probe for the first failing rate.
     lo = options.rate_floor;
     int k = 0;
-    while (attainment_at_rate(lattice(k)) >= options.attainment_target) {
+    while (passes_at(lattice(k))) {
       lo = lattice(k);
       if (capped(lo)) {
         return lo;
@@ -125,7 +125,7 @@ double FindMaxRate(const std::function<double(const workload::Trace&)>& attainme
   double hi = lattice(first_fail_k);
   for (int i = 0; i < options.bisection_iters; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (attainment_at_rate(mid) >= options.attainment_target) {
+    if (passes_at(mid)) {
       lo = mid;
       if (capped(lo)) {
         return lo;

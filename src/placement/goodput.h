@@ -9,6 +9,11 @@
 // and spaces them at any probe rate, so the dozens of searches a planner runs against
 // different parallelism configs draw each trace's randomness once between them.
 //
+// The search only ever asks whether a probe passes, so a probe is a verdict, not a ratio: the
+// caller judges the trace against options.attainment_target, and may stop simulating as soon
+// as the verdict is settled (SloVerdict and the Prefill/DecodeProbePasses probes in
+// fast_sim.h).
+//
 // `rate_hint` warm-starts the exponential probe near a previously measured rate for the same
 // configuration (replanning after traffic drift). The probe stays on the same lattice and
 // walks to the same pass/fail boundary, so for attainment functions that are non-increasing
@@ -66,13 +71,14 @@ struct GoodputSearchOptions {
 
 // Cost accounting for one search (Figure 12 / PlannerResult reporting).
 struct GoodputSearchStats {
-  int probes = 0;             // attainment evaluations (trace simulations requested)
+  int probes = 0;             // verdicts asked for (trace simulations requested)
   int trace_cache_hits = 0;   // probes whose trace the cache served without new draws
 };
 
-// `attainment_at(trace)` returns the joint SLO attainment for one trace. Returns the largest
-// rate (requests/second) whose attainment meets the target, or 0 when even rate_floor fails.
-double FindMaxRate(const std::function<double(const workload::Trace&)>& attainment_at,
+// `passes(trace)` returns whether one probe trace's SLO attainment meets
+// options.attainment_target. Returns the largest rate (requests/second) whose probe passes,
+// or 0 when even rate_floor fails.
+double FindMaxRate(const std::function<bool(const workload::Trace&)>& passes,
                    const workload::Dataset& dataset, const GoodputSearchOptions& options,
                    GoodputSearchStats* stats = nullptr);
 

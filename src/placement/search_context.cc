@@ -15,7 +15,7 @@
 namespace distserve::placement::detail {
 namespace {
 
-// The simulator's prefill batch cap (SimulatePrefillFinishTimes callers); the analytic tier
+// The simulator's prefill batch cap (PrefillProbePasses callers); the analytic tier
 // and the roofline bound scan batch sizes up to the same cap so their idealised batching
 // never assumes a batch the simulator could not form.
 constexpr int kPrefillMaxBatch = 64;
@@ -40,18 +40,11 @@ double SimulatePrefillRate(const PlannerInputs& inputs, const model::Parallelism
                            const GoodputSearchOptions& search, GoodputSearchStats* stats) {
   const model::LatencyModel lm = MakeLm(inputs, par);
   const int64_t target_tokens = std::max<int64_t>(512, lm.ComputeSaturationTokens());
-  auto attainment = [&](const workload::Trace& trace) {
-    const std::vector<double> finish =
-        SimulatePrefillFinishTimes(lm, trace, target_tokens, kPrefillMaxBatch);
-    int64_t ok = 0;
-    for (size_t i = 0; i < trace.size(); ++i) {
-      if (finish[i] - trace[i].arrival_time <= inputs.slo.ttft) {
-        ++ok;
-      }
-    }
-    return trace.empty() ? 0.0 : static_cast<double>(ok) / static_cast<double>(trace.size());
+  auto passes = [&](const workload::Trace& trace) {
+    return PrefillProbePasses(lm, trace, target_tokens, kPrefillMaxBatch, inputs.slo.ttft,
+                              search.attainment_target);
   };
-  return FindMaxRate(attainment, *inputs.dataset, search, stats);
+  return FindMaxRate(passes, *inputs.dataset, search, stats);
 }
 
 double SimulateDecodeRate(const PlannerInputs& inputs, const model::ParallelismConfig& par,
@@ -61,22 +54,15 @@ double SimulateDecodeRate(const PlannerInputs& inputs, const model::ParallelismC
   if (kv_capacity <= 0) {
     return 0.0;
   }
-  auto attainment = [&](const workload::Trace& trace) {
+  auto passes = [&](const workload::Trace& trace) {
     std::vector<double> ready(trace.size());
     for (size_t i = 0; i < trace.size(); ++i) {
       ready[i] = trace[i].arrival_time;
     }
-    const std::vector<double> tpots =
-        SimulateDecodeTpots(lm, kv_capacity, trace, ready, inputs.decode_max_batch);
-    int64_t ok = 0;
-    for (double t : tpots) {
-      if (t <= inputs.slo.tpot) {
-        ++ok;
-      }
-    }
-    return trace.empty() ? 0.0 : static_cast<double>(ok) / static_cast<double>(trace.size());
+    return DecodeProbePasses(lm, kv_capacity, trace, ready, inputs.decode_max_batch,
+                             inputs.slo.tpot, search.attainment_target);
   };
-  return FindMaxRate(attainment, *inputs.dataset, search, stats);
+  return FindMaxRate(passes, *inputs.dataset, search, stats);
 }
 
 void AppendDouble(std::string& out, double v) {

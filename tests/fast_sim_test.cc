@@ -42,6 +42,107 @@ TEST(FastAttainmentTest, CountsMarginals) {
   EXPECT_DOUBLE_EQ(FastAttainment({}, {1, 1}).both, 0.0);
 }
 
+// need_ok() is exactly the ratio rule `double(ok) / double(n) >= target`: for every n up to
+// 5000 and every ok count, at the planner's usual targets, at a target that is not what it
+// looks like (0.1 + 0.2 > 0.3), and one ulp either side of 0.9.
+TEST(SloVerdictTest, NeedOkIsTheRatioRule) {
+  const std::vector<double> targets = {0.5,
+                                       0.9,
+                                       0.95,
+                                       0.99,
+                                       1.0,
+                                       0.1 + 0.2,
+                                       std::nextafter(0.9, 0.0),
+                                       std::nextafter(0.9, 1.0)};
+  for (const double target : targets) {
+    for (int64_t n = 1; n <= 5000; ++n) {
+      const int64_t need_ok = SloVerdict(n, target).need_ok();
+      const double dn = static_cast<double>(n);
+      for (int64_t ok = 0; ok <= n; ++ok) {
+        ASSERT_EQ(ok >= need_ok, static_cast<double>(ok) / dn >= target)
+            << "target=" << target << " n=" << n << " ok=" << ok;
+      }
+    }
+  }
+  // An empty probe attains 0; a target above 1 never passes.
+  EXPECT_TRUE(SloVerdict(0, 0.0).passed());
+  EXPECT_FALSE(SloVerdict(0, 0.9).passed());
+  EXPECT_TRUE(SloVerdict(0, 0.9).settled());
+  EXPECT_EQ(SloVerdict(10, 1.5).need_ok(), 11);
+}
+
+TEST(SloVerdictTest, SettlesAsSoonAsTheCountsDecideIt) {
+  // n = 10 at 0.9: 9 oks pass; a second failure fails.
+  SloVerdict pass(10, 0.9);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(pass.Count(true));
+  }
+  EXPECT_TRUE(pass.Count(false));
+  EXPECT_FALSE(pass.Count(true));
+  EXPECT_TRUE(pass.passed());
+  SloVerdict fail(10, 0.9);
+  EXPECT_TRUE(fail.Count(false));
+  EXPECT_FALSE(fail.Count(false));
+  EXPECT_FALSE(fail.passed());
+}
+
+// The early-stopped probes give the verdict of the full simulation's attainment ratio, at
+// rates from clearly passing through the knee to clearly failing, at several targets and SLOs,
+// with single-token outputs (TPOT 0) and requests that never fit in KV (TPOT infinite) mixed
+// into the decode traces.
+TEST(ProbeVerdictTest, EarlyStoppedVerdictsEqualFullRunVerdicts) {
+  const model::LatencyModel lm = Lm13B();
+  const auto dataset = workload::MakeShareGptLike();
+  const int64_t kv_capacity = lm.view().KvCapacityTokens(cluster::GpuSpec::A100_80GB());
+  int passes = 0;
+  int fails = 0;
+  for (double rate = 0.25; rate <= 64.0; rate *= 1.19) {
+    workload::TraceSpec spec;
+    spec.rate = rate;
+    spec.num_requests = 600;
+    spec.seed = 17;
+    workload::Trace trace = workload::GenerateTrace(spec, *dataset);
+    for (size_t i = 0; i < trace.size(); i += 37) {
+      trace[i].output_len = 1;  // single-token output
+    }
+    for (size_t i = 5; i < trace.size(); i += 53) {
+      trace[i].input_len = static_cast<int>(kv_capacity);  // can never fit
+    }
+    std::vector<double> ready(trace.size());
+    for (size_t i = 0; i < trace.size(); ++i) {
+      ready[i] = trace[i].arrival_time;
+    }
+    const std::vector<double> finish = SimulatePrefillFinishTimes(lm, trace, 512, 64);
+    const std::vector<double> tpots = SimulateDecodeTpots(lm, kv_capacity, trace, ready, 256);
+    const double n = static_cast<double>(trace.size());
+    for (const double target : {0.5, 0.9, 0.99}) {
+      for (const double ttft_slo : {0.1, 0.4}) {
+        int64_t ok = 0;
+        for (size_t i = 0; i < trace.size(); ++i) {
+          ok += finish[i] - trace[i].arrival_time <= ttft_slo ? 1 : 0;
+        }
+        const bool full = static_cast<double>(ok) / n >= target;
+        ASSERT_EQ(PrefillProbePasses(lm, trace, 512, 64, ttft_slo, target), full)
+            << "rate=" << rate << " target=" << target << " ttft=" << ttft_slo;
+        (full ? passes : fails) += 1;
+      }
+      for (const double tpot_slo : {0.05, 0.1, std::numeric_limits<double>::infinity()}) {
+        int64_t ok = 0;
+        for (const double t : tpots) {
+          ok += t <= tpot_slo ? 1 : 0;
+        }
+        const bool full = static_cast<double>(ok) / n >= target;
+        ASSERT_EQ(DecodeProbePasses(lm, kv_capacity, trace, ready, 256, tpot_slo, target), full)
+            << "rate=" << rate << " target=" << target << " tpot=" << tpot_slo;
+        (full ? passes : fails) += 1;
+      }
+    }
+  }
+  // Not vacuous: the sweep crosses the knee.
+  EXPECT_GT(passes, 20);
+  EXPECT_GT(fails, 20);
+}
+
 TEST(FastPrefillTest, LowRateTtftIsExecutionTime) {
   const model::LatencyModel lm = Lm13B();
   const workload::Trace trace = FixedTrace(0.1, 50, 512, 8);

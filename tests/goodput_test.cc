@@ -23,41 +23,44 @@ GoodputSearchOptions FastOptions() {
 }
 
 TEST(GoodputTest, RecoversAnalyticThreshold) {
-  // Synthetic attainment: passes iff observed trace rate <= 5 rps.
+  // Synthetic verdict: passes iff observed trace rate <= 5 rps.
   workload::FixedDataset dataset(100, 10);
-  auto attainment = [](const workload::Trace& trace) {
+  auto passes = [](const workload::Trace& trace) {
     const workload::TraceStats stats = workload::ComputeTraceStats(trace);
-    return stats.observed_rate <= 5.0 ? 1.0 : 0.0;
+    return stats.observed_rate <= 5.0;
   };
-  const double rate = FindMaxRate(attainment, dataset, FastOptions());
+  const double rate = FindMaxRate(passes, dataset, FastOptions());
   EXPECT_NEAR(rate, 5.0, 0.5);
 }
 
 TEST(GoodputTest, HopelessConfigReturnsZero) {
   workload::FixedDataset dataset(100, 10);
-  auto never = [](const workload::Trace&) { return 0.0; };
+  auto never = [](const workload::Trace&) { return false; };
   EXPECT_DOUBLE_EQ(FindMaxRate(never, dataset, FastOptions()), 0.0);
 }
 
 TEST(GoodputTest, AlwaysPassingCapsOut) {
   workload::FixedDataset dataset(100, 10);
-  auto always = [](const workload::Trace&) { return 1.0; };
+  auto always = [](const workload::Trace&) { return true; };
   EXPECT_GT(FindMaxRate(always, dataset, FastOptions()), 1e4);
 }
 
 TEST(GoodputTest, AttainmentTargetMatters) {
-  // Attainment decays smoothly with rate: a = max(0, 1 - rate/10).
+  // Attainment decays smoothly with rate: a = max(0, 1 - rate/10), judged against the
+  // search's own target.
   workload::FixedDataset dataset(100, 10);
-  auto decay = [](const workload::Trace& trace) {
-    const double rate = workload::ComputeTraceStats(trace).observed_rate;
-    return std::max(0.0, 1.0 - rate / 10.0);
+  auto decay_meets = [](double target) {
+    return [target](const workload::Trace& trace) {
+      const double rate = workload::ComputeTraceStats(trace).observed_rate;
+      return std::max(0.0, 1.0 - rate / 10.0) >= target;
+    };
   };
   GoodputSearchOptions strict = FastOptions();
   strict.attainment_target = 0.9;
   GoodputSearchOptions loose = FastOptions();
   loose.attainment_target = 0.5;
-  const double strict_rate = FindMaxRate(decay, dataset, strict);
-  const double loose_rate = FindMaxRate(decay, dataset, loose);
+  const double strict_rate = FindMaxRate(decay_meets(0.9), dataset, strict);
+  const double loose_rate = FindMaxRate(decay_meets(0.5), dataset, loose);
   EXPECT_LT(strict_rate, loose_rate);
   EXPECT_NEAR(strict_rate, 1.0, 0.5);
   EXPECT_NEAR(loose_rate, 5.0, 1.0);
@@ -69,7 +72,7 @@ TEST(GoodputTest, WarmStartMatchesColdSearch) {
   workload::FixedDataset dataset(100, 10);
   auto decay = [](const workload::Trace& trace) {
     const double rate = workload::ComputeTraceStats(trace).observed_rate;
-    return std::max(0.0, 1.0 - rate / 10.0);
+    return std::max(0.0, 1.0 - rate / 10.0) >= 0.9;
   };
   GoodputSearchStats cold_stats;
   const double cold = FindMaxRate(decay, dataset, FastOptions(), &cold_stats);
@@ -91,7 +94,7 @@ TEST(GoodputTest, WarmStartMatchesColdSearch) {
 
 TEST(GoodputTest, WarmStartHopelessStillZero) {
   workload::FixedDataset dataset(100, 10);
-  auto never = [](const workload::Trace&) { return 0.0; };
+  auto never = [](const workload::Trace&) { return false; };
   GoodputSearchOptions options = FastOptions();
   options.rate_hint = 12.0;
   EXPECT_DOUBLE_EQ(FindMaxRate(never, dataset, options), 0.0);
@@ -99,7 +102,7 @@ TEST(GoodputTest, WarmStartHopelessStillZero) {
 
 TEST(GoodputTest, WarmStartAlwaysPassingCapsOut) {
   workload::FixedDataset dataset(100, 10);
-  auto always = [](const workload::Trace&) { return 1.0; };
+  auto always = [](const workload::Trace&) { return true; };
   GoodputSearchOptions options = FastOptions();
   options.rate_hint = 2.0;
   EXPECT_GT(FindMaxRate(always, dataset, options), 1e4);
@@ -113,12 +116,11 @@ TEST(GoodputTest, RateCapExitIsExact) {
   auto observed = [](const workload::Trace& trace) {
     return workload::ComputeTraceStats(trace).observed_rate;
   };
-  const std::vector<std::pair<const char*, std::function<double(const workload::Trace&)>>>
+  const std::vector<std::pair<const char*, std::function<bool(const workload::Trace&)>>>
       attainments = {
-          {"monotone", [&](const workload::Trace& t) { return observed(t) <= 5.0 ? 1.0 : 0.0; }},
-          {"always", [](const workload::Trace&) { return 1.0; }},
-          {"sawtooth",
-           [&](const workload::Trace& t) { return std::fmod(observed(t), 3.0) < 1.5 ? 1.0 : 0.0; }},
+          {"monotone", [&](const workload::Trace& t) { return observed(t) <= 5.0; }},
+          {"always", [](const workload::Trace&) { return true; }},
+          {"sawtooth", [&](const workload::Trace& t) { return std::fmod(observed(t), 3.0) < 1.5; }},
       };
   int searches_cut = 0;
   for (const auto& [name, attainment] : attainments) {
@@ -152,7 +154,7 @@ TEST(GoodputTest, TraceCacheDoesNotChangeResultAndHits) {
   workload::FixedDataset dataset(100, 10);
   auto decay = [](const workload::Trace& trace) {
     const double rate = workload::ComputeTraceStats(trace).observed_rate;
-    return std::max(0.0, 1.0 - rate / 10.0);
+    return std::max(0.0, 1.0 - rate / 10.0) >= 0.9;
   };
   const double uncached = FindMaxRate(decay, dataset, FastOptions());
   workload::TraceCache cache;
@@ -163,7 +165,7 @@ TEST(GoodputTest, TraceCacheDoesNotChangeResultAndHits) {
   const double second = FindMaxRate(decay, dataset, options, &second_stats);
   EXPECT_DOUBLE_EQ(first, uncached);
   EXPECT_DOUBLE_EQ(second, uncached);
-  // The second search re-visits the exact probe lattice: every trace comes from the cache.
+  // The second search re-visits the exact probes: every trace comes from the cache's draws.
   EXPECT_EQ(second_stats.trace_cache_hits, second_stats.probes);
 }
 
@@ -176,7 +178,7 @@ TEST(GoodputTest, TraceSizeScalesWithRate) {
   int max_seen = 0;
   auto spy = [&](const workload::Trace& trace) {
     max_seen = std::max(max_seen, static_cast<int>(trace.size()));
-    return workload::ComputeTraceStats(trace).observed_rate <= 20.0 ? 1.0 : 0.0;
+    return workload::ComputeTraceStats(trace).observed_rate <= 20.0;
   };
   FindMaxRate(spy, dataset, options);
   // Probes above 5 rps must have generated more than the 50-request floor.
