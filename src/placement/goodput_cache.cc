@@ -2,15 +2,18 @@
 
 namespace distserve::placement {
 
-std::optional<double> GoodputCache::Lookup(const std::string& key) {
+std::optional<double> GoodputCache::Lookup(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = values_.find(key);
   if (it == values_.end()) {
-    ++misses_;
     return std::nullopt;
   }
-  ++hits_;
   return it->second;
+}
+
+void GoodputCache::CountLookup(bool hit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(hit ? hits_ : misses_);
 }
 
 void GoodputCache::Insert(const std::string& key, double goodput) {

@@ -27,8 +27,12 @@ namespace distserve::placement {
 
 class GoodputCache {
  public:
-  // Exact-fingerprint lookup; counts a hit or miss. Thread-safe.
-  std::optional<double> Lookup(const std::string& key);
+  // Exact-fingerprint lookup. Thread-safe; counts nothing (see CountLookup).
+  std::optional<double> Lookup(const std::string& key) const;
+
+  // Counts one lookup's outcome in stats(). The planner counts on its fold thread, once per
+  // key a fold uses, so the counters do not depend on which keys pool workers speculated on.
+  void CountLookup(bool hit);
 
   void Insert(const std::string& key, double goodput);
 

@@ -292,7 +292,11 @@ PhaseSim SearchContext::SimulatePhase(const model::ParallelismConfig& par,
 void SearchContext::Remember(const model::ParallelismConfig& par, bool is_prefill,
                              const PhaseSim& sim) const {
   GoodputCache* cache = inputs_.goodput_cache;
-  if (cache == nullptr || sim.cache_hit) {
+  if (cache == nullptr) {
+    return;
+  }
+  cache->CountLookup(sim.cache_hit);
+  if (sim.cache_hit) {
     return;
   }
   cache->Insert(value_prefix_ + ConfigSuffix(par, is_prefill), sim.goodput);

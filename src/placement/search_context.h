@@ -74,9 +74,10 @@ class SearchContext {
   // plan.
   PhaseSim SimulatePhase(const model::ParallelismConfig& par, bool is_prefill) const;
 
-  // Stores a simulated (not recalled) result's goodput and rate hint in the goodput cache.
-  // Called once per key a fold forces, on the calling thread, so the cache never holds a
-  // speculated result no fold used and its contents do not depend on the thread count.
+  // Counts the key's goodput-cache lookup and stores a simulated (not recalled) result's
+  // goodput and rate hint. Called once per key a fold forces, on the calling thread, so the
+  // cache never holds a speculated result no fold used, and neither its contents nor its
+  // hit/miss counters depend on the thread count.
   void Remember(const model::ParallelismConfig& par, bool is_prefill, const PhaseSim& sim) const;
 
   // Upper bounds on the phase's derated goodput, one per tier. tier_goodput is the same cap

@@ -269,7 +269,9 @@ TEST(GoodputCacheTest, ClearKeepsLifetimeCountersAndStatsCountHints) {
   cache.UpdateRateHint("ha", 1.0);
   cache.UpdateRateHint("hb", 2.0);
   EXPECT_FALSE(cache.Lookup("miss").has_value());
+  cache.CountLookup(/*hit=*/false);
   EXPECT_TRUE(cache.Lookup("a").has_value());
+  cache.CountLookup(/*hit=*/true);
 
   GoodputCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -141,6 +142,40 @@ TEST(PlannerParallelTest, GoodputCacheIndependentOfThreads) {
         EXPECT_EQ(threaded.values, serial.values) << "search " << search << " threads=" << threads;
         EXPECT_EQ(threaded.hints, serial.hints) << "search " << search << " threads=" << threads;
       }
+    }
+  }
+}
+
+// The goodput cache's hit and miss counters are counted on the fold thread, once per key a
+// fold uses, so a threaded search reports the serial search's counts: a cold search (all
+// misses) then a warm one on the same cache (hits), at 1, 2 and 8 threads.
+TEST(PlannerParallelTest, GoodputCacheCountersIndependentOfThreads) {
+  const auto dataset = workload::MakeShareGptLike();
+  const cluster::HeteroClusterSpec fleet = cluster::HeteroClusterSpec::MixedFleet();
+  const std::vector<std::function<void(PlannerInputs)>> searches = {
+      [](PlannerInputs in) { HighNodeAffinityPlacement(in); },
+      [](PlannerInputs in) { LowNodeAffinityPlacement(in); },
+      [&](PlannerInputs in) {
+        in.objective = PlannerObjective::kMinCost;
+        in.traffic_rate = 40.0;
+        HeterogeneousPlacement(in, fleet);
+      }};
+  for (size_t search = 0; search < searches.size(); ++search) {
+    auto counts = [&](int threads) {
+      GoodputCache cache;
+      PlannerInputs inputs = FastInputs(dataset.get());
+      inputs.goodput_cache = &cache;
+      inputs.num_threads = threads;
+      searches[search](inputs);
+      searches[search](inputs);
+      const GoodputCache::Stats stats = cache.stats();
+      return std::make_pair(stats.hits, stats.misses);
+    };
+    const std::pair<int64_t, int64_t> serial = counts(1);
+    ASSERT_GT(serial.first, 0) << "search " << search;
+    ASSERT_GT(serial.second, 0) << "search " << search;
+    for (const int threads : {2, 8}) {
+      EXPECT_EQ(counts(threads), serial) << "search " << search << " threads=" << threads;
     }
   }
 }
