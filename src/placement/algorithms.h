@@ -170,10 +170,10 @@ struct PlannerResult {
   int pairs_pruned_roofline = 0;
   int pairs_pruned_analytic = 0;
 
-  // Tier-2 cost actually paid: FindMaxRate attainment probes summed over the simulations
-  // that ran (cache hits contribute zero), and how many of those probes the trace cache
-  // served without new draws. The speedup story of the tiered search is visible right here: the pruned search
-  // runs fewer simulations and therefore fewer probes for the same plan.
+  // Tier-2 cost actually paid: FindMaxRate probes summed over the simulations that ran
+  // (cache hits contribute zero), and how many of those probes the trace cache served
+  // without new draws. The speedup story of the tiered search is visible right here: the
+  // pruned search runs fewer simulations and therefore fewer probes for the same plan.
   int64_t probes = 0;
   int64_t trace_cache_hits = 0;
 };

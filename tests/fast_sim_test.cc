@@ -46,14 +46,9 @@ TEST(FastAttainmentTest, CountsMarginals) {
 // 5000 and every ok count, at the planner's usual targets, at a target that is not what it
 // looks like (0.1 + 0.2 > 0.3), and one ulp either side of 0.9.
 TEST(SloVerdictTest, NeedOkIsTheRatioRule) {
-  const std::vector<double> targets = {0.5,
-                                       0.9,
-                                       0.95,
-                                       0.99,
-                                       1.0,
-                                       0.1 + 0.2,
-                                       std::nextafter(0.9, 0.0),
-                                       std::nextafter(0.9, 1.0)};
+  std::vector<double> targets = {0.5, 0.9, 0.95, 0.99, 1.0, 0.1 + 0.2};
+  targets.push_back(std::nextafter(0.9, 0.0));
+  targets.push_back(std::nextafter(0.9, 1.0));
   for (const double target : targets) {
     for (int64_t n = 1; n <= 5000; ++n) {
       const int64_t need_ok = SloVerdict(n, target).need_ok();

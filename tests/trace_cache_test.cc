@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -69,8 +70,9 @@ TEST(TraceCacheTest, DistinctSpecsAreDistinctEntries) {
   FixedDataset dataset(100, 10);
   TraceCache cache;
   cache.Get(Spec(2.0), dataset);
-  cache.Get(Spec(2.0, 50, 8), dataset);            // different seed
-  cache.Get(Spec(2.0, 50, 7, 2.0), dataset);       // different burstiness
+  // A different seed, then a different burstiness.
+  cache.Get(Spec(2.0, 50, 8), dataset);
+  cache.Get(Spec(2.0, 50, 7, 2.0), dataset);
   EXPECT_EQ(cache.stats().misses, 3);
   EXPECT_EQ(cache.stats().hits, 0);
   EXPECT_EQ(cache.stats().entries, 3);
@@ -172,10 +174,12 @@ struct Datasets {
 // three dataset kinds.
 TEST(TraceCacheTest, GetIsGenerateTraceAcrossTheProbeGrid) {
   const Datasets datasets;
-  const std::vector<double> rates = {
-      1.0,   2.0,    8.0,  64.0,          // lattice points
-      0.75,  3.0,    5.0,  6.5,  48.0,    // bisection midpoints
-      0.013, 0.37, 3.3,  17.9, 1234.5};   // off the lattice
+  const std::vector<double> lattice = {1.0, 2.0, 8.0, 64.0};
+  const std::vector<double> midpoints = {0.75, 3.0, 5.0, 6.5, 48.0};
+  const std::vector<double> off_lattice = {0.013, 0.37, 3.3, 17.9, 1234.5};
+  std::vector<double> rates = lattice;
+  rates.insert(rates.end(), midpoints.begin(), midpoints.end());
+  rates.insert(rates.end(), off_lattice.begin(), off_lattice.end());
   const std::vector<double> cvs = {1.0 / 64.0, 0.5, 1.0, 2.0, 64.0};
   const std::vector<int> counts = {40, 700, 1500, 250, 1};  // grow, then shrink
   TraceCache cache;
